@@ -5,10 +5,10 @@
 //! reads from one buffer and writes the other, so no per-layer storage is
 //! ever (de)allocated. [`GazeInferWorkspace`] is the software mirror of
 //! that arrangement — two f32 arena tensors and two int8 arena tensors the
-//! forward passes alternate between, plus the im2col patch buffer and the
-//! i32 MAC accumulator shared by every layer. All buffers are sized lazily
-//! at the first frame and only ever grow, so a steady-state forward pass
-//! performs zero heap allocations.
+//! forward passes alternate between, plus the f32 and i8 im2col patch
+//! buffers and the i32 MAC accumulator shared by every layer. All buffers
+//! are sized lazily at the first frame and only ever grow, so a
+//! steady-state forward pass performs zero heap allocations.
 //!
 //! Two entry points live here:
 //!
@@ -30,7 +30,8 @@ use eyecod_tensor::quant::QTensor;
 use eyecod_tensor::Tensor;
 
 /// Reusable buffers for the allocation-free gaze forwards — the f32 arena
-/// (via [`ConvWorkspace`]), the int8 arena, and the shared i32 accumulator.
+/// and its im2col buffer (via [`ConvWorkspace`]), the int8 arena, and the
+/// int8 convolutions' shared i32 accumulator and i8 im2col buffer.
 ///
 /// One workspace serves both backends; buffers grow to the largest layer
 /// seen and are then reused verbatim.
@@ -39,6 +40,7 @@ pub struct GazeInferWorkspace {
     pub(crate) qping: QTensor,
     pub(crate) qpong: QTensor,
     pub(crate) acc: Vec<i32>,
+    pub(crate) qpatches: Vec<i8>,
 }
 
 impl Default for GazeInferWorkspace {
@@ -55,6 +57,7 @@ impl GazeInferWorkspace {
             qping: QTensor::scratch(),
             qpong: QTensor::scratch(),
             acc: Vec::new(),
+            qpatches: Vec::new(),
         }
     }
 }

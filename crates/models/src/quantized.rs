@@ -296,13 +296,18 @@ impl QuantizedGazeNet {
 
     /// [`QuantizedGazeNet::forward`] through a [`GazeInferWorkspace`]:
     /// activations ping-pong between the workspace's two int8 arena buffers
-    /// and the i32 accumulator is reused across layers, so a steady-state
-    /// forward pass allocates nothing once the buffers are warm. Every op is
-    /// the `_into` variant of the same exact-i32 kernel, so the result
-    /// written to `out` is bit-identical to the allocating path.
+    /// and the i32 accumulator and i8 im2col buffer are reused across
+    /// layers, so a steady-state forward pass allocates nothing once the
+    /// buffers are warm. Every op is the `_into` variant of the same
+    /// exact-i32 kernel, so the result written to `out` is bit-identical to
+    /// the allocating path.
     pub fn forward_into(&self, input: &Tensor, ws: &mut GazeInferWorkspace, out: &mut Tensor) {
         let GazeInferWorkspace {
-            qping, qpong, acc, ..
+            qping,
+            qpong,
+            acc,
+            qpatches,
+            ..
         } = ws;
         QTensor::quantize_with_scale_into(input, self.input_scale, qping);
         let (mut cur, mut next) = (qping, qpong);
@@ -327,6 +332,7 @@ impl QuantizedGazeNet {
                         *relu,
                         *out_scale,
                         acc,
+                        qpatches,
                         next,
                     );
                     std::mem::swap(&mut cur, &mut next);

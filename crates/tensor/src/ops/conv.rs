@@ -3,8 +3,15 @@
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
-/// Validates convolution arguments and returns `(c_in_per_group, c_out_per_group)`.
-fn check_conv_args(input: Shape, weight: Shape, groups: usize) -> (usize, usize) {
+/// Validates convolution arguments and returns `(c_in_per_group,
+/// c_out_per_group)` — the one geometry contract every convolution kernel in
+/// the crate (direct, im2col GEMM, int8) enforces.
+pub(crate) fn check_conv_args(
+    input: Shape,
+    weight: Shape,
+    bias: Option<&[f32]>,
+    groups: usize,
+) -> (usize, usize) {
     assert!(groups > 0, "groups must be non-zero");
     assert_eq!(
         input.c % groups,
@@ -25,7 +32,39 @@ fn check_conv_args(input: Shape, weight: Shape, groups: usize) -> (usize, usize)
         weight.c
     );
     assert_eq!(weight.h, weight.w, "only square kernels are supported");
+    if let Some(b) = bias {
+        assert_eq!(b.len(), weight.n, "bias length must equal output channels");
+    }
     (cin_g, weight.n / groups)
+}
+
+/// The half-open range `lo..hi` of output indices `o` whose input index
+/// `o * stride + tap - pad` lies in `[0, in_len)`, for one kernel tap along
+/// one axis (a row `kh` or a column `kw`). Always `lo <= hi <= out_len`, so
+/// an empty span comes back as `hi..hi`.
+///
+/// Resolving the padding once per tap this way is what lets the streaming
+/// inner loops of every convolution kernel run branch-free over contiguous
+/// rows.
+#[inline]
+pub(crate) fn tap_span(
+    tap: usize,
+    pad: usize,
+    stride: usize,
+    in_len: usize,
+    out_len: usize,
+) -> (usize, usize) {
+    let hi = if in_len + pad > tap {
+        ((in_len - 1 + pad - tap) / stride + 1).min(out_len)
+    } else {
+        0
+    };
+    let lo = if tap >= pad {
+        0
+    } else {
+        (pad - tap).div_ceil(stride)
+    };
+    (lo.min(hi), hi)
 }
 
 /// 2-D convolution with square kernels, symmetric zero padding and groups.
@@ -35,6 +74,16 @@ fn check_conv_args(input: Shape, weight: Shape, groups: usize) -> (usize, usize)
 /// * `bias`: optional, length `C_out`
 /// * `groups == 1` is a generic convolution, `groups == C_in == C_out` is a
 ///   depth-wise convolution, and `K == 1, groups == 1` is point-wise.
+///
+/// Every output element accumulates from zero over its taps in ascending
+/// `(c_in, kh, kw)` order (taps with a zero weight are skipped), one IEEE
+/// multiply then one add per tap, and gets its bias added last — exactly
+/// the sequence of the per-element oracle [`conv2d_naive`]. The loops
+/// resolve the padding once per tap ([`tap_span`]), so the innermost loop
+/// streams a contiguous output row; the kernel is instantiated twice, plain
+/// and under `#[target_feature(enable = "avx2")]`, and dispatched by
+/// [`crate::simd::avx2_enabled`]. Rust never contracts `a * b + c` into an
+/// FMA, so both instantiations produce the same bits.
 ///
 /// # Panics
 ///
@@ -60,16 +109,35 @@ pub fn conv2d(
     pad: usize,
     groups: usize,
 ) -> Tensor {
-    let ishape = input.shape();
     let wshape = weight.shape();
-    let (cin_g, cout_g) = check_conv_args(ishape, wshape, groups);
-    if let Some(b) = bias {
-        assert_eq!(b.len(), wshape.n, "bias length must equal output channels");
+    check_conv_args(input.shape(), wshape, bias, groups);
+    let mut out = Tensor::zeros(input.shape().conv_output(wshape.n, wshape.h, pad, stride));
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx2_enabled() {
+        // SAFETY: avx2_enabled() returns true only on hosts with AVX2.
+        unsafe { conv2d_avx2(input, weight, bias, stride, pad, groups, &mut out) };
+        return out;
     }
-    let k = wshape.h;
-    let oshape = ishape.conv_output(wshape.n, k, pad, stride);
-    let mut out = Tensor::zeros(oshape);
+    conv2d_body(input, weight, bias, stride, pad, groups, &mut out);
+    out
+}
 
+/// The direct convolution loop nest shared by both instantiations; `out`
+/// arrives zeroed with the output shape. See [`conv2d`] for the
+/// accumulation order it keeps.
+#[inline(always)]
+fn conv2d_body(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&[f32]>,
+    stride: usize,
+    pad: usize,
+    groups: usize,
+    out: &mut Tensor,
+) {
+    let (ishape, wshape, oshape) = (input.shape(), weight.shape(), out.shape());
+    let (cin_g, cout_g) = (ishape.c / groups, wshape.n / groups);
+    let k = wshape.h;
     let (ih, iw) = (ishape.h, ishape.w);
     let (oh, ow) = (oshape.h, oshape.w);
     let in_data = input.as_slice();
@@ -81,49 +149,74 @@ pub fn conv2d(
             for ocg in 0..cout_g {
                 let oc = g * cout_g + ocg;
                 let out_base = (n * oshape.c + oc) * oh * ow;
-                let b = bias.map_or(0.0, |b| b[oc]);
+                let oplane = &mut out_data[out_base..out_base + oh * ow];
                 for icg in 0..cin_g {
                     let ic = g * cin_g + icg;
-                    let in_base = (n * ishape.c + ic) * ih * iw;
+                    let iplane = &in_data[(n * ishape.c + ic) * ih * iw..][..ih * iw];
                     let w_base = (oc * cin_g + icg) * k * k;
                     for kh in 0..k {
+                        let (y0, y1) = tap_span(kh, pad, stride, ih, oh);
                         for kw in 0..k {
                             let wv = w_data[w_base + kh * k + kw];
-                            if wv == 0.0 {
+                            let (x0, x1) = tap_span(kw, pad, stride, iw, ow);
+                            if wv == 0.0 || x0 == x1 {
                                 continue;
                             }
-                            // Output rows where the (kh, kw) tap lands inside the input.
-                            for oy in 0..oh {
-                                let iy = (oy * stride + kh) as isize - pad as isize;
-                                if iy < 0 || iy >= ih as isize {
-                                    continue;
-                                }
-                                let irow = in_base + iy as usize * iw;
-                                let orow = out_base + oy * ow;
-                                for ox in 0..ow {
-                                    let ix = (ox * stride + kw) as isize - pad as isize;
-                                    if ix < 0 || ix >= iw as isize {
-                                        continue;
+                            let ix0 = x0 * stride + kw - pad;
+                            for oy in y0..y1 {
+                                let irow = &iplane[(oy * stride + kh - pad) * iw..][..iw];
+                                let orow = &mut oplane[oy * ow + x0..oy * ow + x1];
+                                if stride == 1 {
+                                    for (o, &x) in orow.iter_mut().zip(&irow[ix0..]) {
+                                        *o += wv * x;
                                     }
-                                    out_data[orow + ox] += wv * in_data[irow + ix as usize];
+                                } else {
+                                    let taps = irow[ix0..].iter().step_by(stride);
+                                    for (o, &x) in orow.iter_mut().zip(taps) {
+                                        *o += wv * x;
+                                    }
                                 }
                             }
                         }
                     }
                 }
+                let b = bias.map_or(0.0, |b| b[oc]);
                 if b != 0.0 {
-                    for v in &mut out_data[out_base..out_base + oh * ow] {
+                    for v in oplane {
                         *v += b;
                     }
                 }
             }
         }
     }
-    out
 }
 
-/// A straightforward quadruple-loop reference convolution used to validate
-/// [`conv2d`] in tests. Same contract as [`conv2d`].
+/// AVX2 instantiation of [`conv2d_body`], where LLVM widens the unit-stride
+/// row update to 8-lane vectors (see [`conv2d`] for the bit-identity
+/// argument).
+///
+/// # Safety
+///
+/// The host must support AVX2, which [`conv2d`] checks via
+/// [`crate::simd::avx2_enabled`] before calling.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn conv2d_avx2(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&[f32]>,
+    stride: usize,
+    pad: usize,
+    groups: usize,
+    out: &mut Tensor,
+) {
+    conv2d_body(input, weight, bias, stride, pad, groups, out);
+}
+
+/// The per-element oracle [`conv2d`] is pinned against bit for bit: one
+/// output element at a time, padding checked per tap, the same accumulation
+/// sequence (zero start, ascending `(c_in, kh, kw)` taps skipping zero
+/// weights, bias last). Same contract as [`conv2d`].
 pub fn conv2d_naive(
     input: &Tensor,
     weight: &Tensor,
@@ -134,24 +227,33 @@ pub fn conv2d_naive(
 ) -> Tensor {
     let ishape = input.shape();
     let wshape = weight.shape();
-    let (cin_g, cout_g) = check_conv_args(ishape, wshape, groups);
+    let (cin_g, cout_g) = check_conv_args(ishape, wshape, bias, groups);
     let k = wshape.h;
     let oshape = ishape.conv_output(wshape.n, k, pad, stride);
     Tensor::from_fn(oshape, |n, oc, oy, ox| {
         let g = oc / cout_g;
-        let mut acc = bias.map_or(0.0, |b| b[oc]);
+        let mut acc = 0.0f32;
         for icg in 0..cin_g {
             let ic = g * cin_g + icg;
             for kh in 0..k {
                 for kw in 0..k {
+                    let wv = weight.at(oc, icg, kh, kw);
                     let iy = (oy * stride + kh) as isize - pad as isize;
                     let ix = (ox * stride + kw) as isize - pad as isize;
-                    if iy >= 0 && ix >= 0 && (iy as usize) < ishape.h && (ix as usize) < ishape.w {
-                        acc +=
-                            input.at(n, ic, iy as usize, ix as usize) * weight.at(oc, icg, kh, kw);
+                    if wv != 0.0
+                        && iy >= 0
+                        && ix >= 0
+                        && (iy as usize) < ishape.h
+                        && (ix as usize) < ishape.w
+                    {
+                        acc += wv * input.at(n, ic, iy as usize, ix as usize);
                     }
                 }
             }
+        }
+        let b = bias.map_or(0.0, |b| b[oc]);
+        if b != 0.0 {
+            acc += b;
         }
         acc
     })
@@ -186,7 +288,7 @@ pub fn conv2d_backward(
 ) -> Conv2dGrads {
     let ishape = input.shape();
     let wshape = weight.shape();
-    let (cin_g, cout_g) = check_conv_args(ishape, wshape, groups);
+    let (cin_g, cout_g) = check_conv_args(ishape, wshape, None, groups);
     let k = wshape.h;
     let oshape = ishape.conv_output(wshape.n, k, pad, stride);
     assert_eq!(grad_out.shape(), oshape, "grad_out shape mismatch");

@@ -1,21 +1,33 @@
-//! im2col + GEMM convolution: a faster path for the generic/point-wise
-//! convolutions that dominate training time.
+//! im2col + GEMM convolution: the f32 frame-path convolution (every layer
+//! of the f32 gaze forward, `ProxyGazeNet::forward_infer` in
+//! `eyecod-models`, runs through it).
 //!
-//! The input patches are unrolled into a matrix (`im2col`) and the
-//! convolution becomes one dense matrix product with the reshaped weights —
-//! the standard lowering CPU inference stacks use. The GEMM runs a
-//! register-tiled microkernel over packed row-major weight panels, and the
-//! `*_into` variants reuse a [`ConvWorkspace`] so the steady-state frame
-//! path performs no heap allocation. Always produces results identical (up
-//! to float summation order) to [`super::conv2d`], which the tests enforce.
+//! The input patches of one batch item and channel group are unrolled into
+//! a `cols × positions` matrix (`cols = c_in/g · k · k`, `positions = oh ·
+//! ow`): row `(c, kh, kw)` holds that tap's input value at every output
+//! position, positions contiguous, each row zero-padded to a multiple of
+//! [`NR`]. The convolution is then one dense product with the `(c_out/g ×
+//! cols)` weight panel, computed over an `MR × NR` register tile: each
+//! accumulation step broadcasts `MR` weight scalars against one contiguous
+//! `NR`-wide patch row segment, i.e. one 8-lane load feeding `MR` vector
+//! multiplies and `MR` vector adds (never fused). The `*_into` variants
+//! reuse a [`ConvWorkspace`], so the
+//! steady-state frame path performs no heap allocation.
+//!
+//! Results are bit-identical between the plain and AVX2 instantiations and
+//! across batch sizes; they match [`super::conv2d`] up to float summation
+//! order (the GEMM adds the bias first, the direct convolution last).
 
 use crate::shape::Shape;
 use crate::simd;
 use crate::tensor::Tensor;
 
+use super::conv::{check_conv_args, tap_span};
+
 /// Output channels per register tile of the GEMM microkernel.
 const MR: usize = 4;
-/// Output positions per register tile of the GEMM microkernel.
+/// Output positions per register tile of the GEMM microkernel — one AVX2
+/// vector of f32.
 const NR: usize = 8;
 
 /// Reusable buffers for the allocation-free convolution path: the im2col
@@ -56,13 +68,15 @@ impl ConvWorkspace {
     }
 }
 
-/// Unrolls convolution patches for batch item `n` and channel group `g`
-/// into `out`, as a row-major matrix of shape `(oh * ow, c_in_g * k * k)`.
+/// Unrolls the patches of batch item `n`, channel group `g` into `out` as a
+/// row-major `cols × row_len` matrix, `row_len = (oh · ow)` rounded up to a
+/// multiple of [`NR`]: row `(icg, kh, kw)` holds, at column `oy · ow + ox`,
+/// the input value under that tap for output `(oy, ox)`, or an explicit
+/// zero where the tap falls into the padding or past the last position.
 ///
-/// Every cell is written exactly once in order (in-bounds cells get the
-/// input value, padded border cells an explicit zero), so no pre-zeroing
-/// pass over the buffer is needed; with `pad == 0` the bounds checks are
-/// skipped entirely and rows are copied as contiguous slices.
+/// Every cell is written exactly once, in order, with the padding resolved
+/// once per tap row and column ([`tap_span`]): the in-bounds run of each
+/// output row is one slice copy at unit stride.
 #[allow(clippy::too_many_arguments)]
 fn im2col_into(
     input: &Tensor,
@@ -77,178 +91,134 @@ fn im2col_into(
     out: &mut Vec<f32>,
 ) {
     let s = input.shape();
-    let cols = cin_g * k * k;
+    let row_len = (oh * ow).next_multiple_of(NR);
     out.clear();
-    out.reserve(oh * ow * cols);
-    if pad == 0 {
-        // every patch cell is in bounds: copy k-long row segments directly
-        for oy in 0..oh {
-            for ox in 0..ow {
-                for icg in 0..cin_g {
-                    let plane = input.channel_plane(n, g * cin_g + icg);
-                    for kh in 0..k {
-                        let base = (oy * stride + kh) * s.w + ox * stride;
-                        out.extend_from_slice(&plane[base..base + k]);
-                    }
-                }
-            }
-        }
-    } else {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                for icg in 0..cin_g {
-                    let plane = input.channel_plane(n, g * cin_g + icg);
-                    for kh in 0..k {
-                        let iy = (oy * stride + kh) as isize - pad as isize;
-                        for kw in 0..k {
-                            let ix = (ox * stride + kw) as isize - pad as isize;
-                            let v =
-                                if iy >= 0 && ix >= 0 && (iy as usize) < s.h && (ix as usize) < s.w
-                                {
-                                    plane[iy as usize * s.w + ix as usize]
-                                } else {
-                                    0.0
-                                };
-                            out.push(v);
+    out.reserve(cin_g * k * k * row_len);
+    for icg in 0..cin_g {
+        let plane = input.channel_plane(n, g * cin_g + icg);
+        for kh in 0..k {
+            let (y0, y1) = tap_span(kh, pad, stride, s.h, oh);
+            for kw in 0..k {
+                let (x0, x1) = tap_span(kw, pad, stride, s.w, ow);
+                let row_end = out.len() + row_len;
+                out.resize(out.len() + y0 * ow, 0.0);
+                for oy in y0..y1 {
+                    out.resize(out.len() + x0, 0.0);
+                    if x0 < x1 {
+                        let irow = &plane[(oy * stride + kh - pad) * s.w..][..s.w];
+                        let ix0 = x0 * stride + kw - pad;
+                        if stride == 1 {
+                            out.extend_from_slice(&irow[ix0..ix0 + (x1 - x0)]);
+                        } else {
+                            out.extend(irow[ix0..].iter().step_by(stride).take(x1 - x0));
                         }
                     }
+                    out.resize(out.len() + ow - x1, 0.0);
                 }
+                out.resize(row_end, 0.0);
             }
         }
     }
 }
 
-/// Validates the conv2d contract shared by the GEMM paths and returns
-/// `(cin_g, cout_g, k, oshape)`.
-fn validate_conv(
-    ishape: Shape,
-    wshape: Shape,
-    bias: Option<&[f32]>,
-    stride: usize,
-    pad: usize,
-    groups: usize,
-) -> (usize, usize, usize, Shape) {
-    assert!(groups > 0, "groups must be non-zero");
-    assert!(
-        ishape.c.is_multiple_of(groups) && wshape.n.is_multiple_of(groups),
-        "channels not divisible by groups {groups}"
-    );
-    let cin_g = ishape.c / groups;
-    let cout_g = wshape.n / groups;
-    assert_eq!(wshape.c, cin_g, "weight/group mismatch");
-    assert_eq!(wshape.h, wshape.w, "only square kernels are supported");
-    if let Some(b) = bias {
-        assert_eq!(b.len(), wshape.n, "bias length must equal output channels");
-    }
-    let k = wshape.h;
-    (
-        cin_g,
-        cout_g,
-        k,
-        ishape.conv_output(wshape.n, k, pad, stride),
-    )
-}
-
-/// The blocked GEMM core: `out[oc, p] = bias[oc] + Σ_c w[oc, c] · patches[p, c]`
-/// over an `MR × NR` register tile. Both operands are row-major panels
-/// (the weights in their natural packed layout, the patches from im2col),
-/// so every accumulation step reads two contiguous rows. Accumulators
-/// start at the bias and add in ascending `c` order — the exact per-element
-/// accumulation sequence of the scalar reference loop, so results are
-/// bit-identical to the unblocked path.
-///
-/// Monomorphised twice, exactly like `gemm_rows_body` in
-/// `eyecod_optics::mat`: once as a plain function and once under
-/// `#[target_feature(enable = "avx2")]`, where LLVM keeps the whole
-/// `MR × NR` accumulator tile in YMM registers. The per-element IEEE
-/// operation sequence (`mul` then `add`, ascending `l`) is identical in
-/// both instantiations — Rust never contracts `a * b + c` into an FMA —
-/// so the AVX2 build is bit-identical to the scalar one.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn gemm_panel_body(
-    w_data: &[f32],
-    patches: &[f32],
-    bias: Option<&[f32]>,
-    g: usize,
-    cout_g: usize,
+/// The operands of one channel group's GEMM: the `(c_out/g × cols)` weight
+/// panel, its bias slice, and the `cols × row_len` im2col matrix.
+#[derive(Clone, Copy)]
+struct GroupGemm<'a> {
+    w: &'a [f32],
+    bias: Option<&'a [f32]>,
+    patches: &'a [f32],
     cols: usize,
     positions: usize,
-    out_chunk: &mut [f32],
-) {
-    let mut ocg = 0;
-    while ocg < cout_g {
-        let mr = MR.min(cout_g - ocg);
-        let mut p = 0;
-        while p < positions {
-            let nr = NR.min(positions - p);
-            let mut acc = [[0.0f32; NR]; MR];
-            for (ii, accr) in acc.iter_mut().enumerate().take(mr) {
-                let b = bias.map_or(0.0, |b| b[g * cout_g + ocg + ii]);
-                accr[..nr].fill(b);
-            }
-            for l in 0..cols {
-                for (ii, accr) in acc.iter_mut().enumerate().take(mr) {
-                    let w = w_data[(g * cout_g + ocg + ii) * cols + l];
-                    for (jj, accv) in accr.iter_mut().enumerate().take(nr) {
-                        *accv += w * patches[(p + jj) * cols + l];
-                    }
+}
+
+impl GroupGemm<'_> {
+    /// One `M × NR` register tile at output channels `oc..oc + M` and
+    /// positions `p..p + NR`: `acc[i][j] = bias[oc + i] + Σ_l w[oc + i, l] ·
+    /// patches[l, p + j]`. Accumulators start at the bias and add one
+    /// `w · x` product per `l` in ascending order — the per-element IEEE
+    /// sequence of the scalar reference loop. Only the first `nr` positions
+    /// are stored; the lanes past them ran on the zero padding of the patch
+    /// rows.
+    #[inline(always)]
+    fn tile<const M: usize>(self, oc: usize, p: usize, out: &mut [f32]) {
+        let cols = self.cols;
+        let row_len = self.patches.len() / cols;
+        let w: [&[f32]; M] = std::array::from_fn(|i| &self.w[(oc + i) * cols..][..cols]);
+        let mut acc: [[f32; NR]; M] =
+            std::array::from_fn(|i| [self.bias.map_or(0.0, |b| b[oc + i]); NR]);
+        for (l, patch_row) in self.patches.chunks_exact(row_len).enumerate() {
+            let x: [f32; NR] = patch_row[p..p + NR].try_into().expect("NR-wide slice");
+            // fixed-trip indexed loops over the tile: the form LLVM turns
+            // into one broadcast, one vector mul and one vector add per row
+            for i in 0..M {
+                let wv = w[i][l];
+                for j in 0..NR {
+                    acc[i][j] += wv * x[j];
                 }
             }
-            for (ii, accr) in acc.iter().enumerate().take(mr) {
-                let o0 = (ocg + ii) * positions + p;
-                out_chunk[o0..o0 + nr].copy_from_slice(&accr[..nr]);
-            }
-            p += nr;
         }
-        ocg += mr;
+        let nr = NR.min(self.positions - p);
+        for (i, acc_row) in acc.iter().enumerate() {
+            out[(oc + i) * self.positions + p..][..nr].copy_from_slice(&acc_row[..nr]);
+        }
+    }
+}
+
+/// The GEMM of one channel group, `out[oc, p] = bias[oc] + Σ_l w[oc, l] ·
+/// patches[l, p]`, tiled `MR × NR` (the last `c_out/g mod MR` channels use
+/// a narrower tile of the same shape).
+///
+/// Monomorphised twice, like `gemm_rows_body` in `eyecod_optics::mat`: once
+/// as a plain function and once under `#[target_feature(enable = "avx2")]`,
+/// where LLVM keeps each accumulator row in one YMM register and turns the
+/// `NR` loop into one vector multiply and one vector add. The per-element
+/// operation sequence (`mul` then `add`, ascending `l`) is identical in both
+/// instantiations — Rust never contracts `a * b + c` into an FMA — so the
+/// AVX2 build is bit-identical to the scalar one.
+#[inline(always)]
+fn gemm_panel_body(gemm: GroupGemm<'_>, out: &mut [f32]) {
+    let cout_g = gemm.w.len() / gemm.cols;
+    // position tiles outermost: one tile's `cols × NR` patch column stays
+    // in L1 while every output channel consumes it
+    for p in (0..gemm.positions).step_by(NR) {
+        let mut oc = 0;
+        while oc < cout_g {
+            let mr = MR.min(cout_g - oc);
+            match mr {
+                4 => gemm.tile::<4>(oc, p, out),
+                3 => gemm.tile::<3>(oc, p, out),
+                2 => gemm.tile::<2>(oc, p, out),
+                _ => gemm.tile::<1>(oc, p, out),
+            }
+            oc += mr;
+        }
     }
 }
 
 /// AVX2 instantiation of [`gemm_panel_body`] (see its docs for the
 /// bit-identity argument).
 ///
-/// Safe to call only when the host supports AVX2, which
-/// [`gemm_panel`] guarantees via [`simd::avx2_enabled`].
+/// # Safety
+///
+/// The host must support AVX2, which [`gemm_panel`] checks via
+/// [`simd::avx2_enabled`] before calling.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-fn gemm_panel_avx2(
-    w_data: &[f32],
-    patches: &[f32],
-    bias: Option<&[f32]>,
-    g: usize,
-    cout_g: usize,
-    cols: usize,
-    positions: usize,
-    out_chunk: &mut [f32],
-) {
-    gemm_panel_body(w_data, patches, bias, g, cout_g, cols, positions, out_chunk);
+unsafe fn gemm_panel_avx2(gemm: GroupGemm<'_>, out: &mut [f32]) {
+    gemm_panel_body(gemm, out);
 }
 
-/// Dispatches one GEMM panel to the AVX2 or scalar instantiation.
-#[allow(clippy::too_many_arguments)]
-fn gemm_panel(
-    w_data: &[f32],
-    patches: &[f32],
-    bias: Option<&[f32]>,
-    g: usize,
-    cout_g: usize,
-    cols: usize,
-    positions: usize,
-    out_chunk: &mut [f32],
-    use_simd: bool,
-) {
+/// Dispatches one group's GEMM to the AVX2 or scalar instantiation.
+fn gemm_panel(gemm: GroupGemm<'_>, out: &mut [f32], use_simd: bool) {
     #[cfg(target_arch = "x86_64")]
     if use_simd && simd::avx2_enabled() {
         // SAFETY: avx2_enabled() returns true only on hosts with AVX2.
-        unsafe {
-            gemm_panel_avx2(w_data, patches, bias, g, cout_g, cols, positions, out_chunk);
-        }
+        unsafe { gemm_panel_avx2(gemm, out) };
         return;
     }
     let _ = use_simd;
-    gemm_panel_body(w_data, patches, bias, g, cout_g, cols, positions, out_chunk);
+    gemm_panel_body(gemm, out);
 }
 
 /// Convolution via im2col + GEMM. Same contract as [`super::conv2d`]
@@ -374,7 +344,9 @@ fn conv2d_gemm_buf_impl(
 ) {
     let ishape = input.shape();
     let wshape = weight.shape();
-    let (cin_g, cout_g, k, oshape) = validate_conv(ishape, wshape, bias, stride, pad, groups);
+    let (cin_g, cout_g) = check_conv_args(ishape, wshape, bias, groups);
+    let k = wshape.h;
+    let oshape = ishape.conv_output(wshape.n, k, pad, stride);
     let (oh, ow) = (oshape.h, oshape.w);
     let cols = cin_g * k * k;
     let positions = oh * ow;
@@ -386,14 +358,15 @@ fn conv2d_gemm_buf_impl(
         for g in 0..groups {
             im2col_into(input, n, g, cin_g, k, stride, pad, oh, ow, patches);
             let out_base = (n * oshape.c + g * cout_g) * positions;
-            gemm_panel(
-                w_data,
+            let gemm = GroupGemm {
+                w: &w_data[g * cout_g * cols..(g + 1) * cout_g * cols],
+                bias: bias.map(|b| &b[g * cout_g..(g + 1) * cout_g]),
                 patches,
-                bias,
-                g,
-                cout_g,
                 cols,
                 positions,
+            };
+            gemm_panel(
+                gemm,
                 &mut out_data[out_base..out_base + cout_g * positions],
                 use_simd,
             );
@@ -433,6 +406,69 @@ mod tests {
                 gemm.sub(&direct).max_abs() < 1e-4,
                 "mismatch at stride={stride} pad={pad} k={k} groups={groups}"
             );
+        }
+    }
+
+    /// The GEMM's accumulation sequence evaluated one output element at a
+    /// time: the bias first, then one `w · x` product per tap in ascending
+    /// `(c, kh, kw)` order, padding taps included as `w · 0`.
+    fn gemm_sequence_oracle(
+        x: &Tensor,
+        w: &Tensor,
+        bias: &[f32],
+        stride: usize,
+        pad: usize,
+        groups: usize,
+    ) -> Tensor {
+        let (xs, ws) = (x.shape(), w.shape());
+        let (cin_g, cout_g, k) = (ws.c, ws.n / groups, ws.h);
+        Tensor::from_fn(xs.conv_output(ws.n, k, pad, stride), |n, oc, oy, ox| {
+            let mut acc = bias[oc];
+            for icg in 0..cin_g {
+                for kh in 0..k {
+                    for kw in 0..k {
+                        let iy = (oy * stride + kh) as isize - pad as isize;
+                        let ix = (ox * stride + kw) as isize - pad as isize;
+                        let inside =
+                            iy >= 0 && ix >= 0 && (iy as usize) < xs.h && (ix as usize) < xs.w;
+                        let v = if inside {
+                            x.at(n, (oc / cout_g) * cin_g + icg, iy as usize, ix as usize)
+                        } else {
+                            0.0
+                        };
+                        acc += w.at(oc, icg, kh, kw) * v;
+                    }
+                }
+            }
+            acc
+        })
+    }
+
+    #[test]
+    fn gemm_keeps_its_per_element_sequence_bitwise() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for &(stride, pad, k, groups, cout) in &[
+            (1usize, 1usize, 3usize, 1usize, 6usize),
+            (2, 1, 3, 2, 10),
+            (1, 0, 1, 1, 5),
+            (2, 2, 5, 1, 4),
+            (1, 1, 3, 6, 6), // depth-wise
+        ] {
+            let x = rand_tensor(Shape::new(2, 6, 6, 11), &mut rng);
+            let w = rand_tensor(Shape::new(cout, 6 / groups, k, k), &mut rng);
+            let b: Vec<f32> = (0..cout).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let want = bits(&gemm_sequence_oracle(&x, &w, &b, stride, pad, groups));
+            for got in [
+                conv2d_gemm(&x, &w, Some(&b), stride, pad, groups),
+                conv2d_gemm_reference(&x, &w, Some(&b), stride, pad, groups),
+            ] {
+                assert_eq!(
+                    bits(&got),
+                    want,
+                    "stride={stride} pad={pad} k={k} groups={groups}"
+                );
+            }
         }
     }
 

@@ -18,6 +18,7 @@ pub use activation::{
     leaky_relu, leaky_relu_backward, relu, relu_backward, sigmoid, sigmoid_backward,
     softmax_channels,
 };
+pub(crate) use conv::{check_conv_args, tap_span};
 pub use conv::{conv2d, conv2d_backward, conv2d_naive, Conv2dGrads};
 pub use fastconv::{
     conv2d_gemm, conv2d_gemm_buf, conv2d_gemm_into, conv2d_gemm_reference, ConvWorkspace,

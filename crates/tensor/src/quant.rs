@@ -28,6 +28,7 @@
 //! constructors clamp, −128 never occurs), and every reduction is at most
 //! [`MAX_REDUCTION_DEPTH`] deep so `i32` accumulators cannot overflow.
 
+use crate::ops::{check_conv_args, tap_span};
 use crate::shape::Shape;
 use crate::simd;
 use crate::tensor::Tensor;
@@ -193,53 +194,42 @@ fn assert_reduction_depth(what: &str, depth: usize) {
     );
 }
 
-/// The half-open range of output columns `ox` whose input column
-/// `ox * stride + kw - pad` is in `[0, in_w)`. Hoisting the bounds check out
-/// of the streaming inner loop this way is what lets the accumulator kernels
-/// below run branch-free over full output rows.
-#[inline]
-fn ox_span(kw: usize, pad: usize, stride: usize, in_w: usize, out_w: usize) -> (usize, usize) {
-    let lo = if kw >= pad {
-        0
-    } else {
-        (pad - kw).div_ceil(stride)
-    };
-    let hi = if in_w + pad > kw {
-        ((in_w - 1 + pad - kw) / stride + 1).min(out_w)
-    } else {
-        0
-    };
-    (lo, hi)
-}
-
 /// Integer conv accumulation shared by [`qconv2d`] and [`qconv2d_requant`]:
 /// writes the raw `i32` accumulator plane into `acc` (resized to fit, no
 /// allocation once warm) and returns the output shape — exactly what the
-/// accelerator's MAC lanes produce (no bias, no rescale).
+/// accelerator's MAC lanes produce (no bias, no rescale). `bias` is only
+/// validated here, against the same geometry contract as
+/// [`crate::ops::conv2d`].
 ///
-/// The loops are blocked the same way as the f32 GEMM microkernels: the
-/// weight scalar is hoisted per `(ic, kh, kw)` tap and the inner loop streams
-/// along a contiguous input row into a contiguous accumulator row, with the
-/// padding bounds check resolved once per tap by [`ox_span`]. Because `i32`
-/// addition is exactly associative, this reordering cannot change any output
-/// value.
+/// Three loop nests, all exact (`i32` addition is associative, so none of
+/// them can change an output value):
 ///
-/// A depth-wise convolution (`groups == C_in == C_out`) takes a dedicated
-/// fast path: the single weight plane per channel is sliced once and the
-/// group arithmetic disappears from the inner loops — the §5.1 observation
-/// that depth-wise layers need their own treatment, in miniature.
-///
-/// With `use_simd` the unit-stride streaming update over a tap's dense
-/// output span runs the AVX2 [`simd::qaxpy_i8`] kernel instead of the
-/// scalar loop; because the i32 accumulation is exact either way, the two
-/// paths are bit-identical (pinned by `tests/simd_bit_equality.rs`).
+/// * **SIMD, generic and point-wise** (`use_simd`, not depth-wise): each
+///   batch item and channel group is unrolled into an i8 im2col matrix in
+///   `patches` (`positions × cols`, one output's receptive field per row,
+///   in weight-row order; see [`qim2col_into`]), and every output is one
+///   dot product of a patch row with a weight row, four output channels at
+///   a time through the AVX2 [`simd::qdot4_i8`] tile that shares each
+///   activation load.
+/// * **Depth-wise** (`groups == C_in == C_out`): the single weight plane per
+///   channel is sliced once and each tap streams along a contiguous input
+///   row into a contiguous accumulator row, with the padding resolved once
+///   per tap by [`tap_span`] — at unit stride through [`simd::qaxpy_i8`]
+///   when `use_simd`. This is the §5.1 observation that depth-wise layers
+///   need their own treatment, in miniature.
+/// * **Scalar reference** (`!use_simd`, not depth-wise): the same tap
+///   streaming as the depth-wise nest over every input channel of the
+///   group, kept as the differential oracle of the im2col path.
+#[allow(clippy::too_many_arguments)]
 fn qconv_accumulate_into(
     input: &QTensor,
     weight: &QTensor,
+    bias: Option<&[f32]>,
     stride: usize,
     pad: usize,
     groups: usize,
     acc: &mut Vec<i32>,
+    patches: &mut Vec<i8>,
     use_simd: bool,
 ) -> Shape {
     let ishape = input.shape;
@@ -247,23 +237,22 @@ fn qconv_accumulate_into(
     assert!(groups > 0, "conv groups must be non-zero");
     assert_nonzero_extents("qconv input", ishape);
     assert_nonzero_extents("qconv weight", wshape);
+    let (cin_g, cout_g) = check_conv_args(ishape, wshape, bias, groups);
     let k = wshape.h;
     let oshape = ishape.conv_output(wshape.n, k, pad, stride);
-    let cin_g = ishape.c / groups;
-    let cout_g = wshape.n / groups;
-    assert_eq!(wshape.c, cin_g, "weight/group mismatch");
     assert_reduction_depth("qconv", cin_g * k * k);
-    // the tap update `row[lo..hi] += irow[lo+kw-pad..] · wv` is a contiguous
-    // widening axpy only at unit stride; larger strides stay scalar
-    let axpy: fn(&mut [i32], &[i8], i32) = if use_simd && stride == 1 {
-        simd::qaxpy_i8
-    } else {
-        simd::qaxpy_i8_scalar
-    };
     acc.clear();
     acc.resize(oshape.len(), 0);
     let depthwise = groups == ishape.c && cin_g == 1 && cout_g == 1;
     if depthwise {
+        // the tap update `row[lo..hi] += irow[lo+kw-pad..] · wv` is a
+        // contiguous widening axpy only at unit stride; larger strides stay
+        // scalar
+        let axpy: fn(&mut [i32], &[i8], i32) = if use_simd && stride == 1 {
+            simd::qaxpy_i8
+        } else {
+            simd::qaxpy_i8_scalar
+        };
         for n in 0..oshape.n {
             for c in 0..oshape.c {
                 let wplane = &weight.data[c * k * k..(c + 1) * k * k];
@@ -279,7 +268,7 @@ fn qconv_accumulate_into(
                         let irow = &input.data[in_base..in_base + ishape.w];
                         for (kw, &wv) in wrow.iter().enumerate() {
                             let wv = wv as i32;
-                            let (lo, hi) = ox_span(kw, pad, stride, ishape.w, oshape.w);
+                            let (lo, hi) = tap_span(kw, pad, stride, ishape.w, oshape.w);
                             if lo >= hi {
                                 continue;
                             }
@@ -290,6 +279,35 @@ fn qconv_accumulate_into(
                                 for ox in lo..hi {
                                     row[ox] += irow[ox * stride + kw - pad] as i32 * wv;
                                 }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    } else if use_simd {
+        let positions = oshape.h * oshape.w;
+        let cols = cin_g * k * k;
+        for n in 0..oshape.n {
+            for g in 0..groups {
+                qim2col_into(input, n, g, cin_g, k, stride, pad, oshape, patches);
+                let w_group = &weight.data[g * cout_g * cols..(g + 1) * cout_g * cols];
+                let out_base = oshape.index(n, g * cout_g, 0, 0);
+                let out_group = &mut acc[out_base..out_base + cout_g * positions];
+                let tiles = w_group
+                    .chunks(4 * cols)
+                    .zip(out_group.chunks_mut(4 * positions));
+                for (w_tile, out_tile) in tiles {
+                    for (p, patch) in patches.chunks_exact(cols).enumerate() {
+                        let mut rows = w_tile.chunks_exact(cols);
+                        if w_tile.len() == 4 * cols {
+                            let rows = std::array::from_fn(|_| rows.next().expect("4 rows"));
+                            for (t, dot) in simd::qdot4_i8(patch, rows).into_iter().enumerate() {
+                                out_tile[t * positions + p] = dot;
+                            }
+                        } else {
+                            for (t, w_row) in rows.enumerate() {
+                                out_tile[t * positions + p] = simd::qdot_i8(patch, w_row);
                             }
                         }
                     }
@@ -316,17 +334,9 @@ fn qconv_accumulate_into(
                             let wrow = &weight.data[w_base..w_base + k];
                             for (kw, &wv) in wrow.iter().enumerate() {
                                 let wv = wv as i32;
-                                let (lo, hi) = ox_span(kw, pad, stride, ishape.w, oshape.w);
-                                if lo >= hi {
-                                    continue;
-                                }
-                                if stride == 1 {
-                                    let s = lo + kw - pad;
-                                    axpy(&mut row[lo..hi], &irow[s..s + (hi - lo)], wv);
-                                } else {
-                                    for ox in lo..hi {
-                                        row[ox] += irow[ox * stride + kw - pad] as i32 * wv;
-                                    }
+                                let (lo, hi) = tap_span(kw, pad, stride, ishape.w, oshape.w);
+                                for ox in lo..hi {
+                                    row[ox] += irow[ox * stride + kw - pad] as i32 * wv;
                                 }
                             }
                         }
@@ -338,17 +348,71 @@ fn qconv_accumulate_into(
     oshape
 }
 
+/// Unrolls the receptive fields of batch item `n`, channel group `g` into
+/// `out` as a row-major `positions × cols` i8 matrix: row `oy · ow + ox`
+/// holds the input codes under every tap `(icg, kh, kw)` of that output —
+/// the order of a weight row, so each output is one contiguous dot product.
+/// Padding taps stay at the zero the buffer is cleared to; the in-bounds
+/// taps are filled with the padding resolved once per tap row and column
+/// ([`tap_span`]).
+#[allow(clippy::too_many_arguments)]
+fn qim2col_into(
+    input: &QTensor,
+    n: usize,
+    g: usize,
+    cin_g: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    oshape: Shape,
+    out: &mut Vec<i8>,
+) {
+    let s = input.shape;
+    let (oh, ow) = (oshape.h, oshape.w);
+    let cols = cin_g * k * k;
+    out.clear();
+    out.resize(oh * ow * cols, 0);
+    for icg in 0..cin_g {
+        let base = s.index(n, g * cin_g + icg, 0, 0);
+        let plane = &input.data[base..base + s.h * s.w];
+        for kh in 0..k {
+            let (y0, y1) = tap_span(kh, pad, stride, s.h, oh);
+            for kw in 0..k {
+                let (x0, x1) = tap_span(kw, pad, stride, s.w, ow);
+                let c = (icg * k + kh) * k + kw;
+                for oy in y0..y1 {
+                    let irow = &plane[(oy * stride + kh - pad) * s.w..][..s.w];
+                    for ox in x0..x1 {
+                        out[(oy * ow + ox) * cols + c] = irow[ox * stride + kw - pad];
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Allocating wrapper over [`qconv_accumulate_into`].
 fn qconv_accumulate(
     input: &QTensor,
     weight: &QTensor,
+    bias: Option<&[f32]>,
     stride: usize,
     pad: usize,
     groups: usize,
     use_simd: bool,
 ) -> (Shape, Vec<i32>) {
     let mut acc = Vec::new();
-    let oshape = qconv_accumulate_into(input, weight, stride, pad, groups, &mut acc, use_simd);
+    let oshape = qconv_accumulate_into(
+        input,
+        weight,
+        bias,
+        stride,
+        pad,
+        groups,
+        &mut acc,
+        &mut Vec::new(),
+        use_simd,
+    );
     (oshape, acc)
 }
 
@@ -402,14 +466,14 @@ fn qconv2d_impl(
     use_simd: bool,
 ) -> Tensor {
     let rescale = input.scale * weight.scale;
-    let (oshape, acc) = qconv_accumulate(input, weight, stride, pad, groups, use_simd);
+    let (oshape, acc) = qconv_accumulate(input, weight, bias, stride, pad, groups, use_simd);
     let plane = oshape.h * oshape.w;
     let data = acc
-        .iter()
+        .chunks_exact(plane)
         .enumerate()
-        .map(|(i, &a)| {
-            let oc = (i / plane) % oshape.c;
-            a as f32 * rescale + bias.map_or(0.0, |b| b[oc])
+        .flat_map(|(i, acc_plane)| {
+            let b = bias.map_or(0.0, |b| b[i % oshape.c]);
+            acc_plane.iter().map(move |&a| a as f32 * rescale + b)
         })
         .collect();
     Tensor::from_vec(oshape, data)
@@ -435,18 +499,28 @@ pub fn qconv2d_requant(
     relu: bool,
     out_scale: f32,
 ) -> QTensor {
-    let mut acc = Vec::new();
     let mut out = QTensor::scratch();
     qconv2d_requant_into(
-        input, weight, bias, stride, pad, groups, relu, out_scale, &mut acc, &mut out,
+        input,
+        weight,
+        bias,
+        stride,
+        pad,
+        groups,
+        relu,
+        out_scale,
+        &mut Vec::new(),
+        &mut Vec::new(),
+        &mut out,
     );
     out
 }
 
 /// [`qconv2d_requant`] writing into caller-owned buffers: `acc` holds the
-/// i32 accumulator plane and `out` the requantised activations. Once both
-/// have grown to the largest layer seen, a steady-state int8 forward pass
-/// through this op allocates nothing.
+/// i32 accumulator plane, `patches` the i8 im2col matrix of the SIMD path
+/// and `out` the requantised activations. Once all three have grown to the
+/// largest layer seen, a steady-state int8 forward pass through this op
+/// allocates nothing.
 ///
 /// # Panics
 ///
@@ -463,6 +537,7 @@ pub fn qconv2d_requant_into(
     relu: bool,
     out_scale: f32,
     acc: &mut Vec<i32>,
+    patches: &mut Vec<i8>,
     out: &mut QTensor,
 ) {
     qconv2d_requant_into_impl(
@@ -475,6 +550,7 @@ pub fn qconv2d_requant_into(
         relu,
         out_scale,
         acc,
+        patches,
         out,
         simd::avx2_enabled(),
     );
@@ -493,10 +569,20 @@ pub fn qconv2d_requant_reference(
     relu: bool,
     out_scale: f32,
 ) -> QTensor {
-    let mut acc = Vec::new();
     let mut out = QTensor::scratch();
     qconv2d_requant_into_impl(
-        input, weight, bias, stride, pad, groups, relu, out_scale, &mut acc, &mut out, false,
+        input,
+        weight,
+        bias,
+        stride,
+        pad,
+        groups,
+        relu,
+        out_scale,
+        &mut Vec::new(),
+        &mut Vec::new(),
+        &mut out,
+        false,
     );
     out
 }
@@ -512,24 +598,29 @@ fn qconv2d_requant_into_impl(
     relu: bool,
     out_scale: f32,
     acc: &mut Vec<i32>,
+    patches: &mut Vec<i8>,
     out: &mut QTensor,
     use_simd: bool,
 ) {
     assert!(out_scale > 0.0, "scale must be positive");
     let rescale = input.scale * weight.scale;
-    let oshape = qconv_accumulate_into(input, weight, stride, pad, groups, acc, use_simd);
+    let oshape = qconv_accumulate_into(
+        input, weight, bias, stride, pad, groups, acc, patches, use_simd,
+    );
     let plane = oshape.h * oshape.w;
     out.shape = oshape;
     out.scale = out_scale;
     out.data.clear();
-    out.data.extend(acc.iter().enumerate().map(|(i, &a)| {
-        let oc = (i / plane) % oshape.c;
-        let mut v = a as f32 * rescale + bias.map_or(0.0, |b| b[oc]);
-        if relu {
-            v = v.max(0.0);
-        }
-        (v / out_scale).round().clamp(-127.0, 127.0) as i8
-    }));
+    for (i, acc_plane) in acc.chunks_exact(plane).enumerate() {
+        let b = bias.map_or(0.0, |b| b[i % oshape.c]);
+        out.data.extend(acc_plane.iter().map(|&a| {
+            let mut v = a as f32 * rescale + b;
+            if relu {
+                v = v.max(0.0);
+            }
+            (v / out_scale).round().clamp(-127.0, 127.0) as i8
+        }));
+    }
 }
 
 /// Int8 fully connected layer: `y = x · Wᵀ + b` with i32 accumulation and a
@@ -874,9 +965,10 @@ mod tests {
     fn requant_into_matches_and_reuses_buffers_across_shapes() {
         let mut rng = StdRng::seed_from_u64(17);
         let mut acc = Vec::new();
+        let mut patches = Vec::new();
         let mut out = QTensor::scratch();
         // grouped, strided no-pad, and depth-wise geometries through the
-        // same accumulator and output buffers, twice each
+        // same accumulator, patch and output buffers, twice each
         let geoms = [
             (6usize, 4usize, 9usize, 1usize, 1usize, 2usize),
             (4, 4, 6, 2, 0, 1),
@@ -904,6 +996,7 @@ mod tests {
                     true,
                     0.05,
                     &mut acc,
+                    &mut patches,
                     &mut out,
                 );
                 assert_eq!(
@@ -991,6 +1084,59 @@ mod tests {
         let q = QTensor::quantize(&Tensor::ones(Shape::new(1, 2, 4, 4)));
         let w = QTensor::quantize(&Tensor::ones(Shape::new(2, 2, 3, 3)));
         qconv2d(&q, &w, None, 1, 1, 0);
+    }
+
+    /// Regression: with `C_in = 5`, `groups = 2` the old check only compared
+    /// `weight.c` with `C_in / groups` (2 == 5 / 2), so the int8 ops returned
+    /// a result that silently ignored channel 4.
+    fn indivisible_input_channels() -> (QTensor, QTensor) {
+        let x = QTensor::quantize(&Tensor::ones(Shape::new(2, 5, 4, 4)));
+        let w = QTensor::quantize(&Tensor::ones(Shape::new(4, 2, 3, 3)));
+        (x, w)
+    }
+
+    /// Regression: 5 output channels over 2 groups used to panic on an
+    /// out-of-range index instead of naming the broken contract.
+    fn indivisible_output_channels() -> (QTensor, QTensor) {
+        let x = QTensor::quantize(&Tensor::ones(Shape::new(2, 4, 4, 4)));
+        let w = QTensor::quantize(&Tensor::ones(Shape::new(5, 2, 3, 3)));
+        (x, w)
+    }
+
+    #[test]
+    #[should_panic(expected = "input channels 5 not divisible by groups 2")]
+    fn qconv_rejects_input_channels_groups_do_not_divide() {
+        let (x, w) = indivisible_input_channels();
+        qconv2d(&x, &w, None, 1, 1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "input channels 5 not divisible by groups 2")]
+    fn qconv_requant_rejects_input_channels_groups_do_not_divide() {
+        let (x, w) = indivisible_input_channels();
+        qconv2d_requant(&x, &w, None, 1, 1, 2, true, 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "output channels 5 not divisible by groups 2")]
+    fn qconv_rejects_output_channels_groups_do_not_divide() {
+        let (x, w) = indivisible_output_channels();
+        qconv2d(&x, &w, None, 1, 1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "output channels 5 not divisible by groups 2")]
+    fn qconv_requant_rejects_output_channels_groups_do_not_divide() {
+        let (x, w) = indivisible_output_channels();
+        qconv2d_requant_reference(&x, &w, None, 1, 1, 2, true, 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "bias length must equal output channels")]
+    fn qconv_rejects_short_bias() {
+        let x = QTensor::quantize(&Tensor::ones(Shape::new(1, 2, 4, 4)));
+        let w = QTensor::quantize(&Tensor::ones(Shape::new(3, 2, 3, 3)));
+        qconv2d(&x, &w, Some(&[0.5, 0.5]), 1, 1, 1);
     }
 
     #[test]

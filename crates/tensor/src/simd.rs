@@ -107,8 +107,9 @@ pub fn qdot_i8(x: &[i8], w: &[i8]) -> i32 {
 }
 
 /// Four dot products of one activation row against four weight rows,
-/// sharing every activation load — the register tile behind `qlinear`.
-/// Bit-identical to four [`qdot_i8_scalar`] calls.
+/// sharing every activation load — the register tile behind `qlinear` and
+/// the im2col-lowered int8 convolutions. Bit-identical to four
+/// [`qdot_i8_scalar`] calls.
 pub fn qdot4_i8(x: &[i8], w: [&[i8]; 4]) -> [i32; 4] {
     debug_assert!(x.len() <= MAX_REDUCTION_DEPTH);
     #[cfg(target_arch = "x86_64")]
@@ -135,11 +136,11 @@ pub fn qaxpy_i8_scalar(row: &mut [i32], x: &[i8], w: i32) {
 }
 
 /// Widening multiply-accumulate row update `row[i] += x[i] · w` (the
-/// streaming tap kernel of the int8 convolutions), dispatched to AVX2 when
-/// [`avx2_enabled`]. Bit-identical to [`qaxpy_i8_scalar`]: the vector path
-/// computes each 16-bit product exactly (`|x·w| ≤ 127² < i16::MAX`), widens
-/// to i32 and adds — the same per-element arithmetic in a different lane
-/// order.
+/// streaming tap kernel of the depth-wise int8 convolution), dispatched to
+/// AVX2 when [`avx2_enabled`]. Bit-identical to [`qaxpy_i8_scalar`]: the
+/// vector path computes each 16-bit product exactly (`|x·w| ≤ 127² <
+/// i16::MAX`), widens to i32 and adds — the same per-element arithmetic in
+/// a different lane order.
 ///
 /// # Panics
 ///

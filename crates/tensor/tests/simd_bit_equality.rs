@@ -15,7 +15,7 @@
 //! even on hosts where one test process can only ever observe one probe
 //! result (the probe is cached per process).
 
-use eyecod_tensor::ops::{conv2d_gemm, conv2d_gemm_reference};
+use eyecod_tensor::ops::{conv2d, conv2d_gemm, conv2d_gemm_reference, conv2d_naive};
 use eyecod_tensor::quant::{
     qconv2d, qconv2d_reference, qconv2d_requant, qconv2d_requant_reference, qlinear,
     qlinear_reference, QTensor,
@@ -194,6 +194,135 @@ proptest! {
         let a = conv2d_gemm(&x, &w, Some(&bias), stride, pad.max(1), 2);
         let b = conv2d_gemm_reference(&x, &w, Some(&bias), stride, pad.max(1), 2);
         prop_assert_eq!(a.as_slice(), b.as_slice());
+    }
+}
+
+/// The raw bit patterns of an f32 tensor: `-0.0 != 0.0` and NaN payloads
+/// count, which `==` on the values would hide.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// An f32 tensor with a share of exact zeros, so the direct convolution's
+/// zero-weight skip and the zero-bias skip are both exercised.
+fn sparse_f32_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
+    proptest::collection::vec(-1.0f32..1.0, len).prop_map(|v| {
+        v.into_iter()
+            .map(|x| if x.abs() < 0.2 { 0.0 } else { x })
+            .collect()
+    })
+}
+
+// The shapes the frame path runs: the gaze networks' reduction depths
+// `C_in/g · k²` of 9 (first layer), 144 and 288 (the ResNet-like body),
+// full `MR = 4` register tiles plus a channel remainder, batches of more
+// than one crop, and the 3×4 output plane whose 12 positions leave an
+// `NR = 8` remainder.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// f32 GEMM at `C_out/g` = 5 (one full tile plus one) and 10, N = 2,
+    /// on a 6×8 input whose stride-2 output is the 3×4 plane.
+    #[test]
+    fn f32_gemm_full_tiles_and_position_remainder_are_bit_identical(
+        xv in proptest::collection::vec(-2.0f32..2.0, 2 * 8 * 6 * 8),
+        wv in proptest::collection::vec(-1.0f32..1.0, 10 * 8 * 3 * 3),
+        bias in proptest::collection::vec(-0.5f32..0.5, 10),
+        stride in 1usize..3,
+        groups in prop_oneof![Just(1usize), Just(2usize)],
+    ) {
+        let x = Tensor::from_vec(Shape::new(2, 8, 6, 8), xv);
+        let cin_g = 8 / groups;
+        let w = Tensor::from_vec(Shape::new(10, cin_g, 3, 3), wv[..10 * cin_g * 9].to_vec());
+        let a = conv2d_gemm(&x, &w, Some(&bias), stride, 1, groups);
+        let b = conv2d_gemm_reference(&x, &w, Some(&bias), stride, 1, groups);
+        prop_assert_eq!(a.shape(), b.shape());
+        prop_assert_eq!(bits(&a), bits(&b));
+        // batching never changes a crop's bits
+        let solo = conv2d_gemm(&x.batch_item(1), &w, Some(&bias), stride, 1, groups);
+        let plane = a.shape().len() / 2;
+        prop_assert_eq!(&bits(&a)[plane..], &bits(&solo)[..]);
+    }
+
+    /// int8 `qconv2d` and `qconv2d_requant` at reduction depth 9
+    /// (`C_in/g = 1`), stride 1 and 2, 6 output channels.
+    #[test]
+    fn qconv_depth_9_is_bit_identical(
+        qx in qtensor_strategy(Shape::new(2, 1, 9, 13)),
+        qw in qtensor_strategy(Shape::new(6, 1, 3, 3)),
+        bias in proptest::collection::vec(-1.0f32..1.0, 6),
+        stride in 1usize..3,
+        pad in 0usize..3,
+    ) {
+        assert_qconv_bit_identical(&qx, &qw, &bias, stride, pad, 1);
+    }
+
+    /// int8 at reduction depth 144 (`C_in/g = 16`), grouped into two
+    /// groups of 5 output channels each.
+    #[test]
+    fn qconv_depth_144_is_bit_identical(
+        qx in qtensor_strategy(Shape::new(1, 32, 7, 11)),
+        qw in qtensor_strategy(Shape::new(10, 16, 3, 3)),
+        bias in proptest::collection::vec(-1.0f32..1.0, 10),
+        stride in 1usize..3,
+        pad in 0usize..3,
+    ) {
+        assert_qconv_bit_identical(&qx, &qw, &bias, stride, pad, 2);
+    }
+
+    /// int8 at reduction depth 288 (`C_in/g = 32`) on the 6×8 plane of the
+    /// ResNet-like body, 6 output channels, saturating ±127 codes.
+    #[test]
+    fn qconv_depth_288_is_bit_identical_at_saturation(
+        qx in saturating_qtensor_strategy(Shape::new(2, 32, 6, 8)),
+        qw in saturating_qtensor_strategy(Shape::new(6, 32, 3, 3)),
+        bias in proptest::collection::vec(-1.0f32..1.0, 6),
+        stride in 1usize..3,
+    ) {
+        assert_qconv_bit_identical(&qx, &qw, &bias, stride, 1, 1);
+    }
+
+    /// The direct `conv2d` equals the per-element oracle bit for bit:
+    /// stride 1–3, pad 0–2, grouped wiring, non-square input, and weights
+    /// and biases with exact zeros.
+    #[test]
+    fn direct_conv2d_matches_per_element_oracle_bitwise(
+        xv in proptest::collection::vec(-2.0f32..2.0, 2 * 4 * 7 * 10),
+        wv in sparse_f32_strategy(6 * 4 * 5 * 5),
+        bias in sparse_f32_strategy(6),
+        stride in 1usize..4,
+        pad in 0usize..3,
+        k in prop_oneof![Just(1usize), Just(3usize), Just(5usize)],
+        groups in prop_oneof![Just(1usize), Just(2usize)],
+    ) {
+        let x = Tensor::from_vec(Shape::new(2, 4, 7, 10), xv);
+        let cin_g = 4 / groups;
+        let w = Tensor::from_vec(Shape::new(6, cin_g, k, k), wv[..6 * cin_g * k * k].to_vec());
+        let fast = conv2d(&x, &w, Some(&bias), stride, pad, groups);
+        let oracle = conv2d_naive(&x, &w, Some(&bias), stride, pad, groups);
+        prop_assert_eq!(fast.shape(), oracle.shape());
+        prop_assert_eq!(bits(&fast), bits(&oracle));
+    }
+}
+
+/// Dispatched vs scalar-reference `qconv2d` and `qconv2d_requant` (fused
+/// ReLU on and off) on one geometry.
+fn assert_qconv_bit_identical(
+    qx: &QTensor,
+    qw: &QTensor,
+    bias: &[f32],
+    stride: usize,
+    pad: usize,
+    groups: usize,
+) {
+    let a = qconv2d(qx, qw, Some(bias), stride, pad, groups);
+    let b = qconv2d_reference(qx, qw, Some(bias), stride, pad, groups);
+    assert_eq!(a.shape(), b.shape());
+    assert_eq!(bits(&a), bits(&b));
+    for relu in [false, true] {
+        let a = qconv2d_requant(qx, qw, Some(bias), stride, pad, groups, relu, 0.5);
+        let b = qconv2d_requant_reference(qx, qw, Some(bias), stride, pad, groups, relu, 0.5);
+        assert_eq!(a.as_i8(), b.as_i8(), "relu {relu}");
     }
 }
 

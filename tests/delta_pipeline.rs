@@ -33,8 +33,11 @@
 //!
 //! The telemetry-pinned run lives in ONE test function: the registry is
 //! global to the test binary, so the tracked runs must not interleave with
-//! other frame-processing tests. The serve-layer legs run their own
-//! registries and assert structure (forward counts), not global counters.
+//! other frame-processing tests. Every test here that processes frames
+//! holds [`frame_lock`] for its whole body, which keeps the default
+//! parallel harness from running a sibling between that test's counter
+//! reset and snapshot. The serve-layer legs run their own registries and
+//! assert structure (forward counts), not global counters.
 
 use eyecod::core::tracker::{EyeTracker, GazeBackend, TrackedFrame, TrackerConfig};
 use eyecod::core::training::{train_tracker_models, TrackerModels, TrainingSetup};
@@ -43,10 +46,20 @@ use eyecod::eyedata::EyeMotionGenerator;
 use eyecod::faults::{FaultPlan, FrameQuality};
 use eyecod::serve::{ServeConfig, ServeRegistry, SessionId, TickMode};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 const FRAMES: usize = 60;
 const MOTION_SEED: u64 = 77;
+
+/// Serialises the frame-processing tests of this binary: frames bump the
+/// process-global telemetry counters, and the harness runs tests on
+/// parallel threads. A panicking holder poisons the lock; the guarded
+/// value is `()`, which no panic can leave half-updated, so the next test
+/// takes the guard back instead of failing for its sibling.
+fn frame_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Train once; every leg reuses the models read-only.
 fn shared() -> &'static (TrackerConfig, TrackerModels) {
@@ -93,7 +106,10 @@ fn gaze_bits(f: &TrackedFrame) -> [u32; 3] {
 
 #[test]
 fn delta_pipeline_matches_dense_on_refresh_frames_with_bounded_drift() {
+    let _serial = frame_lock();
+    // train and render before the counters are reset
     let (cfg, _) = shared();
+    samples();
     let refresh: Vec<usize> = (0..FRAMES).filter(|i| i % cfg.roi_period == 0).collect();
 
     #[cfg(feature = "telemetry")]
@@ -228,6 +244,7 @@ fn delta_pipeline_matches_dense_on_refresh_frames_with_bounded_drift() {
 /// keyed on the frame index alone).
 #[test]
 fn motion_gate_survives_heavy_faults_deterministically() {
+    let _serial = frame_lock();
     let plan = FaultPlan::heavy(0xEC0D);
     let a = run_tracker(true, 16, plan.clone());
     let b = run_tracker(true, 16, plan.clone());
@@ -338,6 +355,7 @@ fn run_fleet(mode: TickMode, threads: usize, ragged: u64) -> (Vec<String>, Vec<u
 /// refreshes.
 #[test]
 fn gated_sessions_stay_out_of_gaze_batches_in_every_mode() {
+    let _serial = frame_lock();
     let (cfg, models) = shared();
     let scene = render_eye(
         &eyecod::eyedata::EyeParams::centered(cfg.scene_size),
@@ -405,6 +423,7 @@ proptest! {
         threads in 1usize..4,
         ragged in 0u64..7,
     ) {
+        let _serial = frame_lock();
         let (seq, seq_fwd) = run_fleet(TickMode::Scheduled, 0, ragged);
         let (par, par_fwd) = run_fleet(TickMode::Scheduled, threads, ragged);
         prop_assert!(!seq.is_empty());
