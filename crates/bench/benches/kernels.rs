@@ -11,13 +11,18 @@
 //!   reconstruction shapes, the 96×160 gaze-layer (ROI) shape, and the
 //!   convolutions the frame path actually runs: the four ResNet-like gaze
 //!   convs on a 24×32 crop (f32 GEMM and int8 requant) and the
-//!   segmentation network's 24×24 convs through the direct `conv2d`. Each
-//!   row's `note` records the host facts (CPUs, SIMD dispatch).
+//!   segmentation network's 24×24 convs through the direct `conv2d`; the
+//!   capture stage's sensor-noise kernel and `Φ_Rᵀ` product at the working
+//!   and paper-scale sensors; and the training run's `conv2d_backward` at
+//!   the same convolution shapes. Each row's `note` records the host facts
+//!   (CPUs, SIMD dispatch).
 
 use criterion::{criterion_group, Criterion};
 use eyecod_optics::mat::Mat;
+use eyecod_optics::sensor::SensorModel;
 use eyecod_tensor::ops::{
-    conv2d, conv2d_gemm, conv2d_gemm_buf, conv2d_gemm_reference, conv2d_naive, ConvWorkspace,
+    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_gemm, conv2d_gemm_buf,
+    conv2d_gemm_reference, conv2d_naive, ConvWorkspace,
 };
 use eyecod_tensor::quant::{
     qconv2d_requant, qconv2d_requant_reference, qlinear, qlinear_reference, QTensor,
@@ -295,6 +300,68 @@ fn write_kernel_artifact() {
             format!("(1,{ci},{h},{w_}) * ({co},{ci},{k},{k}) (seg layer {i})"),
             naive_ns,
             direct_ns,
+        ));
+    }
+
+    // training's backward pass at the same convolution shapes: per-element
+    // oracle (naive_ns) vs the span-hoisted dispatched kernel
+    let backward_shapes = GAZE_CONVS
+        .iter()
+        .map(|&(ci, co, h, w_, stride)| (ci, co, h, w_, 3, 1, stride, "ResNet-like"))
+        .chain(
+            SEG_CONVS
+                .iter()
+                .map(|&(ci, co, h, w_, k, pad)| (ci, co, h, w_, k, pad, 1, "seg")),
+        );
+    for (i, (ci, co, h, w_, k, pad, stride, net)) in backward_shapes.enumerate() {
+        let x = tensor(Shape::new(1, ci, h, w_), 80 + i as u64);
+        let w = tensor(Shape::new(co, ci, k, k), 100 + i as u64);
+        let go = tensor(x.shape().conv_output(co, k, pad, stride), 120 + i as u64);
+        let oracle_ns = best_of(ITERS, || {
+            conv2d_backward_reference(&x, &w, &go, stride, pad, 1)
+        });
+        let hoisted_ns = best_of(ITERS, || conv2d_backward(&x, &w, &go, stride, pad, 1));
+        rows.push(KernelRow::new(
+            "f32 conv2d_backward (per-element oracle vs span-hoisted)",
+            format!("(1,{ci},{h},{w_}) * ({co},{ci},{k},{k}) s{stride} p{pad} ({net})"),
+            oracle_ns,
+            hoisted_ns,
+        ));
+    }
+
+    // the capture stage at the working sensor (64) and paper scale (320):
+    // the libm sensor-noise loop (naive_ns) vs the dispatched polynomial
+    // kernel, each on a fresh copy of one clean measurement
+    for (scene, sensor) in [(48, 64), (256, 320)] {
+        let model = SensorModel::nir_eye_tracking();
+        let clean = mat(sensor, sensor, 11);
+        let mut y = Mat::zeros(1, 1);
+        let libm_ns = best_of(ITERS, || {
+            y.copy_from(&clean);
+            model.apply_inplace_reference(&mut y, 5);
+        });
+        let poly_ns = best_of(ITERS, || {
+            y.copy_from(&clean);
+            model.apply_inplace(&mut y, 5);
+        });
+        rows.push(KernelRow::new(
+            "f64 sensor noise, nir_eye_tracking (libm reference vs dispatched polynomial)",
+            format!("{sensor}x{sensor} measurement"),
+            libm_ns,
+            poly_ns,
+        ));
+        // `(Φ_L·X) · Φ_Rᵀ`: Φ_R read in place at stride `scene` vs the
+        // stored transpose through the blocked tile
+        let tmp = mat(sensor, scene, 12);
+        let phi_r = mat(sensor, scene, 13);
+        let phi_r_t = phi_r.transpose();
+        let transposed_b_ns = best_of(ITERS, || tmp.matmul_transposed_b_into(&phi_r, &mut y));
+        let pretransposed_ns = best_of(ITERS, || tmp.matmul_into(&phi_r_t, &mut y));
+        rows.push(KernelRow::new(
+            "f64 capture gemm (transposed-B vs pre-transposed Phi_R^T)",
+            format!("{sensor}x{scene} * ({sensor}x{scene})^T (scene {scene}, sensor {sensor})"),
+            transposed_b_ns,
+            pretransposed_ns,
         ));
     }
 

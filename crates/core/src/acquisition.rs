@@ -322,19 +322,6 @@ impl Acquisition {
         }
     }
 
-    /// Allocating variant of [`Acquisition::sense_into`] for the training
-    /// path: captures `scene` (no fault plan, attempt 0) and returns the
-    /// raw transported signal. Uses the same capture seed derivation as
-    /// [`Acquisition::acquire`], so for equal seeds the measurement is the
-    /// one underneath the image `acquire` would reconstruct.
-    pub fn sense(&self, scene: &Tensor, seed: u64) -> Tensor {
-        let mut scratch = AcquireScratch::new();
-        let mut out = Tensor::zeros(Shape::new(1, 1, 1, 1));
-        self.capture_faulted_into(scene, seed, &FaultPlan::none(), 0, 0, &mut scratch);
-        self.sense_into(&scratch, &mut out);
-        out
-    }
-
     /// Primes the delta caches from the dense capture currently staged in
     /// `scratch`: `scene` becomes the diff base, and the staged transported
     /// signal plus its reconstruction become the caches subsequent

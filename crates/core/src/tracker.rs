@@ -1839,6 +1839,10 @@ mod tests {
         // every frame must reach the gaze forward for the degenerate flag
         // to be observable — run dense even under ambient EYECOD_DELTA=1
         t.config.delta = false;
+        // the zeroed weights below are the f32 net's: pin its backend even
+        // under ambient EYECOD_GAZE_BACKEND (the latent net would still
+        // emit a non-zero gaze on steady frames)
+        t.config.gaze_backend = GazeBackend::F32;
         // zero every gaze parameter: the network now emits an exact zero
         // vector for any input
         for p in t.models.gaze.params_mut() {
@@ -1863,6 +1867,9 @@ mod tests {
         let mut t = tracker();
         t.config.delta = true;
         t.config.delta_threshold = 16;
+        // f32 semantics even under ambient EYECOD_GAZE_BACKEND: int8
+        // calibration warm-up exempts frames from the motion gate
+        t.config.gaze_backend = GazeBackend::F32;
         let s = render_eye(&EyeParams::centered(48), 48, 3);
         // frame 0 (due) runs the dense path and primes the delta caches
         let first = t.process_frame(&s.image, 4);
@@ -1888,7 +1895,11 @@ mod tests {
 
     #[test]
     fn delta_frames_track_a_moving_eye_without_dense_solves() {
+        // every tracker here pins the f32 backend even under ambient
+        // EYECOD_GAZE_BACKEND: int8 calibration would feed the delta and
+        // dense twins different warm-up batches
         let mut t = tracker();
+        t.config.gaze_backend = GazeBackend::F32;
         t.config.delta = true;
         t.config.delta_threshold = 0; // gate off: every change runs sparse
         let mut gen = EyeMotionGenerator::with_seed(31);
@@ -1901,8 +1912,10 @@ mod tests {
         );
         // a dense-mode twin of the same sequence agrees on refresh frames
         let mut td = tracker();
+        td.config.gaze_backend = GazeBackend::F32;
         let (_, dense) = td.run_sequence_traced(&mut EyeMotionGenerator::with_seed(31), 25);
         let mut te = tracker();
+        te.config.gaze_backend = GazeBackend::F32;
         te.config.delta = true;
         te.config.delta_threshold = 0;
         let (_, delta) = te.run_sequence_traced(&mut EyeMotionGenerator::with_seed(31), 25);

@@ -7,17 +7,18 @@
 //! *configured acquisition* (FlatCam reconstruction or lens), so FlatCam
 //! artefacts are part of the training distribution exactly as in the paper.
 
-use crate::acquisition::Acquisition;
+use crate::acquisition::{AcquireScratch, Acquisition};
 use crate::pool::parallel_map_chunked;
 use crate::roi::predict_roi;
 use crate::tracker::TrackerConfig;
 use eyecod_eyedata::render::{render_eye, EyeParams};
+use eyecod_faults::FaultPlan;
 use eyecod_models::latent::{train_latent_gaze, LatentGazeNet};
 use eyecod_models::proxy::{
     train_gaze, train_seg, GazeFamily, ProxyGazeNet, ProxySegNet, TrainConfig,
 };
 use eyecod_tensor::ops::{downsample_avg, resize_bilinear};
-use eyecod_tensor::Tensor;
+use eyecod_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -145,6 +146,7 @@ pub fn train_tracker_models(setup: &TrainingSetup, config: &TrackerConfig) -> Tr
     };
     let seed0 = setup.seed;
     let flip = setup.augment_flip;
+    let no_faults = FaultPlan::none();
     // acquired image, segmentation labels, gaze target, raw measurement
     type TrainSample = (Tensor, Vec<u8>, Tensor, Tensor);
     // chunk = 1: each render+acquire is heavy and FlatCam/lens costs are
@@ -156,13 +158,18 @@ pub fn train_tracker_models(setup: &TrainingSetup, config: &TrackerConfig) -> Tr
         if flip {
             variants.push(eyecod_eyedata::augment::flip_horizontal(&rendered));
         }
+        let mut scratch = AcquireScratch::new();
         variants
             .into_iter()
             .map(|s| {
-                // the same exposure seed as `acquire`, so the raw
-                // measurement is the one underneath the acquired image
-                let measurement = acquisition.sense(&s.image, idx.wrapping_add(1));
-                let acquired = acquisition.acquire(&s.image, idx.wrapping_add(1));
+                // one exposure (the seed `acquire` would use): the raw
+                // measurement and the image reconstructed from it
+                let seed = idx.wrapping_add(1);
+                acquisition.capture_faulted_into(&s.image, seed, &no_faults, 0, 0, &mut scratch);
+                let mut measurement = Tensor::zeros(Shape::new(1, 1, 1, 1));
+                acquisition.sense_into(&scratch, &mut measurement);
+                let mut acquired = Tensor::zeros(Shape::new(1, 1, 1, 1));
+                acquisition.recon_into(&mut scratch, &mut acquired);
                 let gaze = eyecod_eyedata::GazeVector::batch_to_tensor(&[s.gaze]);
                 (acquired, s.labels, gaze, measurement)
             })

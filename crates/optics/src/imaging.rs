@@ -13,12 +13,21 @@ use crate::sensor::SensorModel;
 pub struct FlatCam {
     mask: SeparableMask,
     sensor: SensorModel,
+    /// `Φ_Rᵀ`, transposed once here so every capture multiplies by it
+    /// through the blocked GEMM tile (as [`crate::recon::TikhonovReconstructor`]
+    /// stores its transposed factors).
+    phi_r_t: Mat,
 }
 
 impl FlatCam {
     /// Assembles a camera from a mask and a sensor model.
     pub fn new(mask: SeparableMask, sensor: SensorModel) -> Self {
-        FlatCam { mask, sensor }
+        let phi_r_t = mask.phi_r().transpose();
+        FlatCam {
+            mask,
+            sensor,
+            phi_r_t,
+        }
     }
 
     /// The camera's coded mask.
@@ -46,19 +55,18 @@ impl FlatCam {
             scene.rows(),
             scene.cols()
         );
-        let clean = self
-            .mask
-            .phi_l()
-            .matmul(scene)
-            .matmul(&self.mask.phi_r().transpose());
+        let clean = self.mask.phi_l().matmul(scene).matmul(&self.phi_r_t);
         self.sensor.apply(&clean, seed)
     }
 
     /// [`FlatCam::capture`] through caller-owned buffers: the intermediate
-    /// product lands in `tmp`, the measurement in `out`, and `Φ_Rᵀ` is
-    /// consumed in its stored layout instead of being re-transposed per
-    /// frame — a warm pair of buffers makes the capture allocation-free.
-    /// Byte-identical to [`FlatCam::capture`] for equal seeds.
+    /// product lands in `tmp`, the measurement in `out` — a warm pair of
+    /// buffers makes the capture allocation-free. Both products run the
+    /// blocked tile of [`Mat::matmul_into`], whose ascending-`k`
+    /// mul-then-add per element is the sequence of
+    /// [`Mat::matmul_transposed_b_into`] against `Φ_R`, so the pre-transposed
+    /// product is bit-identical to the transposed-B one. Byte-identical to
+    /// [`FlatCam::capture`] for equal seeds.
     ///
     /// # Panics
     ///
@@ -73,7 +81,7 @@ impl FlatCam {
             scene.cols()
         );
         self.mask.phi_l().matmul_into(scene, tmp);
-        tmp.matmul_transposed_b_into(self.mask.phi_r(), out);
+        tmp.matmul_into(&self.phi_r_t, out);
         self.sensor.apply_inplace(out, seed);
     }
 
@@ -134,6 +142,29 @@ mod tests {
         for seed in [0u64, 7] {
             cam.capture_into(&scene, seed, &mut tmp, &mut out);
             assert_eq!(out.as_slice(), cam.capture(&scene, seed).as_slice());
+        }
+    }
+
+    #[test]
+    fn pretransposed_capture_product_equals_the_transposed_b_product_bitwise() {
+        // a noiseless camera returns the clean product `Φ_L · X · Φ_Rᵀ`
+        // itself, at the working size, a ragged size and paper scale
+        for (sensor, scene, seed) in [(64usize, 48usize, 7u32), (40, 29, 3), (320, 256, 1)] {
+            let mask = SeparableMask::mls_differential(sensor, scene, seed);
+            let x = Mat::from_fn(scene, scene, |r, c| ((r * 7 + c * 3) % 11) as f64 / 11.0);
+            let (mut tmp, mut want) = (Mat::zeros(1, 1), Mat::zeros(1, 1));
+            mask.phi_l().matmul_into(&x, &mut tmp);
+            tmp.matmul_transposed_b_into(mask.phi_r(), &mut want);
+            let cam = FlatCam::new(mask, SensorModel::noiseless());
+            let mut got = Mat::zeros(1, 1);
+            cam.capture_into(&x, 0, &mut tmp, &mut got);
+            let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "capture_into at {sensor}/{scene}");
+            assert_eq!(
+                bits(&cam.capture(&x, 0)),
+                bits(&want),
+                "capture at {sensor}/{scene}"
+            );
         }
     }
 

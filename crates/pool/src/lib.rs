@@ -472,7 +472,12 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
+        // Store the flag under the queue lock: a worker checks it under
+        // that lock and then waits, so a store (and notify) between its
+        // check and its wait would be a lost wake-up and `join` would hang.
+        let q = lock(&self.shared.queue);
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        drop(q);
         self.shared.work_cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();

@@ -5,6 +5,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 use eyecod_pool::ThreadPool;
 use proptest::prelude::*;
@@ -129,4 +131,36 @@ fn empty_singleton_and_undersized_inputs() {
             vec![10, 20, 30]
         );
     }
+}
+
+/// Dropping a pool wakes every parked worker. A worker checks the shutdown
+/// flag under the queue lock and then waits on the work condvar, so `Drop`
+/// must store the flag under that lock too: stored and notified between a
+/// worker's check and its wait, the wake-up is lost, the worker sleeps
+/// forever and `Drop`'s `join` hangs. Sequential create/run/drop cycles of
+/// 1–3-worker pools hit that window within tens of thousands of cycles.
+/// The loop runs on a spawned thread, so a lost wake-up fails the test at
+/// the deadline instead of hanging it; each pool is dropped before the
+/// next is built, so at most three workers are alive at once.
+#[test]
+fn drop_never_loses_the_shutdown_wake_up() {
+    const CYCLES: usize = 40_000;
+    let (done, finished) = mpsc::channel();
+    let cycles = std::thread::spawn(move || {
+        for i in 0..CYCLES {
+            let pool = ThreadPool::with_threads(1 + i % 3);
+            let hits = AtomicUsize::new(0);
+            pool.parallel_for_chunked(4, 1, |_| {
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(hits.into_inner(), 4, "cycle {i}");
+            drop(pool);
+        }
+        done.send(()).unwrap();
+    });
+    if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(120)) {
+        panic!("a pool drop hung: a worker missed the shutdown wake-up");
+    }
+    // finished, or panicked before sending: joining surfaces the panic
+    cycles.join().expect("the create/run/drop loop panicked");
 }

@@ -824,7 +824,13 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_oldest_and_stays_bounded() {
-        let mut reg = registry(|c| c.queue_capacity = 2);
+        // an f32 session even under ambient EYECOD_GAZE_BACKEND: shed
+        // frames grade Degraded once a reconstructed image exists, which
+        // a latent session's steady (recon-free) frames never produce
+        let mut reg = registry(|c| {
+            c.queue_capacity = 2;
+            c.tracker.gaze_backend = GazeBackend::F32;
+        });
         let id = reg.create().unwrap();
         let img = scene(0);
         assert!(matches!(
@@ -858,7 +864,12 @@ mod tests {
     #[test]
     fn tick_completes_frames_and_frame_indices_stay_dense() {
         for mode in [TickMode::Sequential, TickMode::Batched, TickMode::Scheduled] {
-            let mut reg = registry(|c| c.mode = mode);
+            // session `a` is f32 even under ambient EYECOD_GAZE_BACKEND:
+            // the forward counts below assume f32 + int8 sessions
+            let mut reg = registry(|c| {
+                c.mode = mode;
+                c.tracker.gaze_backend = GazeBackend::F32;
+            });
             let a = reg.create().unwrap();
             let b = reg.create_with_backend(GazeBackend::Int8).unwrap();
             for i in 0..3u64 {

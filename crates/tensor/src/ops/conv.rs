@@ -275,10 +275,155 @@ pub struct Conv2dGrads {
 /// `grad_out` must have the shape the forward pass produced for the given
 /// arguments.
 ///
+/// Every gradient element sees the accumulation sequence of the
+/// per-element oracle [`conv2d_backward_reference`]: a weight gradient sums
+/// its tap's products from zero in ascending `(oy, ox)` order and is then
+/// added to the (zeroed) gradient tensor; an input gradient accumulates its
+/// products in ascending `(oc, kh, kw, oy, ox)` order; a bias gradient sums
+/// its output plane in order. As in [`conv2d`], each tap's valid output
+/// rows and columns are resolved once ([`tap_span`]), so at stride 1 a tap
+/// row is a contiguous dot product (weight gradient) plus a contiguous
+/// axpy (input gradient); the loops are instantiated plain and under
+/// `#[target_feature(enable = "avx2")]`, dispatched by
+/// [`crate::simd::avx2_enabled`], with the same bits.
+///
 /// # Panics
 ///
 /// Panics if `grad_out`'s shape is inconsistent with the forward geometry.
 pub fn conv2d_backward(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    stride: usize,
+    pad: usize,
+    groups: usize,
+) -> Conv2dGrads {
+    let (ishape, wshape) = (input.shape(), weight.shape());
+    check_conv_args(ishape, wshape, None, groups);
+    let oshape = ishape.conv_output(wshape.n, wshape.h, pad, stride);
+    assert_eq!(grad_out.shape(), oshape, "grad_out shape mismatch");
+    let mut grads = Conv2dGrads {
+        input: Tensor::zeros(ishape),
+        weight: Tensor::zeros(wshape),
+        bias: vec![0.0f32; wshape.n],
+    };
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx2_enabled() {
+        // SAFETY: avx2_enabled() returns true only on hosts with AVX2.
+        unsafe { conv2d_backward_avx2(input, weight, grad_out, stride, pad, groups, &mut grads) };
+        return grads;
+    }
+    conv2d_backward_body(input, weight, grad_out, stride, pad, groups, &mut grads);
+    grads
+}
+
+/// The span-hoisted backward loop nest shared by both instantiations;
+/// `grads` arrives zeroed. See [`conv2d_backward`] for the accumulation
+/// order it keeps.
+#[inline(always)]
+fn conv2d_backward_body(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    stride: usize,
+    pad: usize,
+    groups: usize,
+    grads: &mut Conv2dGrads,
+) {
+    let (ishape, wshape, oshape) = (input.shape(), weight.shape(), grad_out.shape());
+    let (cin_g, cout_g) = (ishape.c / groups, wshape.n / groups);
+    let k = wshape.h;
+    let (ih, iw) = (ishape.h, ishape.w);
+    let (oh, ow) = (oshape.h, oshape.w);
+    let in_data = input.as_slice();
+    let w_data = weight.as_slice();
+    let go_data = grad_out.as_slice();
+    let gin_data = grads.input.as_mut_slice();
+    let gw_data = grads.weight.as_mut_slice();
+
+    for n in 0..ishape.n {
+        for g in 0..groups {
+            for ocg in 0..cout_g {
+                let oc = g * cout_g + ocg;
+                let oplane = &go_data[(n * oshape.c + oc) * oh * ow..][..oh * ow];
+                let mut bias_acc = 0.0f32;
+                for v in oplane {
+                    bias_acc += v;
+                }
+                grads.bias[oc] += bias_acc;
+                for icg in 0..cin_g {
+                    let in_base = (n * ishape.c + g * cin_g + icg) * ih * iw;
+                    let iplane = &in_data[in_base..][..ih * iw];
+                    let giplane = &mut gin_data[in_base..][..ih * iw];
+                    let w_base = (oc * cin_g + icg) * k * k;
+                    for kh in 0..k {
+                        let (y0, y1) = tap_span(kh, pad, stride, ih, oh);
+                        for kw in 0..k {
+                            let wv = w_data[w_base + kh * k + kw];
+                            let (x0, x1) = tap_span(kw, pad, stride, iw, ow);
+                            let span = x1 - x0;
+                            // an empty column span leaves no row to visit
+                            let rows = if span > 0 { y0..y1 } else { 0..0 };
+                            let mut wgrad = 0.0f32;
+                            for oy in rows {
+                                let ix0 = x0 * stride + kw - pad;
+                                let iy = oy * stride + kh - pad;
+                                let orow = &oplane[oy * ow + x0..][..span];
+                                let irow = &iplane[iy * iw..][..iw];
+                                let girow = &mut giplane[iy * iw..][..iw];
+                                if stride == 1 {
+                                    let xs = &irow[ix0..][..span];
+                                    for (&go, &x) in orow.iter().zip(xs) {
+                                        wgrad += go * x;
+                                    }
+                                    let gis = &mut girow[ix0..][..span];
+                                    for (gi, &go) in gis.iter_mut().zip(orow) {
+                                        *gi += go * wv;
+                                    }
+                                } else {
+                                    for (j, &go) in orow.iter().enumerate() {
+                                        let ix = ix0 + j * stride;
+                                        wgrad += go * irow[ix];
+                                        girow[ix] += go * wv;
+                                    }
+                                }
+                            }
+                            gw_data[w_base + kh * k + kw] += wgrad;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// AVX2 instantiation of [`conv2d_backward_body`], where LLVM widens the
+/// unit-stride input-gradient axpy to 8-lane vectors (see
+/// [`conv2d_backward`] for the bit-identity argument).
+///
+/// # Safety
+///
+/// The host must support AVX2, which [`conv2d_backward`] checks via
+/// [`crate::simd::avx2_enabled`] before calling.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn conv2d_backward_avx2(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    stride: usize,
+    pad: usize,
+    groups: usize,
+    grads: &mut Conv2dGrads,
+) {
+    conv2d_backward_body(input, weight, grad_out, stride, pad, groups, grads);
+}
+
+/// The per-element oracle [`conv2d_backward`] is pinned against bit for
+/// bit: padding range-checked per element, weight- and input-gradient
+/// updates interleaved, the accumulation sequence [`conv2d_backward`]
+/// documents. Same contract as [`conv2d_backward`].
+pub fn conv2d_backward_reference(
     input: &Tensor,
     weight: &Tensor,
     grad_out: &Tensor,

@@ -19,7 +19,7 @@ pub use activation::{
     softmax_channels,
 };
 pub(crate) use conv::{check_conv_args, tap_span};
-pub use conv::{conv2d, conv2d_backward, conv2d_naive, Conv2dGrads};
+pub use conv::{conv2d, conv2d_backward, conv2d_backward_reference, conv2d_naive, Conv2dGrads};
 pub use fastconv::{
     conv2d_gemm, conv2d_gemm_buf, conv2d_gemm_into, conv2d_gemm_reference, ConvWorkspace,
 };

@@ -15,7 +15,10 @@
 //! even on hosts where one test process can only ever observe one probe
 //! result (the probe is cached per process).
 
-use eyecod_tensor::ops::{conv2d, conv2d_gemm, conv2d_gemm_reference, conv2d_naive};
+use eyecod_tensor::ops::{
+    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_gemm, conv2d_gemm_reference,
+    conv2d_naive,
+};
 use eyecod_tensor::quant::{
     qconv2d, qconv2d_reference, qconv2d_requant, qconv2d_requant_reference, qlinear,
     qlinear_reference, QTensor,
@@ -302,6 +305,33 @@ proptest! {
         let oracle = conv2d_naive(&x, &w, Some(&bias), stride, pad, groups);
         prop_assert_eq!(fast.shape(), oracle.shape());
         prop_assert_eq!(bits(&fast), bits(&oracle));
+    }
+
+    /// `conv2d_backward` equals its per-element oracle bit for bit in all
+    /// three gradients: stride 1–3, pad 0–2, k 1/3/5, generic, grouped and
+    /// depth-wise wiring, a batch of two, and exact zeros in the weights
+    /// and the upstream gradient.
+    #[test]
+    fn conv2d_backward_matches_its_oracle_bitwise(
+        xv in proptest::collection::vec(-2.0f32..2.0, 2 * 4 * 7 * 10),
+        wv in sparse_f32_strategy(4 * 4 * 5 * 5),
+        gv in sparse_f32_strategy(2 * 4 * 11 * 14),
+        stride in 1usize..4,
+        pad in 0usize..3,
+        k in prop_oneof![Just(1usize), Just(3usize), Just(5usize)],
+        groups in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
+    ) {
+        let x = Tensor::from_vec(Shape::new(2, 4, 7, 10), xv);
+        let cin_g = 4 / groups;
+        let w = Tensor::from_vec(Shape::new(4, cin_g, k, k), wv[..4 * cin_g * k * k].to_vec());
+        let oshape = x.shape().conv_output(4, k, pad, stride);
+        let go = Tensor::from_vec(oshape, gv[..oshape.len()].to_vec());
+        let fast = conv2d_backward(&x, &w, &go, stride, pad, groups);
+        let oracle = conv2d_backward_reference(&x, &w, &go, stride, pad, groups);
+        prop_assert_eq!(bits(&fast.input), bits(&oracle.input));
+        prop_assert_eq!(bits(&fast.weight), bits(&oracle.weight));
+        let bias_bits = |b: &[f32]| b.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bias_bits(&fast.bias), bias_bits(&oracle.bias));
     }
 }
 
