@@ -6,18 +6,24 @@
 //!
 //! * `kernels/*` criterion groups for interactive comparison
 //!   (`cargo bench -p eyecod-bench --bench kernels`);
-//! * a `BENCH_kernels.json` artifact at the repository root with
-//!   best-of-N wall times and blocked-vs-naive speedups for the
-//!   reconstruction shapes, the 96×160 gaze-layer (ROI) shape, and the
-//!   convolutions the frame path actually runs: the four ResNet-like gaze
-//!   convs on a 24×32 crop (f32 GEMM and int8 requant) and the
-//!   segmentation network's 24×24 convs through the direct `conv2d`; the
-//!   capture stage's sensor-noise kernel and `Φ_Rᵀ` product at the working
-//!   and paper-scale sensors; and the training run's `conv2d_backward` at
-//!   the same convolution shapes. Each row's `note` records the host facts
-//!   (CPUs, SIMD dispatch).
+//! * a `BENCH_kernels.json` artifact at the repository root with the
+//!   median and median absolute deviation (MAD) of 21 timed samples per
+//!   side (after one warm-up call) and blocked-vs-naive speedups of the
+//!   medians for the reconstruction shapes, the 96×160 gaze-layer (ROI)
+//!   shape, and the convolutions the frame path actually runs: the four
+//!   ResNet-like gaze convs on a 24×32 crop (f32 GEMM, int8 requant, and
+//!   the direct `conv2d` training's forward runs) and the segmentation
+//!   network's 24×24 convs through the direct `conv2d`; the whole
+//!   segmentation forward; the int8 warm-up calibration; the capture
+//!   stage's sensor-noise kernel and `Φ_Rᵀ` product at the working and
+//!   paper-scale sensors; and the training run's `conv2d_backward` at the
+//!   same convolution shapes. Each row's `note` records the host facts
+//!   (CPUs, SIMD dispatch) and the sample count.
 
 use criterion::{criterion_group, Criterion};
+use eyecod_models::infer::{GazeInferWorkspace, SegInferWorkspace};
+use eyecod_models::proxy::{GazeFamily, ProxyGazeNet, ProxySegNet};
+use eyecod_models::quantized::QuantizedGazeNet;
 use eyecod_optics::mat::Mat;
 use eyecod_optics::sensor::SensorModel;
 use eyecod_tensor::ops::{
@@ -27,7 +33,9 @@ use eyecod_tensor::ops::{
 use eyecod_tensor::quant::{
     qconv2d_requant, qconv2d_requant_reference, qlinear, qlinear_reference, QTensor,
 };
-use eyecod_tensor::{simd, Shape, Tensor};
+use eyecod_tensor::{simd, Layer, Shape, Tensor};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::Serialize;
 use std::path::Path;
 use std::time::Instant;
@@ -130,32 +138,72 @@ fn int8_linear_operands() -> (QTensor, QTensor, Vec<f32>) {
 struct KernelRow {
     kernel: &'static str,
     shape: String,
+    /// Median wall time of the baseline side.
     naive_ns: u64,
+    /// Median absolute deviation of the baseline side's samples.
+    naive_mad_ns: u64,
+    /// Median wall time of the optimised side.
     blocked_ns: u64,
+    /// Median absolute deviation of the optimised side's samples.
+    blocked_mad_ns: u64,
+    /// `naive_ns / blocked_ns`.
     speedup: f64,
     /// Logical CPUs visible to this run — kernel timings on a shared or
     /// single-core host are not comparable to a dedicated many-core box.
     host_parallelism: usize,
-    /// Host facts the timing depends on: CPUs, SIMD dispatch, repetitions.
+    /// Host facts the timing depends on: CPUs, SIMD dispatch, samples.
     note: String,
 }
 
 impl KernelRow {
-    fn new(kernel: &'static str, shape: String, naive_ns: u64, blocked_ns: u64) -> Self {
+    fn new(kernel: &'static str, shape: String, naive: Timing, blocked: Timing) -> Self {
         KernelRow {
             kernel,
             shape,
-            naive_ns,
-            blocked_ns,
-            speedup: naive_ns as f64 / blocked_ns as f64,
+            naive_ns: naive.median_ns,
+            naive_mad_ns: naive.mad_ns,
+            blocked_ns: blocked.median_ns,
+            blocked_mad_ns: blocked.mad_ns,
+            speedup: naive.median_ns as f64 / blocked.median_ns as f64,
             host_parallelism: host_parallelism(),
             note: host_note(),
         }
     }
 }
 
-/// Repetitions per timing (the minimum is reported).
-const ITERS: usize = 15;
+/// Timed samples per side of a row, after one warm-up call.
+const SAMPLES: usize = 21;
+
+/// The median and median absolute deviation of one side's samples.
+#[derive(Clone, Copy)]
+struct Timing {
+    median_ns: u64,
+    mad_ns: u64,
+}
+
+fn median(xs: &mut [u64]) -> u64 {
+    xs.sort_unstable();
+    xs[xs.len() / 2]
+}
+
+/// Times `f` over [`SAMPLES`] calls after one warm-up call (which warms
+/// caches and sizes any workspace buffers).
+fn time<R>(mut f: impl FnMut() -> R) -> Timing {
+    f();
+    let mut ns: Vec<u64> = (0..SAMPLES)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed().as_nanos() as u64
+        })
+        .collect();
+    let median_ns = median(&mut ns);
+    let mut dev: Vec<u64> = ns.iter().map(|&v| v.abs_diff(median_ns)).collect();
+    Timing {
+        median_ns,
+        mad_ns: median(&mut dev),
+    }
+}
 
 fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
@@ -173,23 +221,10 @@ fn host_note() -> String {
         "AVX2 dispatch"
     };
     format!(
-        "{} logical CPUs, {dispatch}, {} target, best of {ITERS}",
+        "{} logical CPUs, {dispatch}, {} target, median of {SAMPLES}",
         host_parallelism(),
         std::env::consts::ARCH
     )
-}
-
-/// Best-of-N wall time of `f` in nanoseconds.
-fn best_of<R>(iters: usize, mut f: impl FnMut() -> R) -> u64 {
-    f(); // warm caches and buffers
-    (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            t0.elapsed().as_nanos() as u64
-        })
-        .min()
-        .unwrap()
 }
 
 /// The four convolutions of the ResNet-like gaze network on a 24×32 crop,
@@ -221,8 +256,8 @@ fn write_kernel_artifact() {
     ] {
         let a = mat(m, k, 1);
         let b = mat(k, n, 2);
-        let naive_ns = best_of(ITERS, || a.matmul_naive(&b));
-        let blocked_ns = best_of(ITERS, || a.matmul(&b));
+        let naive_ns = time(|| a.matmul_naive(&b));
+        let blocked_ns = time(|| a.matmul(&b));
         rows.push(KernelRow::new(
             "f64 gemm",
             format!("{m}x{k} * {k}x{n} ({tag})"),
@@ -235,10 +270,10 @@ fn write_kernel_artifact() {
     // gaze-layer geometry on the 96x160 ROI
     let x = tensor(Shape::new(1, 16, 96, 160), 3);
     let w = tensor(Shape::new(16, 16, 3, 3), 4);
-    let direct_ns = best_of(ITERS, || conv2d(&x, &w, None, 1, 1, 1));
+    let direct_ns = time(|| conv2d(&x, &w, None, 1, 1, 1));
     let mut ws = ConvWorkspace::new();
     let mut out = Tensor::zeros(Shape::new(1, 1, 1, 1));
-    let gemm_ns = best_of(ITERS, || {
+    let gemm_ns = time(|| {
         let (patches, _, _) = ws.split();
         conv2d_gemm_buf(&x, &w, None, 1, 1, 1, patches, &mut out);
     });
@@ -254,8 +289,8 @@ fn write_kernel_artifact() {
     for (i, &(ci, co, h, w_, stride)) in GAZE_CONVS.iter().enumerate() {
         let x = tensor(Shape::new(1, ci, h, w_), 20 + i as u64);
         let w = tensor(Shape::new(co, ci, 3, 3), 30 + i as u64);
-        let scalar_ns = best_of(ITERS, || conv2d_gemm_reference(&x, &w, None, stride, 1, 1));
-        let gemm_ns = best_of(ITERS, || {
+        let scalar_ns = time(|| conv2d_gemm_reference(&x, &w, None, stride, 1, 1));
+        let gemm_ns = time(|| {
             let (patches, _, _) = ws.split();
             conv2d_gemm_buf(&x, &w, None, stride, 1, 1, patches, &mut out);
         });
@@ -273,12 +308,9 @@ fn write_kernel_artifact() {
         let qx = QTensor::quantize(&tensor(Shape::new(1, ci, h, w_), 40 + i as u64));
         let qw = QTensor::quantize(&tensor(Shape::new(co, ci, 3, 3), 50 + i as u64));
         let bias: Vec<f32> = (0..co).map(|c| (c as f32 - 8.0) / 16.0).collect();
-        let scalar_ns = best_of(ITERS, || {
-            qconv2d_requant_reference(&qx, &qw, Some(&bias), stride, 1, 1, true, 0.05)
-        });
-        let dispatch_ns = best_of(ITERS, || {
-            qconv2d_requant(&qx, &qw, Some(&bias), stride, 1, 1, true, 0.05)
-        });
+        let scalar_ns =
+            time(|| qconv2d_requant_reference(&qx, &qw, Some(&bias), stride, 1, 1, true, 0.05));
+        let dispatch_ns = time(|| qconv2d_requant(&qx, &qw, Some(&bias), stride, 1, 1, true, 0.05));
         rows.push(KernelRow::new(
             "int8 gaze qconv_requant 3x3 (scalar vs dispatched)",
             format!("(1,{ci},{h},{w_}) * ({co},{ci},3,3) s{stride} (ResNet-like layer {i})"),
@@ -288,20 +320,71 @@ fn write_kernel_artifact() {
     }
 
     // the segmentation network's convolutions through the direct conv2d:
-    // per-element oracle (naive_ns) vs the span-hoisted dispatched kernel
+    // per-element oracle (naive_ns) vs the register-tiled dispatched kernel
     for (i, &(ci, co, h, w_, k, pad)) in SEG_CONVS.iter().enumerate() {
         let x = tensor(Shape::new(1, ci, h, w_), 60 + i as u64);
         let w = tensor(Shape::new(co, ci, k, k), 70 + i as u64);
         let b: Vec<f32> = (0..co).map(|c| (c as f32 - 4.0) / 8.0).collect();
-        let naive_ns = best_of(ITERS, || conv2d_naive(&x, &w, Some(&b), 1, pad, 1));
-        let direct_ns = best_of(ITERS, || conv2d(&x, &w, Some(&b), 1, pad, 1));
+        let naive_ns = time(|| conv2d_naive(&x, &w, Some(&b), 1, pad, 1));
+        let direct_ns = time(|| conv2d(&x, &w, Some(&b), 1, pad, 1));
         rows.push(KernelRow::new(
-            "f32 seg conv2d (per-element oracle vs span-hoisted)",
+            "f32 seg conv2d (per-element oracle vs register-tiled)",
             format!("(1,{ci},{h},{w_}) * ({co},{ci},{k},{k}) (seg layer {i})"),
             naive_ns,
             direct_ns,
         ));
     }
+
+    // the gaze convolutions training's forward runs through conv2d (three
+    // of the four at stride 2, through the phase planes)
+    for (i, &(ci, co, h, w_, stride)) in GAZE_CONVS.iter().enumerate() {
+        let x = tensor(Shape::new(1, ci, h, w_), 140 + i as u64);
+        let w = tensor(Shape::new(co, ci, 3, 3), 150 + i as u64);
+        let naive_ns = time(|| conv2d_naive(&x, &w, None, stride, 1, 1));
+        let direct_ns = time(|| conv2d(&x, &w, None, stride, 1, 1));
+        rows.push(KernelRow::new(
+            "f32 gaze conv2d, training forward (per-element oracle vs register-tiled)",
+            format!("(1,{ci},{h},{w_}) * ({co},{ci},3,3) s{stride} (ResNet-like layer {i})"),
+            naive_ns,
+            direct_ns,
+        ));
+    }
+
+    // the whole segmentation refresh forward: the allocating layer-by-layer
+    // `Layer::forward` (naive_ns) vs the allocation-free workspace path
+    let mut rng = StdRng::seed_from_u64(160);
+    let mut seg = ProxySegNet::new(8, &mut rng);
+    let x = tensor(Shape::new(1, 1, 24, 24), 161);
+    let layer_ns = time(|| seg.forward(&x, false));
+    let mut seg_ws = SegInferWorkspace::new();
+    let mut labels = Vec::new();
+    let ws_ns = time(|| seg.forward_infer(&x, &mut seg_ws, &mut labels));
+    rows.push(KernelRow::new(
+        "f32 segmentation forward (Layer::forward vs workspace forward_infer)",
+        "(1,1,24,24) -> (1,4,24,24), width 8".into(),
+        layer_ns,
+        ws_ns,
+    ));
+
+    // the int8 warm-up calibration, priced against the eight single-crop
+    // f32 forwards of the warm-up frames whose crops it calibrates on
+    let gaze = ProxyGazeNet::new(GazeFamily::ResNetLike, &mut rng);
+    let calib = tensor(Shape::new(8, 1, 24, 32), 162);
+    let crops: Vec<Tensor> = (0..8).map(|i| calib.batch_item(i)).collect();
+    let mut gaze_ws = GazeInferWorkspace::new();
+    let mut pred = Tensor::zeros(Shape::new(1, 1, 1, 1));
+    let frames_ns = time(|| {
+        for crop in &crops {
+            gaze.forward_infer(crop, &mut gaze_ws, &mut pred);
+        }
+    });
+    let calib_ns = time(|| QuantizedGazeNet::from_calibrated(&gaze, &calib));
+    rows.push(KernelRow::new(
+        "int8 warm-up calibration (8 single-crop f32 forwards vs from_calibrated on their 8 crops)",
+        "ResNet-like, 8 crops of 24x32".into(),
+        frames_ns,
+        calib_ns,
+    ));
 
     // training's backward pass at the same convolution shapes: per-element
     // oracle (naive_ns) vs the span-hoisted dispatched kernel
@@ -317,10 +400,8 @@ fn write_kernel_artifact() {
         let x = tensor(Shape::new(1, ci, h, w_), 80 + i as u64);
         let w = tensor(Shape::new(co, ci, k, k), 100 + i as u64);
         let go = tensor(x.shape().conv_output(co, k, pad, stride), 120 + i as u64);
-        let oracle_ns = best_of(ITERS, || {
-            conv2d_backward_reference(&x, &w, &go, stride, pad, 1)
-        });
-        let hoisted_ns = best_of(ITERS, || conv2d_backward(&x, &w, &go, stride, pad, 1));
+        let oracle_ns = time(|| conv2d_backward_reference(&x, &w, &go, stride, pad, 1));
+        let hoisted_ns = time(|| conv2d_backward(&x, &w, &go, stride, pad, 1));
         rows.push(KernelRow::new(
             "f32 conv2d_backward (per-element oracle vs span-hoisted)",
             format!("(1,{ci},{h},{w_}) * ({co},{ci},{k},{k}) s{stride} p{pad} ({net})"),
@@ -336,11 +417,11 @@ fn write_kernel_artifact() {
         let model = SensorModel::nir_eye_tracking();
         let clean = mat(sensor, sensor, 11);
         let mut y = Mat::zeros(1, 1);
-        let libm_ns = best_of(ITERS, || {
+        let libm_ns = time(|| {
             y.copy_from(&clean);
             model.apply_inplace_reference(&mut y, 5);
         });
-        let poly_ns = best_of(ITERS, || {
+        let poly_ns = time(|| {
             y.copy_from(&clean);
             model.apply_inplace(&mut y, 5);
         });
@@ -355,8 +436,8 @@ fn write_kernel_artifact() {
         let tmp = mat(sensor, scene, 12);
         let phi_r = mat(sensor, scene, 13);
         let phi_r_t = phi_r.transpose();
-        let transposed_b_ns = best_of(ITERS, || tmp.matmul_transposed_b_into(&phi_r, &mut y));
-        let pretransposed_ns = best_of(ITERS, || tmp.matmul_into(&phi_r_t, &mut y));
+        let transposed_b_ns = time(|| tmp.matmul_transposed_b_into(&phi_r, &mut y));
+        let pretransposed_ns = time(|| tmp.matmul_into(&phi_r_t, &mut y));
         rows.push(KernelRow::new(
             "f64 capture gemm (transposed-B vs pre-transposed Phi_R^T)",
             format!("{sensor}x{scene} * ({sensor}x{scene})^T (scene {scene}, sensor {sensor})"),
@@ -368,12 +449,8 @@ fn write_kernel_artifact() {
     // int8 kernels at the synthetic geometries: scalar reference (naive_ns)
     // vs runtime-dispatched (blocked_ns)
     let (qx, qw, qbias) = int8_conv_operands();
-    let scalar_ns = best_of(ITERS, || {
-        qconv2d_requant_reference(&qx, &qw, Some(&qbias), 1, 1, 1, true, 0.05)
-    });
-    let dispatch_ns = best_of(ITERS, || {
-        qconv2d_requant(&qx, &qw, Some(&qbias), 1, 1, 1, true, 0.05)
-    });
+    let scalar_ns = time(|| qconv2d_requant_reference(&qx, &qw, Some(&qbias), 1, 1, 1, true, 0.05));
+    let dispatch_ns = time(|| qconv2d_requant(&qx, &qw, Some(&qbias), 1, 1, 1, true, 0.05));
     rows.push(KernelRow::new(
         "int8 qconv_requant 3x3 (scalar vs dispatched)",
         "(1,16,48,64) * (16,16,3,3)".into(),
@@ -382,12 +459,9 @@ fn write_kernel_artifact() {
     ));
 
     let (dx, dw, dbias) = int8_depthwise_operands();
-    let scalar_ns = best_of(ITERS, || {
-        qconv2d_requant_reference(&dx, &dw, Some(&dbias), 1, 1, 32, true, 0.05)
-    });
-    let dispatch_ns = best_of(ITERS, || {
-        qconv2d_requant(&dx, &dw, Some(&dbias), 1, 1, 32, true, 0.05)
-    });
+    let scalar_ns =
+        time(|| qconv2d_requant_reference(&dx, &dw, Some(&dbias), 1, 1, 32, true, 0.05));
+    let dispatch_ns = time(|| qconv2d_requant(&dx, &dw, Some(&dbias), 1, 1, 32, true, 0.05));
     rows.push(KernelRow::new(
         "int8 qconv_requant depthwise 3x3 (scalar vs dispatched)",
         "(1,32,48,64) * (32,1,3,3) g=32".into(),
@@ -396,8 +470,8 @@ fn write_kernel_artifact() {
     ));
 
     let (lx, lw, lbias) = int8_linear_operands();
-    let scalar_ns = best_of(ITERS, || qlinear_reference(&lx, &lw, Some(&lbias)));
-    let dispatch_ns = best_of(ITERS, || qlinear(&lx, &lw, Some(&lbias)));
+    let scalar_ns = time(|| qlinear_reference(&lx, &lw, Some(&lbias)));
+    let dispatch_ns = time(|| qlinear(&lx, &lw, Some(&lbias)));
     rows.push(KernelRow::new(
         "int8 qlinear (scalar vs dispatched)",
         "(4,1024) * (64,1024)".into(),
@@ -409,8 +483,8 @@ fn write_kernel_artifact() {
     eyecod_bench::reporting::write_json(root, "BENCH_kernels", &rows);
     for r in &rows {
         println!(
-            "{:<60} {:>12} ns -> {:>12} ns   {:.2}x",
-            r.shape, r.naive_ns, r.blocked_ns, r.speedup
+            "{:<60} {:>10} ±{:>8} ns -> {:>10} ±{:>8} ns   {:.2}x",
+            r.shape, r.naive_ns, r.naive_mad_ns, r.blocked_ns, r.blocked_mad_ns, r.speedup
         );
     }
 }

@@ -39,11 +39,11 @@ fn print_rows() {
 fn bench(c: &mut Criterion) {
     print_rows();
     let mut rng = StdRng::seed_from_u64(0);
-    let mut net = ProxySegNet::new(8, &mut rng);
+    let net = ProxySegNet::new(8, &mut rng);
     for res in [12usize, 24, 48] {
         let input = Tensor::ones(Shape::new(1, 1, res, res));
         c.bench_function(&format!("table3/seg_inference_{res}x{res}"), |b| {
-            b.iter(|| predict_seg(&mut net, &input))
+            b.iter(|| predict_seg(&net, &input))
         });
     }
 }

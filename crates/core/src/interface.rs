@@ -78,7 +78,7 @@ impl InterfaceSegPipeline {
     /// Segments a scene through the optical interface.
     pub fn segment(&mut self, scene_img: &Tensor, seed: u64) -> Vec<u8> {
         let features = self.sense(scene_img, seed);
-        predict_seg(&mut self.net, &features)
+        predict_seg(&self.net, &features)
     }
 
     /// Bytes transmitted per frame (the strided feature stack).

@@ -8,11 +8,10 @@ use eyecod_eyedata::render::render_eye;
 use eyecod_eyedata::sequence::EyeMotionGenerator;
 use eyecod_eyedata::GazeVector;
 use eyecod_faults::{FaultPlan, FaultSite, FaultStats, FrameFaults, FrameQuality, RecoveryPolicy};
-use eyecod_models::infer::GazeInferWorkspace;
-use eyecod_models::proxy::predict_seg;
+use eyecod_models::infer::{GazeInferWorkspace, SegInferWorkspace};
 use eyecod_models::quantized::QuantizedGazeNet;
 use eyecod_telemetry::{static_counter, static_histogram};
-use eyecod_tensor::ops::{downsample_avg, resize_bilinear_into};
+use eyecod_tensor::ops::{downsample_avg_into, resize_bilinear_into};
 use eyecod_tensor::{Shape, Tensor};
 
 /// Which numeric backend executes the per-frame gaze network.
@@ -317,6 +316,20 @@ pub struct EyeTracker {
     /// `None` only before the first frame and transiently inside
     /// [`EyeTracker::process_frame`].
     scratch: Option<Box<FrameScratch>>,
+    /// Buffers of the scheduled segmentation refresh.
+    seg: SegScratch,
+}
+
+/// Tracker-owned buffers of the segmentation refresh: the downsampled
+/// input, the network's activation arena, and the label buffer a refresh
+/// writes before it is swapped into `last_labels` — only on success, so a
+/// rejected label buffer never replaces the last-good one. Once two
+/// refreshes have sized both label buffers, a refresh frame allocates
+/// nothing.
+struct SegScratch {
+    input: Tensor,
+    ws: SegInferWorkspace,
+    labels: Vec<u8>,
 }
 
 /// Tracker-owned buffers reused on every frame — the software analogue of
@@ -574,6 +587,11 @@ impl EyeTracker {
             roi_staleness: 0,
             gaze_staleness: 0,
             scratch: None,
+            seg: SegScratch {
+                input: Tensor::zeros(Shape::new(1, 1, 1, 1)),
+                ws: SegInferWorkspace::new(),
+                labels: Vec::new(),
+            },
         }
     }
 
@@ -661,12 +679,14 @@ impl EyeTracker {
     /// `tracker/gaze_forward_ns`, `tracker/frame_ns`) into the global
     /// telemetry registry while telemetry is enabled.
     ///
-    /// Every stage runs through tracker-owned scratch buffers, so a
-    /// steady-state frame (no scheduled ROI refresh, warm-up and int8
-    /// calibration done) performs **zero** transient heap allocations. The
+    /// Every stage runs through tracker-owned scratch buffers, so a warm
+    /// frame (warm-up and int8 calibration done) performs **zero**
+    /// transient heap allocations — a scheduled ROI refresh too, once two
+    /// refreshes have sized the segmentation buffers. The
     /// `tracker/steady_state_allocs` counter records the per-frame
-    /// allocation delta on such frames when the counting test allocator
-    /// ([`crate::alloc_counter`]) is installed; in production it stays 0.
+    /// allocation delta on non-refresh frames when the counting test
+    /// allocator ([`crate::alloc_counter`]) is installed; in production it
+    /// stays 0.
     ///
     /// # Panics
     ///
@@ -1375,13 +1395,15 @@ impl EyeTracker {
     /// not escalate them to `Lost` the way genuine sensor loss does.
     ///
     /// The returned frame grades [`FrameQuality::Degraded`] once any image
-    /// has been tracked (stale-but-plausible answer), and
-    /// [`FrameQuality::Lost`] before the first one (nothing to serve).
+    /// or raw measurement has been tracked (stale-but-plausible answer),
+    /// and [`FrameQuality::Lost`] before the first one (nothing to serve).
+    /// The measurement counts because a latent session's steady frames
+    /// never reconstruct an image.
     pub fn shed_frame(&mut self) -> TrackedFrame {
         static_counter!("tracker/frames_shed").inc();
         let frame = self.frame_counter;
         self.frame_counter += 1;
-        let quality = if self.last_image.is_some() {
+        let quality = if self.last_image.is_some() || self.last_meas.is_some() {
             FrameQuality::Degraded
         } else {
             FrameQuality::Lost
@@ -1470,6 +1492,12 @@ impl EyeTracker {
     /// injected ROI drift. On any unretryable failure the last-good ROI
     /// and labels are kept and `roi_staleness` grows.
     ///
+    /// Segmentation runs [`ProxySegNet::forward_infer`] through the
+    /// tracker-owned [`SegScratch`], whose label buffer is swapped into
+    /// `last_labels` only on success: a warm refresh allocates nothing.
+    ///
+    /// [`ProxySegNet::forward_infer`]: eyecod_models::proxy::ProxySegNet::forward_infer
+    ///
     /// Returns whether the segmentation model actually ran.
     fn refresh_roi_with_recovery(
         &mut self,
@@ -1502,8 +1530,12 @@ impl EyeTracker {
         static_counter!("tracker/roi_refreshes").inc();
         let factor = self.config.scene_size / self.config.seg_size;
         let scene = self.config.scene_size;
-        let seg_in = downsample_avg(image, factor);
-        let mut labels = predict_seg(&mut self.models.seg, &seg_in);
+        let seg = &mut self.seg;
+        downsample_avg_into(image, factor, &mut seg.input);
+        self.models
+            .seg
+            .forward_infer(&seg.input, &mut seg.ws, &mut seg.labels);
+        let labels = &mut seg.labels;
         if plan.fires(FaultSite::StageSegTruncatedLabels, frame) {
             ff.injected += 1;
             labels.truncate(labels.len() / 2);
@@ -1521,13 +1553,13 @@ impl EyeTracker {
         let (rh, rw) = match self.config.roi_sizing {
             RoiSizing::Fixed => self.config.roi,
             RoiSizing::ScleraAdaptive => {
-                let (sh, sw) = roi_size_from_sclera(&labels, self.config.seg_size);
+                let (sh, sw) = roi_size_from_sclera(labels, self.config.seg_size);
                 ((sh * factor).min(scene), (sw * factor).min(scene))
             }
         };
         let roi_at_seg_h = (rh / factor).max(2);
         let roi_at_seg_w = (rw / factor).max(2);
-        let roi_seg = predict_roi(&labels, self.config.seg_size, roi_at_seg_h, roi_at_seg_w);
+        let roi_seg = predict_roi(labels, self.config.seg_size, roi_at_seg_h, roi_at_seg_w);
         let mut roi = roi_seg.rescale(self.config.seg_size, scene);
         // rounding guard: pin exactly to the chosen ROI size
         roi.h = rh;
@@ -1555,7 +1587,12 @@ impl EyeTracker {
             roi.x0 = x as usize;
         }
         self.current_roi = roi;
-        self.last_labels = Some(labels);
+        // the fresh labels become the last-good ones; the old buffer is
+        // the next refresh's scratch
+        match &mut self.last_labels {
+            Some(last) => std::mem::swap(last, &mut self.seg.labels),
+            None => self.last_labels = Some(std::mem::take(&mut self.seg.labels)),
+        }
         self.roi_staleness = 0;
         true
     }
@@ -2095,7 +2132,7 @@ mod tests {
         let mut plan = FaultPlan::none();
         plan.seed = 3;
         plan.stage.seg_truncated_labels_ppm = 1_000_000; // every refresh
-        let mut t = tracker().with_faults(plan);
+        let mut t = tracker().with_faults(plan.clone());
         let before = t.current_roi();
         let s = render_eye(&EyeParams::centered(48), 48, 3);
         // frame 0 is a scheduled refresh, but its labels come back short
@@ -2112,6 +2149,32 @@ mod tests {
             (r.y0, r.x0, r.h, r.w),
             (before.y0, before.x0, before.h, before.w),
             "ROI must stay at the last-good anchor"
+        );
+
+        // after two clean refreshes (frames 0 and 10) a truncated one at
+        // frame 20 keeps the last-good labels, not the rejected buffer
+        let mut t = tracker();
+        for frame in 0..11u64 {
+            t.process_frame(&s.image, frame);
+        }
+        let good = t
+            .last_labels()
+            .expect("clean refreshes keep labels")
+            .to_vec();
+        let anchor = t.current_roi();
+        let mut t = t.with_faults(plan);
+        let mut moved = EyeParams::centered(48);
+        moved.yaw = 0.3;
+        let moved = render_eye(&moved, 48, 5);
+        for frame in 11..21u64 {
+            let out = t.process_frame(&moved.image, frame);
+            assert!(!out.roi_refreshed, "frame {frame}");
+        }
+        assert_eq!(t.last_labels(), Some(&good[..]));
+        let r = t.current_roi();
+        assert_eq!(
+            (r.y0, r.x0, r.h, r.w),
+            (anchor.y0, anchor.x0, anchor.h, anchor.w)
         );
     }
 

@@ -1,4 +1,4 @@
-//! Allocation-free inference forwards for the gaze networks.
+//! Allocation-free inference forwards for the frame path's networks.
 //!
 //! The EyeCoD accelerator streams every layer's activations between two
 //! 512 KB ping-pong activation global buffers (paper Fig. 10): layer `i`
@@ -6,28 +6,38 @@
 //! ever (de)allocated. [`GazeInferWorkspace`] is the software mirror of
 //! that arrangement — two f32 arena tensors and two int8 arena tensors the
 //! forward passes alternate between, plus the f32 and i8 im2col patch
-//! buffers and the i32 MAC accumulator shared by every layer. All buffers
-//! are sized lazily at the first frame and only ever grow, so a
-//! steady-state forward pass performs zero heap allocations.
+//! buffers and the i32 MAC accumulator shared by every layer — and
+//! [`SegInferWorkspace`] is its refresh-side twin for the segmentation
+//! network. All buffers are sized lazily at the first frame and only ever
+//! grow, so a steady-state forward pass performs zero heap allocations.
 //!
-//! Two entry points live here:
+//! Three entry points live here:
 //!
-//! * [`ProxyGazeNet::forward_infer`] — the f32 backend. Convolutions run
-//!   through the blocked im2col GEMM ([`ops::conv2d_gemm_buf`]), batch norm
-//!   and the activation are applied in place, and the head writes into the
-//!   caller's output tensor. Results match [`Layer::forward`] up to float
-//!   summation order (the GEMM folds the bias in before the taps, the
-//!   direct convolution after), which the differential tests bound.
+//! * [`ProxyGazeNet::forward_infer`] — the f32 gaze backend. Convolutions
+//!   run through the blocked im2col GEMM ([`ops::conv2d_gemm_buf`]), batch
+//!   norm and the activation are applied in place, and the head writes into
+//!   the caller's output tensor. Every gaze convolution is bias-free, so
+//!   each one is bitwise equal to the direct [`ops::conv2d`] that
+//!   `Layer::forward` runs; the differential tests bound the whole forward
+//!   against `Layer::forward` (rel 1e-4).
 //! * [`QuantizedGazeNet::forward_into`] — the int8 backend. Every op
 //!   delegates to the `_into` variants of the deployed chain
 //!   ([`eyecod_tensor::quant`]), whose i32 accumulation is exactly
 //!   associative, so outputs are bit-identical to
 //!   [`QuantizedGazeNet::forward`].
+//! * [`ProxySegNet::forward_infer`] — the segmentation refresh. Every
+//!   convolution runs the direct [`ops::conv2d_into`] that
+//!   `Layer::forward` runs through [`ops::conv2d`], so logits and labels are
+//!   bit-identical to [`crate::proxy::predict_seg`]'s.
+//!
+//! [`QuantizedGazeNet::forward_into`]: crate::quantized::QuantizedGazeNet::forward_into
+//! [`QuantizedGazeNet::forward`]: crate::quantized::QuantizedGazeNet::forward
 
-use crate::proxy::{GazeLayer, ProxyGazeNet};
+use crate::proxy::{GazeLayer, ProxyGazeNet, ProxySegNet};
+use eyecod_tensor::layer::Conv2d;
 use eyecod_tensor::ops::{self, ConvWorkspace};
 use eyecod_tensor::quant::QTensor;
-use eyecod_tensor::Tensor;
+use eyecod_tensor::{Shape, Tensor};
 
 /// Reusable buffers for the allocation-free gaze forwards — the f32 arena
 /// and its im2col buffer (via [`ConvWorkspace`]), the int8 arena, and the
@@ -82,8 +92,8 @@ pub struct BatchWorkspace {
 impl BatchWorkspace {
     fn new() -> Self {
         BatchWorkspace {
-            input: Tensor::zeros(eyecod_tensor::Shape::new(1, 1, 1, 1)),
-            output: Tensor::zeros(eyecod_tensor::Shape::new(1, 1, 1, 1)),
+            input: Tensor::zeros(Shape::new(1, 1, 1, 1)),
+            output: Tensor::zeros(Shape::new(1, 1, 1, 1)),
             ws: GazeInferWorkspace::new(),
         }
     }
@@ -176,19 +186,7 @@ impl ProxyGazeNet {
                     bn.running_var(),
                     bn.eps(),
                 ),
-                GazeLayer::Act(act) => {
-                    let alpha = act.alpha();
-                    for v in cur.as_mut_slice() {
-                        // mirrors `ops::leaky_relu`'s `if x > 0.0 { x }
-                        // else { alpha * x }` exactly — NaN must take the
-                        // alpha branch, so the negated comparison is load-
-                        // bearing, not a style slip
-                        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                        if !(*v > 0.0) {
-                            *v *= alpha;
-                        }
-                    }
-                }
+                GazeLayer::Act(act) => leaky_relu_inplace(cur, act.alpha()),
                 GazeLayer::Gap(_) => {
                     ops::global_avg_pool_into(cur, next);
                     std::mem::swap(&mut cur, &mut next);
@@ -200,6 +198,160 @@ impl ProxyGazeNet {
             }
         }
         out.copy_from(cur);
+    }
+}
+
+/// [`ops::leaky_relu`] in place, with its exact select (NaN takes the
+/// `alpha` branch), written so it vectorises.
+fn leaky_relu_inplace(t: &mut Tensor, alpha: f32) {
+    for v in t.as_mut_slice() {
+        *v = if *v > 0.0 { *v } else { alpha * *v };
+    }
+}
+
+/// Reusable buffers for the allocation-free segmentation forward
+/// [`ProxySegNet::forward_infer`]: a ping-pong activation pair, the
+/// encoder's skip tensor, the decoder's concat buffer (the upsample writes
+/// straight into its leading channels, the skip into the rest), the
+/// logits, and the direct convolution's phase-plane buffer.
+///
+/// Buffers grow to the largest input seen and are then reused verbatim.
+pub struct SegInferWorkspace {
+    planes: Vec<f32>,
+    ping: Tensor,
+    pong: Tensor,
+    skip: Tensor,
+    cat: Tensor,
+    logits: Tensor,
+}
+
+impl Default for SegInferWorkspace {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl SegInferWorkspace {
+    /// Creates an empty workspace (buffers grow on first use).
+    pub fn new() -> Self {
+        let empty = || Tensor::zeros(Shape::new(1, 1, 1, 1));
+        SegInferWorkspace {
+            planes: Vec::new(),
+            ping: empty(),
+            pong: empty(),
+            skip: empty(),
+            cat: empty(),
+            logits: empty(),
+        }
+    }
+
+    /// The logits `(N, 4, S, S)` of the last [`ProxySegNet::forward_infer`].
+    pub fn logits(&self) -> &Tensor {
+        &self.logits
+    }
+}
+
+/// One convolution layer through [`ops::conv2d_into`].
+fn conv_into(layer: &Conv2d, x: &Tensor, planes: &mut Vec<f32>, out: &mut Tensor) {
+    ops::conv2d_into(
+        x,
+        layer.weight(),
+        layer.bias(),
+        layer.stride(),
+        layer.pad(),
+        layer.groups(),
+        planes,
+        out,
+    );
+}
+
+/// Nearest-neighbour upsampling of `up` by `factor` into channels
+/// `0..C_up` of `cat`, followed by `skip` in the remaining channels — the
+/// decoder's `concat_channels(&[upsample_nearest(up), skip])` without the
+/// intermediate tensor.
+fn upsample_concat_into(up: &Tensor, skip: &Tensor, factor: usize, cat: &mut Tensor) {
+    let (us, ss) = (up.shape(), skip.shape());
+    assert_eq!(
+        (us.n, us.h * factor, us.w * factor),
+        (ss.n, ss.h, ss.w),
+        "upsampled {us} must match the skip {ss}"
+    );
+    cat.reset(Shape::new(ss.n, us.c + ss.c, ss.h, ss.w));
+    let plane = ss.h * ss.w;
+    let data = cat.as_mut_slice();
+    for n in 0..ss.n {
+        let item = &mut data[n * (us.c + ss.c) * plane..][..(us.c + ss.c) * plane];
+        let (up_part, skip_part) = item.split_at_mut(us.c * plane);
+        for (c, dst) in up_part.chunks_exact_mut(plane).enumerate() {
+            let src = up.channel_plane(n, c);
+            for (y, row) in dst.chunks_exact_mut(ss.w).enumerate() {
+                let srow = &src[(y / factor) * us.w..][..us.w];
+                for (block, &v) in row.chunks_exact_mut(factor).zip(srow) {
+                    block.fill(v);
+                }
+            }
+        }
+        skip_part.copy_from_slice(skip.batch_item_slice(n));
+    }
+}
+
+impl ProxySegNet {
+    /// Inference forward through the workspace: allocation-free once the
+    /// workspace buffers and `labels` are warm. Leaves the logits in
+    /// [`SegInferWorkspace::logits`] and writes the per-pixel class (the
+    /// first maximal logit) into `labels` in `(n, h, w)` order.
+    ///
+    /// Bit-identical to `Layer::forward(input, false)` and to
+    /// [`crate::proxy::predict_seg`]: the same direct convolution per
+    /// layer, the activation in place, a cache-free max-pool and the
+    /// upsample written straight into the concat buffer. It never touches
+    /// training state, so it takes `&self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input channels do not match the network or the input
+    /// extent is odd (the upsampled path must line up with the skip).
+    pub fn forward_infer(&self, input: &Tensor, ws: &mut SegInferWorkspace, labels: &mut Vec<u8>) {
+        let SegInferWorkspace {
+            planes,
+            ping,
+            pong,
+            skip,
+            cat,
+            logits,
+        } = ws;
+        conv_into(&self.e1a, input, planes, ping);
+        leaky_relu_inplace(ping, self.act1a.alpha());
+        conv_into(&self.e1b, ping, planes, skip);
+        leaky_relu_inplace(skip, self.act1b.alpha());
+        ops::max_pool2d_into(skip, self.pool.k(), self.pool.stride(), ping);
+        conv_into(&self.e2a, ping, planes, pong);
+        leaky_relu_inplace(pong, self.act2a.alpha());
+        conv_into(&self.e2b, pong, planes, ping);
+        leaky_relu_inplace(ping, self.act2b.alpha());
+        upsample_concat_into(ping, skip, self.up.factor(), cat);
+        conv_into(&self.d1, cat, planes, pong);
+        leaky_relu_inplace(pong, self.actd.alpha());
+        conv_into(&self.head, pong, planes, logits);
+
+        let s = logits.shape();
+        let plane = s.h * s.w;
+        labels.clear();
+        for n in 0..s.n {
+            let item = logits.batch_item_slice(n);
+            for p in 0..plane {
+                let mut best = 0;
+                let mut best_v = f32::NEG_INFINITY;
+                for c in 0..s.c {
+                    let v = item[c * plane + p];
+                    if v > best_v {
+                        best_v = v;
+                        best = c;
+                    }
+                }
+                labels.push(best as u8);
+            }
+        }
     }
 }
 
@@ -215,6 +367,67 @@ mod tests {
     fn random_input(n: usize, h: usize, w: usize, seed: u64) -> Tensor {
         let mut rng = StdRng::seed_from_u64(seed);
         Tensor::from_fn(Shape::new(n, 1, h, w), |_, _, _, _| rng.gen_range(0.0..1.0))
+    }
+
+    /// A seeded segmentation net whose biases (zero at construction) are
+    /// moved off zero, so the bias-last step of every convolution runs.
+    fn seg_net_with_biases(seed: u64) -> ProxySegNet {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut net = ProxySegNet::new(8, &mut rng);
+        for p in net.params_mut() {
+            for v in p.value.as_mut_slice() {
+                if *v == 0.0 {
+                    *v = rng.gen_range(-0.5..0.5);
+                }
+            }
+        }
+        net
+    }
+
+    /// The per-pixel argmax of `Layer::forward`'s logits, computed
+    /// independently of the workspace path.
+    fn argmax_labels(logits: &Tensor) -> Vec<u8> {
+        let s = logits.shape();
+        let mut out = Vec::new();
+        for n in 0..s.n {
+            for h in 0..s.h {
+                for w in 0..s.w {
+                    let mut best = 0;
+                    let mut best_v = f32::NEG_INFINITY;
+                    for c in 0..s.c {
+                        if logits.at(n, c, h, w) > best_v {
+                            best_v = logits.at(n, c, h, w);
+                            best = c;
+                        }
+                    }
+                    out.push(best as u8);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn seg_workspace_forward_is_bit_identical_to_layer_forward() {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut ws = SegInferWorkspace::new();
+        let mut labels = Vec::new();
+        for (i, seed) in [51u64, 52].into_iter().enumerate() {
+            let mut net = seg_net_with_biases(seed);
+            // one workspace across batch sizes, inputs and a size change
+            for (j, &(n, size)) in [(1usize, 24usize), (2, 24), (2, 16), (1, 24)]
+                .iter()
+                .enumerate()
+            {
+                let x = random_input(n, size, size, 300 + 10 * i as u64 + j as u64);
+                let want = net.forward(&x, false);
+                net.forward_infer(&x, &mut ws, &mut labels);
+                assert_eq!(ws.logits().shape(), want.shape());
+                assert_eq!(bits(ws.logits()), bits(&want), "logits n={n} size={size}");
+                assert_eq!(labels, argmax_labels(&want), "labels n={n} size={size}");
+                assert_eq!(labels, crate::proxy::predict_seg(&net, &x));
+            }
+        }
     }
 
     #[test]

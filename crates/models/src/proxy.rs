@@ -16,6 +16,7 @@
 //! resolution sweeps, crop strategies, 8-bit quantisation) are the claims
 //! the paper's algorithm tables make.
 
+use crate::infer::SegInferWorkspace;
 use eyecod_tensor::layer::{BatchNorm2d, Conv2d, LeakyRelu, MaxPool2d, Upsample};
 use eyecod_tensor::layer::{GlobalAvgPool, Linear};
 use eyecod_tensor::ops;
@@ -31,19 +32,19 @@ use rand::SeedableRng;
 /// Input `(N, 1, S, S)` → logits `(N, 4, S, S)`.
 #[derive(Clone)]
 pub struct ProxySegNet {
-    e1a: Conv2d,
-    e1b: Conv2d,
-    act1a: LeakyRelu,
-    act1b: LeakyRelu,
-    pool: MaxPool2d,
-    e2a: Conv2d,
-    e2b: Conv2d,
-    act2a: LeakyRelu,
-    act2b: LeakyRelu,
-    up: Upsample,
-    d1: Conv2d,
-    actd: LeakyRelu,
-    head: Conv2d,
+    pub(crate) e1a: Conv2d,
+    pub(crate) e1b: Conv2d,
+    pub(crate) act1a: LeakyRelu,
+    pub(crate) act1b: LeakyRelu,
+    pub(crate) pool: MaxPool2d,
+    pub(crate) e2a: Conv2d,
+    pub(crate) e2b: Conv2d,
+    pub(crate) act2a: LeakyRelu,
+    pub(crate) act2b: LeakyRelu,
+    pub(crate) up: Upsample,
+    pub(crate) d1: Conv2d,
+    pub(crate) actd: LeakyRelu,
+    pub(crate) head: Conv2d,
     skip_cache: Option<Tensor>,
     width: usize,
 }
@@ -391,28 +392,13 @@ pub fn train_seg(
     history
 }
 
-/// Predicts per-pixel classes with a segmentation network.
-pub fn predict_seg(net: &mut dyn Layer, images: &Tensor) -> Vec<u8> {
-    let logits = net.forward(images, false);
-    let s = logits.shape();
-    let mut out = Vec::with_capacity(s.n * s.spatial_len());
-    for n in 0..s.n {
-        for h in 0..s.h {
-            for w in 0..s.w {
-                let mut best = 0;
-                let mut best_v = f32::NEG_INFINITY;
-                for c in 0..s.c {
-                    let v = logits.at(n, c, h, w);
-                    if v > best_v {
-                        best_v = v;
-                        best = c;
-                    }
-                }
-                out.push(best as u8);
-            }
-        }
-    }
-    out
+/// Predicts per-pixel classes with a segmentation network: the labels of
+/// [`ProxySegNet::forward_infer`] through a fresh workspace, in `(n, h, w)`
+/// order.
+pub fn predict_seg(net: &ProxySegNet, images: &Tensor) -> Vec<u8> {
+    let mut labels = Vec::new();
+    net.forward_infer(images, &mut SegInferWorkspace::new(), &mut labels);
+    labels
 }
 
 /// Fake-quantises every parameter of a network to int8 in place — the
@@ -535,7 +521,7 @@ mod tests {
             "seg loss did not drop: {history:?}"
         );
         // prediction should beat chance by a wide margin
-        let pred = predict_seg(&mut net, &images);
+        let pred = predict_seg(&net, &images);
         let correct = pred
             .iter()
             .zip(&labels)

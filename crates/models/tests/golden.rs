@@ -102,7 +102,7 @@ fn segmentation_logits_and_labels_are_pinned() {
     let mut net = ProxySegNet::new(8, &mut rng);
     let x = random_batch(2, 24, 24, 32);
     let logits = net.forward(&x, false);
-    let labels = predict_seg(&mut net, &x);
+    let labels = predict_seg(&net, &x);
     let got = [digest(&logits), fnv1a(labels.iter().map(|&l| l as u32))];
     assert_eq!(got, GOLDEN_SEG, "segmentation logits or labels changed");
 }

@@ -824,41 +824,44 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_oldest_and_stays_bounded() {
-        // an f32 session even under ambient EYECOD_GAZE_BACKEND: shed
-        // frames grade Degraded once a reconstructed image exists, which
-        // a latent session's steady (recon-free) frames never produce
-        let mut reg = registry(|c| {
-            c.queue_capacity = 2;
-            c.tracker.gaze_backend = GazeBackend::F32;
-        });
-        let id = reg.create().unwrap();
-        let img = scene(0);
-        assert!(matches!(
-            reg.feed(id, &img, 0).unwrap(),
-            FeedOutcome::Queued { depth: 1 }
-        ));
-        assert!(matches!(
-            reg.feed(id, &img, 1).unwrap(),
-            FeedOutcome::Queued { depth: 2 }
-        ));
-        // third feed sheds the oldest; nothing tracked yet -> Lost
-        let out = reg.feed(id, &img, 2).unwrap();
-        let shed = out.shed().expect("queue was full");
-        assert_eq!(shed.quality, FrameQuality::Lost);
-        assert_eq!(shed.frame, 0, "drop-head: the oldest frame is shed");
-        let snap = reg.snapshot(id).unwrap();
-        assert_eq!(snap.queue_depth, 2);
-        assert_eq!(snap.frames_ingested, 3);
-        assert_eq!(snap.stats.frames_shed, 1);
+        // one leg per recon route: shed frames grade Degraded once a
+        // session has tracked an image (f32) or a raw measurement (the
+        // latent session, whose steady frames reconstruct nothing)
+        for backend in [GazeBackend::F32, GazeBackend::Latent] {
+            let mut reg = registry(|c| {
+                c.queue_capacity = 2;
+                c.tracker.gaze_backend = backend;
+            });
+            let id = reg.create().unwrap();
+            let img = scene(0);
+            assert!(matches!(
+                reg.feed(id, &img, 0).unwrap(),
+                FeedOutcome::Queued { depth: 1 }
+            ));
+            assert!(matches!(
+                reg.feed(id, &img, 1).unwrap(),
+                FeedOutcome::Queued { depth: 2 }
+            ));
+            // third feed sheds the oldest; nothing tracked yet -> Lost
+            let out = reg.feed(id, &img, 2).unwrap();
+            let shed = out.shed().expect("queue was full");
+            assert_eq!(shed.quality, FrameQuality::Lost);
+            assert_eq!(shed.frame, 0, "drop-head: the oldest frame is shed");
+            let snap = reg.snapshot(id).unwrap();
+            assert_eq!(snap.queue_depth, 2);
+            assert_eq!(snap.frames_ingested, 3);
+            assert_eq!(snap.stats.frames_shed, 1);
 
-        // once a frame has been tracked, shed frames degrade instead
-        reg.tick();
-        reg.feed(id, &img, 3).unwrap();
-        let out = reg.feed(id, &img, 4).unwrap();
-        assert_eq!(
-            out.shed().expect("full again").quality,
-            FrameQuality::Degraded
-        );
+            // once a frame has been tracked, shed frames degrade instead
+            reg.tick();
+            reg.feed(id, &img, 3).unwrap();
+            let out = reg.feed(id, &img, 4).unwrap();
+            assert_eq!(
+                out.shed().expect("full again").quality,
+                FrameQuality::Degraded,
+                "{backend:?}"
+            );
+        }
     }
 
     #[test]

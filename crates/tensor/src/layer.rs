@@ -456,6 +456,16 @@ impl MaxPool2d {
             cache: None,
         }
     }
+
+    /// The pooling window.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// The pooling stride.
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
 }
 
 impl Layer for MaxPool2d {
@@ -520,6 +530,11 @@ impl Upsample {
             factor,
             input_shape: None,
         }
+    }
+
+    /// The integer upsampling factor.
+    pub fn factor(&self) -> usize {
+        self.factor
     }
 }
 

@@ -44,8 +44,8 @@ pub(crate) fn check_conv_args(
 /// an empty span comes back as `hi..hi`.
 ///
 /// Resolving the padding once per tap this way is what lets the streaming
-/// inner loops of every convolution kernel run branch-free over contiguous
-/// rows.
+/// inner loops of the im2col, backward and int8 convolution kernels run
+/// branch-free over contiguous rows.
 #[inline]
 pub(crate) fn tap_span(
     tap: usize,
@@ -67,6 +67,12 @@ pub(crate) fn tap_span(
     (lo.min(hi), hi)
 }
 
+/// Output channels per register tile of [`conv2d`].
+const MR: usize = 4;
+/// Output positions per register tile of [`conv2d`] — two AVX2 vectors of
+/// f32.
+const NR: usize = 16;
+
 /// 2-D convolution with square kernels, symmetric zero padding and groups.
 ///
 /// * `input`: `(N, C_in, H, W)`
@@ -75,15 +81,29 @@ pub(crate) fn tap_span(
 /// * `groups == 1` is a generic convolution, `groups == C_in == C_out` is a
 ///   depth-wise convolution, and `K == 1, groups == 1` is point-wise.
 ///
-/// Every output element accumulates from zero over its taps in ascending
-/// `(c_in, kh, kw)` order (taps with a zero weight are skipped), one IEEE
-/// multiply then one add per tap, and gets its bias added last — exactly
-/// the sequence of the per-element oracle [`conv2d_naive`]. The loops
-/// resolve the padding once per tap ([`tap_span`]), so the innermost loop
-/// streams a contiguous output row; the kernel is instantiated twice, plain
-/// and under `#[target_feature(enable = "avx2")]`, and dispatched by
-/// [`crate::simd::avx2_enabled`]. Rust never contracts `a * b + c` into an
-/// FMA, so both instantiations produce the same bits.
+/// Every output element accumulates from `+0.0` over **all** its `C_in/g ·
+/// K²` taps in ascending `(c_in, kh, kw)` order, one IEEE multiply then one
+/// add per tap (padding taps add `w · 0`), and gets its bias added last
+/// when the bias is non-zero. The per-element oracle [`conv2d_naive`]
+/// skips padding and zero-weight taps instead; for finite operands the two
+/// agree bit for bit, because such a tap adds a signed zero, which leaves
+/// any non-zero sum unchanged and leaves `+0.0` at `+0.0` — a sum that
+/// starts at `+0.0` never becomes `−0.0` under round-to-nearest. (A
+/// non-finite input under a zero weight would turn `0 · ∞` into NaN; the
+/// frame path sanitises images before segmentation and training feeds
+/// finite values.)
+///
+/// The kernel is a register-tiled direct convolution: each input channel of
+/// a group is copied once into a zero-padded plane — split into `stride²`
+/// phase planes at stride > 1 — so every tap of a tile of 16 consecutive
+/// output positions (laid out at the padded plane's width) is one
+/// contiguous load at a fixed offset, and an `M × 16` accumulator tile
+/// (`M` = 4 output channels of one group, narrower for the remainder and
+/// for depth-wise layers) stays in registers across all taps. The loops are
+/// instantiated twice, plain and under `#[target_feature(enable =
+/// "avx2")]`, and dispatched by [`crate::simd::avx2_enabled`]; Rust never
+/// contracts `a * b + c` into an FMA, so both instantiations produce the
+/// same bits.
 ///
 /// # Panics
 ///
@@ -109,22 +129,251 @@ pub fn conv2d(
     pad: usize,
     groups: usize,
 ) -> Tensor {
-    let wshape = weight.shape();
-    check_conv_args(input.shape(), wshape, bias, groups);
-    let mut out = Tensor::zeros(input.shape().conv_output(wshape.n, wshape.h, pad, stride));
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2_enabled() {
-        // SAFETY: avx2_enabled() returns true only on hosts with AVX2.
-        unsafe { conv2d_avx2(input, weight, bias, stride, pad, groups, &mut out) };
-        return out;
-    }
-    conv2d_body(input, weight, bias, stride, pad, groups, &mut out);
+    let mut scratch = Vec::new();
+    let mut out = Tensor::zeros(Shape::new(1, 1, 1, 1));
+    conv2d_into(
+        input,
+        weight,
+        bias,
+        stride,
+        pad,
+        groups,
+        &mut scratch,
+        &mut out,
+    );
     out
 }
 
-/// The direct convolution loop nest shared by both instantiations; `out`
+/// [`conv2d`] through a caller-owned phase-plane buffer and output tensor:
+/// with warm buffers the convolution performs no heap allocation. Same
+/// per-element sequence as [`conv2d`] — from `+0.0`, every tap in ascending
+/// `(c_in, kh, kw)` order, padding included, one multiply then one add, the
+/// bias added last when non-zero — so it is bitwise equal to [`conv2d`],
+/// and for finite operands to [`conv2d_naive`]: the taps the oracle skips
+/// add a signed zero, which a sum starting at `+0.0` absorbs.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`conv2d`].
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_into(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&[f32]>,
+    stride: usize,
+    pad: usize,
+    groups: usize,
+    scratch: &mut Vec<f32>,
+    out: &mut Tensor,
+) {
+    let wshape = weight.shape();
+    check_conv_args(input.shape(), wshape, bias, groups);
+    out.reset(input.shape().conv_output(wshape.n, wshape.h, pad, stride));
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx2_enabled() {
+        // SAFETY: avx2_enabled() returns true only on hosts with AVX2.
+        unsafe { conv2d_avx2(input, weight, bias, stride, pad, groups, scratch, out) };
+        return;
+    }
+    conv2d_body(input, weight, bias, stride, pad, groups, scratch, out);
+}
+
+/// The phase-plane geometry of one convolution: the padded input `(H + 2p)
+/// × (W + 2p)` split by stride `s` into `s²` planes of `ph × pw` (phase
+/// `(a, b)` holds padded rows `a, a + s, …` and columns `b, b + s, …`),
+/// each followed by [`NR`] zeros of slack so the last tile's loads stay in
+/// bounds. Output position `(oy, ox)` lives at `q = oy · pw + ox`, and tap
+/// `(kh, kw)` reads phase `(kh mod s, kw mod s)` at `q + (kh / s) · pw +
+/// kw / s`.
+#[derive(Clone, Copy)]
+struct PhaseGeom {
+    stride: usize,
+    pad: usize,
+    pw: usize,
+    plane: usize,
+}
+
+impl PhaseGeom {
+    fn new(ishape: Shape, stride: usize, pad: usize) -> Self {
+        let pw = (ishape.w + 2 * pad).div_ceil(stride);
+        let ph = (ishape.h + 2 * pad).div_ceil(stride);
+        PhaseGeom {
+            stride,
+            pad,
+            pw,
+            plane: ph * pw + NR,
+        }
+    }
+
+    /// Floats per input channel: its `s²` phase planes.
+    fn channel_len(self) -> usize {
+        self.stride * self.stride * self.plane
+    }
+
+    /// Copies input channels `c0..c0 + cin` of batch item `n` into
+    /// `planes` as zero-padded phase planes, one channel after another.
+    fn fill(self, input: &Tensor, n: usize, c0: usize, cin: usize, planes: &mut Vec<f32>) {
+        let (s, pad, pw) = (self.stride, self.pad, self.pw);
+        let w = input.shape().w;
+        planes.clear();
+        planes.resize(cin * self.channel_len(), 0.0);
+        for c in 0..cin {
+            let src = input.channel_plane(n, c0 + c);
+            let chan = &mut planes[c * self.channel_len()..][..self.channel_len()];
+            for (iy, srow) in src.chunks_exact(w).enumerate() {
+                let py = iy + pad;
+                let row = &mut chan[(py % s) * s * self.plane + (py / s) * pw..];
+                if s == 1 {
+                    row[pad..pad + w].copy_from_slice(srow);
+                    continue;
+                }
+                for b in 0..s {
+                    // the first phase-`b` column `cx · s + b` past the
+                    // left padding, and the input column it holds
+                    let cx = if pad > b { (pad - b).div_ceil(s) } else { 0 };
+                    let ix = cx * s + b - pad;
+                    if ix >= w {
+                        continue;
+                    }
+                    let dst = &mut row[b * self.plane + cx..];
+                    for (d, &v) in dst.iter_mut().zip(srow[ix..].iter().step_by(s)) {
+                        *d = v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The operands of one channel group's tiled convolution: its phase
+/// planes, its `(c_out/g × c_in/g · k²)` weight panel and bias slice, and
+/// the output geometry.
+#[derive(Clone, Copy)]
+struct GroupConv<'a> {
+    planes: &'a [f32],
+    w: &'a [f32],
+    bias: Option<&'a [f32]>,
+    geom: PhaseGeom,
+    cin: usize,
+    k: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl GroupConv<'_> {
+    /// Every tile of the group, position tiles outermost: one tile's taps
+    /// stay in L1 while every output channel of the group consumes them.
+    /// `S` is the stride when it is 1 or 2 — the strides the networks
+    /// run, whose tap offsets then fold to shifts — and 0 otherwise.
+    #[inline(always)]
+    fn run<const S: usize>(self, out: &mut [f32]) {
+        let cout = self.w.len() / (self.cin * self.k * self.k);
+        let positions = (self.oh - 1) * self.geom.pw + self.ow;
+        for q0 in (0..positions).step_by(NR) {
+            let mut oc = 0;
+            while oc < cout {
+                let mr = MR.min(cout - oc);
+                match (mr, self.k) {
+                    (4, 3) => self.tile::<4, S, 3>(oc, q0, out),
+                    (3, 3) => self.tile::<3, S, 3>(oc, q0, out),
+                    (2, 3) => self.tile::<2, S, 3>(oc, q0, out),
+                    (_, 3) => self.tile::<1, S, 3>(oc, q0, out),
+                    (4, _) => self.tile::<4, S, 0>(oc, q0, out),
+                    (3, _) => self.tile::<3, S, 0>(oc, q0, out),
+                    (2, _) => self.tile::<2, S, 0>(oc, q0, out),
+                    _ => self.tile::<1, S, 0>(oc, q0, out),
+                }
+                oc += mr;
+            }
+        }
+    }
+
+    /// One `M × NR` register tile: output channels `oc..oc + M` at the
+    /// [`NR`] phase-width positions from `q0`. Accumulators start at `+0.0`
+    /// and add one `w · x` product per tap in ascending `(c, kh, kw)` order;
+    /// the bias follows when non-zero. Only positions inside the output
+    /// plane are stored; the others ran on padding or slack.
+    // indexed fixed-trip loops are the form LLVM unrolls into the tile
+    #[allow(clippy::needless_range_loop)]
+    #[inline(always)]
+    fn tile<const M: usize, const S: usize, const K: usize>(
+        self,
+        oc: usize,
+        q0: usize,
+        out: &mut [f32],
+    ) {
+        let GroupConv {
+            planes,
+            geom,
+            oh,
+            ow,
+            ..
+        } = self;
+        let s = if S == 0 { geom.stride } else { S };
+        let k = if K == 0 { self.k } else { K };
+        let (pw, plane) = (geom.pw, geom.plane);
+        let taps = self.cin * k * k;
+        let w: [&[f32]; M] = std::array::from_fn(|i| &self.w[(oc + i) * taps..][..taps]);
+        // tap column `kw` sits in phase plane `kw mod s` at column `kw / s`
+        // of its row; one row's taps span this many floats
+        let col = |kw: usize| (kw % s) * plane + kw / s;
+        let span = (s.min(k) - 1) * plane + (k - 1) / s + NR;
+        let mut acc = [[0.0f32; NR]; M];
+        for c in 0..self.cin {
+            let chan = q0 + c * geom.channel_len();
+            for kh in 0..k {
+                let xs = &planes[chan + (kh % s) * s * plane + (kh / s) * pw..][..span];
+                let wk: [&[f32]; M] = std::array::from_fn(|i| &w[i][(c * k + kh) * k..][..k]);
+                for kw in 0..k {
+                    let off = col(kw);
+                    let x: [f32; NR] = xs[off..off + NR].try_into().expect("NR-wide slice");
+                    // fixed-trip indexed loops over the tile: one
+                    // broadcast, one vector mul and one vector add per row
+                    for i in 0..M {
+                        let wv = wk[i][kw];
+                        for j in 0..NR {
+                            acc[i][j] += wv * x[j];
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(bias) = self.bias {
+            for (i, acc_row) in acc.iter_mut().enumerate() {
+                let b = bias[oc + i];
+                if b != 0.0 {
+                    for v in acc_row {
+                        *v += b;
+                    }
+                }
+            }
+        }
+        // scatter the tile's in-plane positions, one output-row run at a
+        // time (a 16-wide tile spans at most a few rows)
+        let end = (q0 + NR).min((oh - 1) * pw + ow);
+        let (mut q, mut oy, mut ox) = (q0, q0 / pw, q0 % pw);
+        while q < end {
+            let run = (pw - ox).min(end - q);
+            if ox < ow {
+                let len = run.min(ow - ox);
+                let j = q - q0;
+                for (i, acc_row) in acc.iter().enumerate() {
+                    let row: [f32; NR] = *acc_row;
+                    out[(oc + i) * oh * ow + oy * ow + ox..][..len]
+                        .copy_from_slice(&row[j..j + len]);
+                }
+            }
+            q += run;
+            oy += 1;
+            ox = 0;
+        }
+    }
+}
+
+/// The tiled convolution loop nest shared by both instantiations; `out`
 /// arrives zeroed with the output shape. See [`conv2d`] for the
 /// accumulation order it keeps.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn conv2d_body(
     input: &Tensor,
@@ -133,73 +382,51 @@ fn conv2d_body(
     stride: usize,
     pad: usize,
     groups: usize,
+    scratch: &mut Vec<f32>,
     out: &mut Tensor,
 ) {
     let (ishape, wshape, oshape) = (input.shape(), weight.shape(), out.shape());
     let (cin_g, cout_g) = (ishape.c / groups, wshape.n / groups);
     let k = wshape.h;
-    let (ih, iw) = (ishape.h, ishape.w);
     let (oh, ow) = (oshape.h, oshape.w);
-    let in_data = input.as_slice();
+    let geom = PhaseGeom::new(ishape, stride, pad);
+    let panel = cout_g * cin_g * k * k;
     let w_data = weight.as_slice();
     let out_data = out.as_mut_slice();
 
     for n in 0..ishape.n {
         for g in 0..groups {
-            for ocg in 0..cout_g {
-                let oc = g * cout_g + ocg;
-                let out_base = (n * oshape.c + oc) * oh * ow;
-                let oplane = &mut out_data[out_base..out_base + oh * ow];
-                for icg in 0..cin_g {
-                    let ic = g * cin_g + icg;
-                    let iplane = &in_data[(n * ishape.c + ic) * ih * iw..][..ih * iw];
-                    let w_base = (oc * cin_g + icg) * k * k;
-                    for kh in 0..k {
-                        let (y0, y1) = tap_span(kh, pad, stride, ih, oh);
-                        for kw in 0..k {
-                            let wv = w_data[w_base + kh * k + kw];
-                            let (x0, x1) = tap_span(kw, pad, stride, iw, ow);
-                            if wv == 0.0 || x0 == x1 {
-                                continue;
-                            }
-                            let ix0 = x0 * stride + kw - pad;
-                            for oy in y0..y1 {
-                                let irow = &iplane[(oy * stride + kh - pad) * iw..][..iw];
-                                let orow = &mut oplane[oy * ow + x0..oy * ow + x1];
-                                if stride == 1 {
-                                    for (o, &x) in orow.iter_mut().zip(&irow[ix0..]) {
-                                        *o += wv * x;
-                                    }
-                                } else {
-                                    let taps = irow[ix0..].iter().step_by(stride);
-                                    for (o, &x) in orow.iter_mut().zip(taps) {
-                                        *o += wv * x;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                let b = bias.map_or(0.0, |b| b[oc]);
-                if b != 0.0 {
-                    for v in oplane {
-                        *v += b;
-                    }
-                }
+            geom.fill(input, n, g * cin_g, cin_g, scratch);
+            let conv = GroupConv {
+                planes: scratch,
+                w: &w_data[g * panel..][..panel],
+                bias: bias.map(|b| &b[g * cout_g..][..cout_g]),
+                geom,
+                cin: cin_g,
+                k,
+                oh,
+                ow,
+            };
+            let out_g = &mut out_data[(n * oshape.c + g * cout_g) * oh * ow..][..cout_g * oh * ow];
+            match stride {
+                1 => conv.run::<1>(out_g),
+                2 => conv.run::<2>(out_g),
+                _ => conv.run::<0>(out_g),
             }
         }
     }
 }
 
-/// AVX2 instantiation of [`conv2d_body`], where LLVM widens the unit-stride
-/// row update to 8-lane vectors (see [`conv2d`] for the bit-identity
+/// AVX2 instantiation of [`conv2d_body`], where each accumulator row of the
+/// register tile is two YMM registers (see [`conv2d`] for the bit-identity
 /// argument).
 ///
 /// # Safety
 ///
-/// The host must support AVX2, which [`conv2d`] checks via
+/// The host must support AVX2, which [`conv2d_into`] checks via
 /// [`crate::simd::avx2_enabled`] before calling.
 #[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2")]
 unsafe fn conv2d_avx2(
     input: &Tensor,
@@ -208,15 +435,18 @@ unsafe fn conv2d_avx2(
     stride: usize,
     pad: usize,
     groups: usize,
+    scratch: &mut Vec<f32>,
     out: &mut Tensor,
 ) {
-    conv2d_body(input, weight, bias, stride, pad, groups, out);
+    conv2d_body(input, weight, bias, stride, pad, groups, scratch, out);
 }
 
 /// The per-element oracle [`conv2d`] is pinned against bit for bit: one
-/// output element at a time, padding checked per tap, the same accumulation
-/// sequence (zero start, ascending `(c_in, kh, kw)` taps skipping zero
-/// weights, bias last). Same contract as [`conv2d`].
+/// output element at a time, padding checked per tap, zero start, ascending
+/// `(c_in, kh, kw)` taps skipping padding and zero weights, bias last when
+/// non-zero. The skipped taps are the ones [`conv2d`] adds as signed
+/// zeros, so for finite operands the two agree exactly. Same contract as
+/// [`conv2d`].
 pub fn conv2d_naive(
     input: &Tensor,
     weight: &Tensor,

@@ -15,8 +15,12 @@
 //! steady-state frame path performs no heap allocation.
 //!
 //! Results are bit-identical between the plain and AVX2 instantiations and
-//! across batch sizes; they match [`super::conv2d`] up to float summation
-//! order (the GEMM adds the bias first, the direct convolution last).
+//! across batch sizes. Both this GEMM and the register-tiled direct
+//! [`super::conv2d`] add every tap, padding included, in ascending `(c, kh,
+//! kw)` order from the same start, so on bias-free layers (every gaze
+//! layer) the two are bitwise equal; with a bias they differ only in where
+//! it is added (the GEMM starts from it, the direct convolution adds it
+//! last).
 
 use crate::shape::Shape;
 use crate::simd;
@@ -405,6 +409,27 @@ mod tests {
             assert!(
                 gemm.sub(&direct).max_abs() < 1e-4,
                 "mismatch at stride={stride} pad={pad} k={k} groups={groups}"
+            );
+        }
+    }
+
+    #[test]
+    fn gemm_equals_direct_conv_bitwise_without_bias() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for &(stride, pad, k, groups) in &[
+            (1usize, 1usize, 3usize, 1usize),
+            (2, 1, 3, 1),
+            (1, 0, 1, 1),
+            (2, 2, 5, 2),
+            (2, 1, 3, 6), // depth-wise
+        ] {
+            let x = rand_tensor(Shape::new(2, 6, 9, 7), &mut rng);
+            let w = rand_tensor(Shape::new(6, 6 / groups, k, k), &mut rng);
+            assert_eq!(
+                bits(&conv2d_gemm(&x, &w, None, stride, pad, groups)),
+                bits(&conv2d(&x, &w, None, stride, pad, groups)),
+                "stride={stride} pad={pad} k={k} groups={groups}"
             );
         }
     }

@@ -19,7 +19,9 @@ pub use activation::{
     softmax_channels,
 };
 pub(crate) use conv::{check_conv_args, tap_span};
-pub use conv::{conv2d, conv2d_backward, conv2d_backward_reference, conv2d_naive, Conv2dGrads};
+pub use conv::{
+    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_into, conv2d_naive, Conv2dGrads,
+};
 pub use fastconv::{
     conv2d_gemm, conv2d_gemm_buf, conv2d_gemm_into, conv2d_gemm_reference, ConvWorkspace,
 };
@@ -29,10 +31,10 @@ pub use norm::{
 };
 pub use pool::{
     avg_pool2d, avg_pool2d_backward, global_avg_pool, global_avg_pool_backward,
-    global_avg_pool_into, max_pool2d, max_pool2d_backward, MaxPoolCache,
+    global_avg_pool_into, max_pool2d, max_pool2d_backward, max_pool2d_into, MaxPoolCache,
 };
 pub use resize::{
-    downsample_avg, resize_bilinear, resize_bilinear_into, upsample_nearest,
+    downsample_avg, downsample_avg_into, resize_bilinear, resize_bilinear_into, upsample_nearest,
     upsample_nearest_backward,
 };
 pub use spatial::{concat_channels, crop, crop_into, pad_zero, split_channels};

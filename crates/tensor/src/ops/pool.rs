@@ -20,24 +20,9 @@ pub struct MaxPoolCache {
 /// Panics if the window does not fit the input.
 pub fn max_pool2d(input: &Tensor, k: usize, stride: usize) -> (Tensor, MaxPoolCache) {
     let ishape = input.shape();
-    let oshape = ishape.conv_output(ishape.c, k, 0, stride);
-    let mut argmax = Vec::with_capacity(oshape.len());
-    let data = input.as_slice();
-    let out = Tensor::from_fn(oshape, |n, c, oy, ox| {
-        let mut best = f32::NEG_INFINITY;
-        let mut best_idx = 0;
-        for kh in 0..k {
-            for kw in 0..k {
-                let idx = ishape.index(n, c, oy * stride + kh, ox * stride + kw);
-                if data[idx] > best {
-                    best = data[idx];
-                    best_idx = idx;
-                }
-            }
-        }
-        argmax.push(best_idx);
-        best
-    });
+    let mut argmax = Vec::with_capacity(ishape.conv_output(ishape.c, k, 0, stride).len());
+    let mut out = Tensor::zeros(Shape::new(1, 1, 1, 1));
+    max_pool_scan(input, k, stride, &mut out, |idx| argmax.push(idx));
     (
         out,
         MaxPoolCache {
@@ -45,6 +30,58 @@ pub fn max_pool2d(input: &Tensor, k: usize, stride: usize) -> (Tensor, MaxPoolCa
             argmax,
         },
     )
+}
+
+/// The cache-free inference twin of [`max_pool2d`], writing into a
+/// caller-owned tensor (allocation-free once the output buffer is warm).
+/// Bit-identical to the pooled tensor [`max_pool2d`] returns.
+///
+/// # Panics
+///
+/// Panics if the window does not fit the input.
+pub fn max_pool2d_into(input: &Tensor, k: usize, stride: usize, out: &mut Tensor) {
+    max_pool_scan(input, k, stride, out, |_| {});
+}
+
+/// The window scan behind both max-pool entry points: each output is the
+/// first strict maximum (`>` from −∞) over its window in `(kh, kw)` order,
+/// and `winner` receives that element's flat input index, in output order.
+fn max_pool_scan(
+    input: &Tensor,
+    k: usize,
+    stride: usize,
+    out: &mut Tensor,
+    mut winner: impl FnMut(usize),
+) {
+    let ishape = input.shape();
+    let oshape = ishape.conv_output(ishape.c, k, 0, stride);
+    out.reset(oshape);
+    let plane = ishape.h * ishape.w;
+    let out_data = out.as_mut_slice();
+    for (p, (src, dst)) in input
+        .as_slice()
+        .chunks_exact(plane)
+        .zip(out_data.chunks_exact_mut(oshape.h * oshape.w))
+        .enumerate()
+    {
+        for (oy, orow) in dst.chunks_exact_mut(oshape.w).enumerate() {
+            for (ox, o) in orow.iter_mut().enumerate() {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_idx = 0;
+                for kh in 0..k {
+                    let row = (oy * stride + kh) * ishape.w + ox * stride;
+                    for (idx, &v) in src[row..row + k].iter().enumerate() {
+                        if v > best {
+                            best = v;
+                            best_idx = row + idx;
+                        }
+                    }
+                }
+                winner(p * plane + best_idx);
+                *o = best;
+            }
+        }
+    }
 }
 
 /// Backward pass of [`max_pool2d`]: routes each output gradient to the input
@@ -141,6 +178,38 @@ pub fn global_avg_pool_backward(input_shape: Shape, grad_out: &Tensor) -> Tensor
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Values and winners against a per-window scan written out here, on a
+    /// batch of multi-channel planes with ties (the first maximum wins).
+    #[test]
+    fn max_pool_matches_a_per_window_scan_across_batch_and_channels() {
+        let x = Tensor::from_fn(Shape::new(2, 3, 6, 4), |n, c, h, w| {
+            ((n * 13 + c * 7 + h * 5 + w * 3) % 5) as f32 - 2.0
+        });
+        let (y, cache) = max_pool2d(&x, 2, 2);
+        let mut into = Tensor::zeros(Shape::vector(1, 1));
+        max_pool2d_into(&x, 2, 2, &mut into);
+        assert_eq!(into, y);
+        let s = x.shape();
+        let mut o = 0;
+        for n in 0..2 {
+            for c in 0..3 {
+                for oy in 0..3 {
+                    for ox in 0..2 {
+                        let mut best = (f32::NEG_INFINITY, 0);
+                        for (kh, kw) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                            let idx = s.index(n, c, 2 * oy + kh, 2 * ox + kw);
+                            if x.as_slice()[idx] > best.0 {
+                                best = (x.as_slice()[idx], idx);
+                            }
+                        }
+                        assert_eq!((y.at(n, c, oy, ox), cache.argmax[o]), best);
+                        o += 1;
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn global_avg_pool_into_matches_allocating_path() {

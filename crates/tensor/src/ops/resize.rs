@@ -62,23 +62,47 @@ pub fn upsample_nearest_backward(input_shape: Shape, grad_out: &Tensor, factor: 
 ///
 /// Panics if the spatial extents are not divisible by `factor`.
 pub fn downsample_avg(input: &Tensor, factor: usize) -> Tensor {
+    let mut out = Tensor::zeros(Shape::new(1, 1, 1, 1));
+    downsample_avg_into(input, factor, &mut out);
+    out
+}
+
+/// [`downsample_avg`] writing into a caller-owned tensor (allocation-free
+/// once the output buffer is warm). Bit-identical to the allocating path:
+/// each block sums from zero in `(dy, dx)` order, then scales by
+/// `1 / factor²`.
+///
+/// # Panics
+///
+/// Panics if the spatial extents are not divisible by `factor`.
+pub fn downsample_avg_into(input: &Tensor, factor: usize, out: &mut Tensor) {
     assert!(factor > 0, "downsample factor must be non-zero");
     let s = input.shape();
     assert!(
         s.h.is_multiple_of(factor) && s.w.is_multiple_of(factor),
         "input {s} not divisible by factor {factor}"
     );
-    let oshape = Shape::new(s.n, s.c, s.h / factor, s.w / factor);
+    out.reset(Shape::new(s.n, s.c, s.h / factor, s.w / factor));
+    let oshape = out.shape();
     let inv = 1.0 / (factor * factor) as f32;
-    Tensor::from_fn(oshape, |n, c, oy, ox| {
-        let mut acc = 0.0;
-        for dy in 0..factor {
-            for dx in 0..factor {
-                acc += input.at(n, c, oy * factor + dy, ox * factor + dx);
+    let data = out.as_mut_slice();
+    let mut idx = 0;
+    for n in 0..oshape.n {
+        for c in 0..oshape.c {
+            for oy in 0..oshape.h {
+                for ox in 0..oshape.w {
+                    let mut acc = 0.0;
+                    for dy in 0..factor {
+                        for dx in 0..factor {
+                            acc += input.at(n, c, oy * factor + dy, ox * factor + dx);
+                        }
+                    }
+                    data[idx] = acc * inv;
+                    idx += 1;
+                }
             }
         }
-        acc * inv
-    })
+    }
 }
 
 /// Bilinear resize to an arbitrary target resolution (align-corners = false

@@ -206,8 +206,9 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// An f32 tensor with a share of exact zeros, so the direct convolution's
-/// zero-weight skip and the zero-bias skip are both exercised.
+/// An f32 tensor with a share of exact zeros, so the oracle's zero-weight
+/// skip (which the tiled convolution does not take) and the zero-bias skip
+/// are both exercised.
 fn sparse_f32_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-1.0f32..1.0, len).prop_map(|v| {
         v.into_iter()
@@ -332,6 +333,56 @@ proptest! {
         prop_assert_eq!(bits(&fast.weight), bits(&oracle.weight));
         let bias_bits = |b: &[f32]| b.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bias_bits(&fast.bias), bias_bits(&oracle.bias));
+    }
+}
+
+// The tiled direct convolution's geometry space is wide (widths ×
+// strides × pads × kernels × wiring), so it gets its own, larger budget.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The register-tiled `conv2d` equals the per-element oracle bit for
+    /// bit across output widths 1–35, which straddle the 16-position tile
+    /// and (at stride > 1) the phase-plane edges: stride 1–3, pad 0–2, k
+    /// 1/3/5, generic, grouped and depth-wise wiring (6 output channels
+    /// leave a 2-channel remainder after the 4-channel tile, 3 per group a
+    /// 3-wide tile), a batch of one or two, exact zeros in the weights, and
+    /// no bias, an all-zero bias or a bias with zeros and non-zeros.
+    #[test]
+    fn tiled_conv2d_matches_per_element_oracle_across_widths(
+        xv in proptest::collection::vec(-2.0f32..2.0, 2 * 4 * 5 * 107),
+        wv in sparse_f32_strategy(6 * 4 * 5 * 5),
+        bv in sparse_f32_strategy(6),
+        ow in 1usize..36,
+        h in 1usize..6,
+        n in 1usize..3,
+        stride in 1usize..4,
+        pad in 0usize..3,
+        k in prop_oneof![Just(1usize), Just(3usize), Just(5usize)],
+        groups in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
+        bias_kind in 0u8..3,
+    ) {
+        // the input width that yields `ow` outputs (clamped to fit the
+        // kernel, so the narrowest cases may land a little wider)
+        let w = ((ow - 1) * stride + k).saturating_sub(2 * pad).max(1);
+        let h = h.max(k.saturating_sub(2 * pad));
+        let cout = if groups == 4 { 4 } else { 6 };
+        let cin_g = 4 / groups;
+        let x = Tensor::from_vec(Shape::new(n, 4, h, w), xv[..n * 4 * h * w].to_vec());
+        let wt = Tensor::from_vec(
+            Shape::new(cout, cin_g, k, k),
+            wv[..cout * cin_g * k * k].to_vec(),
+        );
+        let zeros = vec![0.0f32; cout];
+        let bias = match bias_kind {
+            0 => None,
+            1 => Some(&zeros[..]),
+            _ => Some(&bv[..cout]),
+        };
+        let fast = conv2d(&x, &wt, bias, stride, pad, groups);
+        let oracle = conv2d_naive(&x, &wt, bias, stride, pad, groups);
+        prop_assert_eq!(fast.shape(), oracle.shape());
+        prop_assert_eq!(bits(&fast), bits(&oracle));
     }
 }
 
