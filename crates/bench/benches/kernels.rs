@@ -11,10 +11,13 @@
 //!   side (after one warm-up call) and blocked-vs-naive speedups of the
 //!   medians for the reconstruction shapes, the 96×160 gaze-layer (ROI)
 //!   shape, and the convolutions the frame path actually runs: the four
-//!   ResNet-like gaze convs on a 24×32 crop (f32 GEMM, int8 requant, and
-//!   the direct `conv2d` training's forward runs) and the segmentation
-//!   network's 24×24 convs through the direct `conv2d`; the whole
-//!   segmentation forward; the int8 warm-up calibration; the capture
+//!   ResNet-like gaze convs on a 24×32 crop (the f32 position and channel
+//!   tiles, int8 requant, and the direct `conv2d` training's forward runs),
+//!   the other two gaze families' `groups == 1` convs, and the
+//!   segmentation network's 24×24 convs through both f32 tiles and the
+//!   direct `conv2d`; the whole gaze forward of each family and the whole
+//!   segmentation forward; the int8 requant epilogue and warm-up
+//!   calibration; the capture
 //!   stage's sensor-noise kernel and `Φ_Rᵀ` product at the working and
 //!   paper-scale sensors; and the training run's `conv2d_backward` at the
 //!   same convolution shapes. Each row's `note` records the host facts
@@ -27,8 +30,8 @@ use eyecod_models::quantized::QuantizedGazeNet;
 use eyecod_optics::mat::Mat;
 use eyecod_optics::sensor::SensorModel;
 use eyecod_tensor::ops::{
-    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_gemm, conv2d_gemm_buf,
-    conv2d_gemm_reference, conv2d_naive, ConvWorkspace,
+    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_into, conv2d_naive,
+    conv2d_packed_into, PackedConvWeights,
 };
 use eyecod_tensor::quant::{
     qconv2d_requant, qconv2d_requant_reference, qlinear, qlinear_reference, QTensor,
@@ -72,24 +75,17 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // conv-as-GEMM on a gaze-layer geometry: fresh buffers per call vs a
-    // warm reusable workspace (the steady-state frame regime)
+    // a 3x3 layer on the 96x160 ROI: the position tile vs the channel tile
+    // over packed weights, both through warm buffers
     let x = tensor(Shape::new(1, 16, 96, 160), 3);
     let w = tensor(Shape::new(16, 16, 3, 3), 4);
-    c.bench_function("kernels/conv_gemm_alloc_16x96x160", |bch| {
-        bch.iter(|| conv2d_gemm(&x, &w, None, 1, 1, 1))
+    let packed = PackedConvWeights::pack(&w);
+    let (mut planes, mut out) = (Vec::new(), Tensor::zeros(Shape::new(1, 1, 1, 1)));
+    c.bench_function("kernels/conv_position_tile_16x96x160", |bch| {
+        bch.iter(|| conv2d_into(&x, &w, None, 1, 1, 1, &mut planes, &mut out))
     });
-    let mut ws = ConvWorkspace::new();
-    let mut out = Tensor::zeros(Shape::new(1, 1, 1, 1));
-    c.bench_function("kernels/conv_gemm_workspace_16x96x160", |bch| {
-        bch.iter(|| {
-            let (patches, _, _) = ws.split();
-            conv2d_gemm_buf(&x, &w, None, 1, 1, 1, patches, &mut out);
-        })
-    });
-    // the direct (pre-GEMM) convolution as the reference point
-    c.bench_function("kernels/conv_direct_16x96x160", |bch| {
-        bch.iter(|| conv2d(&x, &w, None, 1, 1, 1))
+    c.bench_function("kernels/conv_channel_tile_16x96x160", |bch| {
+        bch.iter(|| conv2d_packed_into(&x, &packed, None, 1, 1, &mut planes, &mut out))
     });
 
     // int8 kernels: runtime-dispatched (AVX2 where available) vs the
@@ -236,6 +232,19 @@ const GAZE_CONVS: [(usize, usize, usize, usize, usize); 4] = [
     (32, 64, 6, 8, 2),
 ];
 
+/// The `groups == 1` convolutions of the FBNet-like and MobileNet-like gaze
+/// networks on a 24×32 crop, as `(family, [C_in, C_out, input H, input W,
+/// k, stride, pad])`: the 3×3 stem and the point-wise halves of the
+/// depth-wise-separable blocks.
+const SEPARABLE_GAZE_CONVS: [(&str, [usize; 7]); 6] = [
+    ("FBNet-like", [1, 12, 24, 32, 3, 2, 1]),
+    ("FBNet-like", [12, 24, 6, 8, 1, 1, 0]),
+    ("FBNet-like", [24, 48, 3, 4, 1, 1, 0]),
+    ("MobileNet-like", [1, 8, 24, 32, 3, 2, 1]),
+    ("MobileNet-like", [8, 16, 6, 8, 1, 1, 0]),
+    ("MobileNet-like", [16, 24, 3, 4, 1, 1, 0]),
+];
+
 /// The segmentation network's convolutions at its 24×24 input, as
 /// `(C_in, C_out, H, W, k, pad)`; all stride 1.
 const SEG_CONVS: [(usize, usize, usize, usize, usize, usize); 6] = [
@@ -266,41 +275,77 @@ fn write_kernel_artifact() {
         ));
     }
 
-    // conv-as-GEMM through a warm workspace vs the direct convolution at a
-    // gaze-layer geometry on the 96x160 ROI
-    let x = tensor(Shape::new(1, 16, 96, 160), 3);
-    let w = tensor(Shape::new(16, 16, 3, 3), 4);
-    let direct_ns = time(|| conv2d(&x, &w, None, 1, 1, 1));
-    let mut ws = ConvWorkspace::new();
-    let mut out = Tensor::zeros(Shape::new(1, 1, 1, 1));
-    let gemm_ns = time(|| {
-        let (patches, _, _) = ws.split();
-        conv2d_gemm_buf(&x, &w, None, 1, 1, 1, patches, &mut out);
-    });
-    rows.push(KernelRow::new(
-        "f32 conv 3x3 (direct vs blocked im2col gemm)",
-        "(1,16,96,160) * (16,16,3,3)".into(),
-        direct_ns,
-        gemm_ns,
-    ));
-
-    // the f32 gaze forward's convolutions: pinned-scalar GEMM instantiation
-    // (naive_ns) vs the dispatched one through a warm workspace
+    // the two f32 inference tiles through warm buffers: the position tile
+    // (`conv2d_into`, naive_ns) vs the channel tile over packed weights
+    // (blocked_ns), on the 96x160 ROI layer, the `groups == 1` gaze layers
+    // of all three families and the segmentation layers —
+    // `Conv2d::forward_into` picks the channel tile when `C_out` is a
+    // multiple of its 16 lanes
+    let mut shapes = vec![(16, 16, 96, 160, 3, 1, 1, "paper ROI".to_string())];
     for (i, &(ci, co, h, w_, stride)) in GAZE_CONVS.iter().enumerate() {
+        let tag = format!("ResNet-like layer {i}");
+        shapes.push((ci, co, h, w_, 3, stride, 1, tag));
+    }
+    for &(family, [ci, co, h, w_, k, stride, pad]) in &SEPARABLE_GAZE_CONVS {
+        let tag = format!("{family} {k}x{k}");
+        shapes.push((ci, co, h, w_, k, stride, pad, tag));
+    }
+    for (i, &(ci, co, h, w_, k, pad)) in SEG_CONVS.iter().enumerate() {
+        shapes.push((ci, co, h, w_, k, 1, pad, format!("seg layer {i}")));
+    }
+    let (mut planes, mut out) = (Vec::new(), Tensor::zeros(Shape::new(1, 1, 1, 1)));
+    for (i, (ci, co, h, w_, k, stride, pad, tag)) in shapes.into_iter().enumerate() {
         let x = tensor(Shape::new(1, ci, h, w_), 20 + i as u64);
-        let w = tensor(Shape::new(co, ci, 3, 3), 30 + i as u64);
-        let scalar_ns = time(|| conv2d_gemm_reference(&x, &w, None, stride, 1, 1));
-        let gemm_ns = time(|| {
-            let (patches, _, _) = ws.split();
-            conv2d_gemm_buf(&x, &w, None, stride, 1, 1, patches, &mut out);
-        });
+        let w = tensor(Shape::new(co, ci, k, k), 30 + i as u64);
+        let packed = PackedConvWeights::pack(&w);
+        let position_ns = time(|| conv2d_into(&x, &w, None, stride, pad, 1, &mut planes, &mut out));
+        let channel_ns =
+            time(|| conv2d_packed_into(&x, &packed, None, stride, pad, &mut planes, &mut out));
         rows.push(KernelRow::new(
-            "f32 gaze conv 3x3 im2col gemm (scalar vs dispatched)",
-            format!("(1,{ci},{h},{w_}) * ({co},{ci},3,3) s{stride} (ResNet-like layer {i})"),
-            scalar_ns,
-            gemm_ns,
+            "f32 conv (position tile vs channel tile)",
+            format!("(1,{ci},{h},{w_}) * ({co},{ci},{k},{k}) s{stride} p{pad} ({tag})"),
+            position_ns,
+            channel_ns,
         ));
     }
+
+    // the whole f32 gaze forward: the allocating layer-by-layer
+    // `Layer::forward` (naive_ns) vs the workspace `forward_infer`
+    let mut rng = StdRng::seed_from_u64(163);
+    let mut gaze_ws = GazeInferWorkspace::new();
+    let mut pred = Tensor::zeros(Shape::new(1, 1, 1, 1));
+    for (family, tag, n) in [
+        (GazeFamily::ResNetLike, "ResNet-like", 1),
+        (GazeFamily::ResNetLike, "ResNet-like", 3),
+        (GazeFamily::FbnetLike, "FBNet-like", 1),
+        (GazeFamily::MobileNetLike, "MobileNet-like", 1),
+    ] {
+        let mut gaze = ProxyGazeNet::new(family, &mut rng);
+        let x = tensor(Shape::new(n, 1, 24, 32), 164 + n as u64);
+        let layer_ns = time(|| gaze.forward(&x, false));
+        let infer_ns = time(|| gaze.forward_infer(&x, &mut gaze_ws, &mut pred));
+        rows.push(KernelRow::new(
+            "f32 gaze forward (Layer::forward vs workspace forward_infer)",
+            format!("{tag}, {n} crop(s) of 24x32"),
+            layer_ns,
+            infer_ns,
+        ));
+    }
+
+    // the int8 requantisation epilogue, isolated on a depth-wise 1x1 layer
+    // whose accumulation is one tap per output: the libm `roundf` per
+    // element (naive_ns) vs the dispatched, vectorised epilogue
+    let qx = QTensor::quantize(&tensor(Shape::new(1, 16, 48, 64), 165));
+    let qw = QTensor::quantize(&tensor(Shape::new(16, 1, 1, 1), 166));
+    let qb: Vec<f32> = (0..16).map(|c| (c as f32 - 8.0) / 16.0).collect();
+    let scalar_ns = time(|| qconv2d_requant_reference(&qx, &qw, Some(&qb), 1, 0, 16, true, 0.05));
+    let dispatch_ns = time(|| qconv2d_requant(&qx, &qw, Some(&qb), 1, 0, 16, true, 0.05));
+    rows.push(KernelRow::new(
+        "int8 requant epilogue, depth-wise 1x1 (scalar vs dispatched)",
+        "(1,16,48,64) * (16,1,1,1) g=16, 49152 outputs".into(),
+        scalar_ns,
+        dispatch_ns,
+    ));
 
     // the same convolutions in the deployed int8 chain: scalar tap loops
     // (naive_ns) vs the dispatched i8 im2col + 4-channel dot tile

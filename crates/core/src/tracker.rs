@@ -1424,10 +1424,11 @@ impl EyeTracker {
     /// backend, writing the prediction into `pred` through the workspace
     /// arena (allocation-free once the buffers are warm).
     ///
-    /// The f32 backend executes [`ProxyGazeNet::forward_infer`] (blocked
-    /// im2col GEMM, in-place norm/activation); the calibrated int8 backend
-    /// executes [`QuantizedGazeNet::forward_into`], which is bit-identical
-    /// to the allocating int8 chain.
+    /// The f32 backend executes [`ProxyGazeNet::forward_infer`] (the
+    /// channel-tiled convolution over packed weights, the position tile for
+    /// depth-wise layers, in-place norm/activation); the calibrated int8
+    /// backend executes [`QuantizedGazeNet::forward_into`], which is
+    /// bit-identical to the allocating int8 chain.
     ///
     /// Under [`GazeBackend::Int8`] the first `calibration_frames` frames
     /// execute the f32 network while their crops are collected; when the

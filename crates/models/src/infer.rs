@@ -5,48 +5,53 @@
 //! reads from one buffer and writes the other, so no per-layer storage is
 //! ever (de)allocated. [`GazeInferWorkspace`] is the software mirror of
 //! that arrangement — two f32 arena tensors and two int8 arena tensors the
-//! forward passes alternate between, plus the f32 and i8 im2col patch
-//! buffers and the i32 MAC accumulator shared by every layer — and
-//! [`SegInferWorkspace`] is its refresh-side twin for the segmentation
-//! network. All buffers are sized lazily at the first frame and only ever
-//! grow, so a steady-state forward pass performs zero heap allocations.
+//! forward passes alternate between, plus the convolutions' zero-padded
+//! plane buffer, the i8 im2col patch buffer and the i32 MAC accumulator
+//! shared by every layer — and [`SegInferWorkspace`] is its refresh-side
+//! twin for the segmentation network. Its weight-buffer twin is the packed
+//! weight panel each `Conv2d` memoises on first use. All buffers are sized
+//! lazily at the first frame and only ever grow, so a steady-state forward
+//! pass performs zero heap allocations.
 //!
 //! Three entry points live here:
 //!
-//! * [`ProxyGazeNet::forward_infer`] — the f32 gaze backend. Convolutions
-//!   run through the blocked im2col GEMM ([`ops::conv2d_gemm_buf`]), batch
-//!   norm and the activation are applied in place, and the head writes into
-//!   the caller's output tensor. Every gaze convolution is bias-free, so
-//!   each one is bitwise equal to the direct [`ops::conv2d`] that
-//!   `Layer::forward` runs; the differential tests bound the whole forward
-//!   against `Layer::forward` (rel 1e-4).
+//! * [`ProxyGazeNet::forward_infer`] — the f32 gaze backend. Every
+//!   convolution runs [`Conv2d::forward_into`]: the `groups == 1` layers
+//!   whose output channels are a multiple of 16 on the channel tile over
+//!   packed weights ([`ops::conv2d_packed_into`]), the depth-wise and
+//!   narrower ones on the position tile ([`ops::conv2d_into`]). Batch norm
+//!   and the activation are applied in place, and the head writes into the
+//!   caller's output tensor. Both tiles keep [`ops::conv2d`]'s per-element
+//!   sequence, so the output is bitwise equal to `Layer::forward(input,
+//!   false)`.
 //! * [`QuantizedGazeNet::forward_into`] — the int8 backend. Every op
 //!   delegates to the `_into` variants of the deployed chain
 //!   ([`eyecod_tensor::quant`]), whose i32 accumulation is exactly
 //!   associative, so outputs are bit-identical to
 //!   [`QuantizedGazeNet::forward`].
-//! * [`ProxySegNet::forward_infer`] — the segmentation refresh. Every
-//!   convolution runs the direct [`ops::conv2d_into`] that
-//!   `Layer::forward` runs through [`ops::conv2d`], so logits and labels are
-//!   bit-identical to [`crate::proxy::predict_seg`]'s.
+//! * [`ProxySegNet::forward_infer`] — the segmentation refresh, through the
+//!   same [`Conv2d::forward_into`], so logits and labels are bit-identical
+//!   to [`crate::proxy::predict_seg`]'s.
 //!
+//! [`Conv2d::forward_into`]: eyecod_tensor::layer::Conv2d::forward_into
 //! [`QuantizedGazeNet::forward_into`]: crate::quantized::QuantizedGazeNet::forward_into
 //! [`QuantizedGazeNet::forward`]: crate::quantized::QuantizedGazeNet::forward
 
 use crate::proxy::{GazeLayer, ProxyGazeNet, ProxySegNet};
-use eyecod_tensor::layer::Conv2d;
-use eyecod_tensor::ops::{self, ConvWorkspace};
+use eyecod_tensor::ops;
 use eyecod_tensor::quant::QTensor;
 use eyecod_tensor::{Shape, Tensor};
 
 /// Reusable buffers for the allocation-free gaze forwards — the f32 arena
-/// and its im2col buffer (via [`ConvWorkspace`]), the int8 arena, and the
-/// int8 convolutions' shared i32 accumulator and i8 im2col buffer.
+/// and the convolutions' plane buffer, the int8 arena, and the int8
+/// convolutions' shared i32 accumulator and i8 im2col buffer.
 ///
 /// One workspace serves both backends; buffers grow to the largest layer
 /// seen and are then reused verbatim.
 pub struct GazeInferWorkspace {
-    pub(crate) conv: ConvWorkspace,
+    planes: Vec<f32>,
+    ping: Tensor,
+    pong: Tensor,
     pub(crate) qping: QTensor,
     pub(crate) qpong: QTensor,
     pub(crate) acc: Vec<i32>,
@@ -63,7 +68,9 @@ impl GazeInferWorkspace {
     /// Creates an empty workspace (buffers grow on first use).
     pub fn new() -> Self {
         GazeInferWorkspace {
-            conv: ConvWorkspace::new(),
+            planes: Vec::new(),
+            ping: Tensor::zeros(Shape::new(1, 1, 1, 1)),
+            pong: Tensor::zeros(Shape::new(1, 1, 1, 1)),
             qping: QTensor::scratch(),
             qpong: QTensor::scratch(),
             acc: Vec::new(),
@@ -157,25 +164,16 @@ impl ProxyGazeNet {
     /// the workspace buffers are warm. Writes the gaze tensor `(N, 3, 1, 1)`
     /// into `out`.
     ///
-    /// Agrees with `Layer::forward(input, false)` up to float summation
-    /// order (see the module docs); it never touches training state, so it
-    /// takes `&self`.
+    /// Bitwise equal to `Layer::forward(input, false)` (see the module
+    /// docs); it never touches training state, so it takes `&self`. The
+    /// first call packs the weights of each layer the channel tile runs.
     pub fn forward_infer(&self, input: &Tensor, ws: &mut GazeInferWorkspace, out: &mut Tensor) {
-        let (patches, mut cur, mut next) = ws.conv.split();
+        let (planes, mut cur, mut next) = (&mut ws.planes, &mut ws.ping, &mut ws.pong);
         cur.copy_from(input);
         for layer in &self.layers {
             match layer {
                 GazeLayer::Conv(c) => {
-                    ops::conv2d_gemm_buf(
-                        cur,
-                        c.weight(),
-                        c.bias(),
-                        c.stride(),
-                        c.pad(),
-                        c.groups(),
-                        patches,
-                        next,
-                    );
+                    c.forward_into(cur, planes, next);
                     std::mem::swap(&mut cur, &mut next);
                 }
                 GazeLayer::Bn(bn) => ops::batch_norm_infer_inplace(
@@ -213,7 +211,7 @@ fn leaky_relu_inplace(t: &mut Tensor, alpha: f32) {
 /// [`ProxySegNet::forward_infer`]: a ping-pong activation pair, the
 /// encoder's skip tensor, the decoder's concat buffer (the upsample writes
 /// straight into its leading channels, the skip into the rest), the
-/// logits, and the direct convolution's phase-plane buffer.
+/// logits, and the convolutions' plane buffer.
 ///
 /// Buffers grow to the largest input seen and are then reused verbatim.
 pub struct SegInferWorkspace {
@@ -249,20 +247,6 @@ impl SegInferWorkspace {
     pub fn logits(&self) -> &Tensor {
         &self.logits
     }
-}
-
-/// One convolution layer through [`ops::conv2d_into`].
-fn conv_into(layer: &Conv2d, x: &Tensor, planes: &mut Vec<f32>, out: &mut Tensor) {
-    ops::conv2d_into(
-        x,
-        layer.weight(),
-        layer.bias(),
-        layer.stride(),
-        layer.pad(),
-        layer.groups(),
-        planes,
-        out,
-    );
 }
 
 /// Nearest-neighbour upsampling of `up` by `factor` into channels
@@ -302,10 +286,10 @@ impl ProxySegNet {
     /// first maximal logit) into `labels` in `(n, h, w)` order.
     ///
     /// Bit-identical to `Layer::forward(input, false)` and to
-    /// [`crate::proxy::predict_seg`]: the same direct convolution per
-    /// layer, the activation in place, a cache-free max-pool and the
-    /// upsample written straight into the concat buffer. It never touches
-    /// training state, so it takes `&self`.
+    /// [`crate::proxy::predict_seg`]: `Conv2d::forward_into` per layer,
+    /// the activation in place, a cache-free max-pool and the upsample
+    /// written straight into the concat buffer. It never touches training
+    /// state, so it takes `&self`.
     ///
     /// # Panics
     ///
@@ -320,19 +304,19 @@ impl ProxySegNet {
             cat,
             logits,
         } = ws;
-        conv_into(&self.e1a, input, planes, ping);
+        self.e1a.forward_into(input, planes, ping);
         leaky_relu_inplace(ping, self.act1a.alpha());
-        conv_into(&self.e1b, ping, planes, skip);
+        self.e1b.forward_into(ping, planes, skip);
         leaky_relu_inplace(skip, self.act1b.alpha());
         ops::max_pool2d_into(skip, self.pool.k(), self.pool.stride(), ping);
-        conv_into(&self.e2a, ping, planes, pong);
+        self.e2a.forward_into(ping, planes, pong);
         leaky_relu_inplace(pong, self.act2a.alpha());
-        conv_into(&self.e2b, pong, planes, ping);
+        self.e2b.forward_into(pong, planes, ping);
         leaky_relu_inplace(ping, self.act2b.alpha());
         upsample_concat_into(ping, skip, self.up.factor(), cat);
-        conv_into(&self.d1, cat, planes, pong);
+        self.d1.forward_into(cat, planes, pong);
         leaky_relu_inplace(pong, self.actd.alpha());
-        conv_into(&self.head, pong, planes, logits);
+        self.head.forward_into(pong, planes, logits);
 
         let s = logits.shape();
         let plane = s.h * s.w;
@@ -360,6 +344,7 @@ mod tests {
     use super::*;
     use crate::proxy::GazeFamily;
     use crate::quantized::QuantizedGazeNet;
+    use eyecod_tensor::optim::Adam;
     use eyecod_tensor::{Layer, Shape};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -430,18 +415,21 @@ mod tests {
         }
     }
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    const FAMILIES: [GazeFamily; 3] = [
+        GazeFamily::ResNetLike,
+        GazeFamily::FbnetLike,
+        GazeFamily::MobileNetLike,
+    ];
+
     #[test]
     fn f32_workspace_forward_matches_layer_forward_across_families() {
         let mut ws = GazeInferWorkspace::new();
         let mut out = Tensor::zeros(Shape::vector(1, 1));
-        for (i, family) in [
-            GazeFamily::ResNetLike,
-            GazeFamily::FbnetLike,
-            GazeFamily::MobileNetLike,
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        for (i, family) in FAMILIES.into_iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(21 + i as u64);
             let mut net = ProxyGazeNet::new(family, &mut rng);
             // two frames through the same workspace
@@ -450,42 +438,67 @@ mod tests {
                 let want = net.forward(&x, false);
                 net.forward_infer(&x, &mut ws, &mut out);
                 assert_eq!(out.shape(), want.shape());
-                let denom = want.max_abs().max(1e-3);
-                let rel = want.sub(&out).max_abs() / denom;
-                assert!(
-                    rel < 1e-4,
-                    "{family:?} workspace forward diverged: rel err {rel}"
-                );
+                assert_eq!(bits(&out), bits(&want), "{family:?} workspace forward");
             }
         }
     }
 
+    /// The packed weight panels are memoised with the weights: an
+    /// optimiser step through `params_mut` must drop them, so the next
+    /// `forward_infer` sees the new weights, while a clone taken before the
+    /// step keeps reproducing its own output.
+    #[test]
+    fn packed_weights_follow_an_optimiser_step() {
+        let x = random_input(2, 24, 32, 90);
+        for (i, family) in FAMILIES.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(91 + i as u64);
+            let mut net = ProxyGazeNet::new(family, &mut rng);
+            let mut ws = GazeInferWorkspace::new();
+            let mut before = Tensor::zeros(Shape::vector(1, 1));
+            net.forward_infer(&x, &mut ws, &mut before);
+            let old = net.clone();
+
+            let pred = net.forward(&x, true);
+            net.backward(&pred);
+            Adam::new(1e-2).step(&mut net.params_mut());
+
+            let mut after = Tensor::zeros(Shape::vector(1, 1));
+            net.forward_infer(&x, &mut ws, &mut after);
+            assert_eq!(bits(&after), bits(&net.forward(&x, false)), "{family:?}");
+            assert_ne!(
+                bits(&after),
+                bits(&before),
+                "{family:?}: the step moved nothing"
+            );
+            old.forward_infer(&x, &mut ws, &mut after);
+            assert_eq!(bits(&after), bits(&before), "{family:?}: the clone drifted");
+        }
+    }
+
     /// The serving layer's batching contract: a batched forward over `k`
-    /// stacked crops must reproduce `k` independent N=1 forwards. f32 holds
-    /// bit-exactly here because `conv2d_gemm_buf` processes batch items one
-    /// at a time through the identical GEMM (the serve-level differential
-    /// still only asserts rel ≤ 1e-4, the contract the paper path needs).
+    /// stacked crops must reproduce `k` independent N=1 forwards bit for
+    /// bit, because every kernel runs batch items one at a time through
+    /// the same tiles.
     #[test]
     fn batched_f32_forward_matches_per_item_forwards_for_ragged_sizes() {
         let mut ws = GazeInferWorkspace::new();
         let mut solo_ws = GazeInferWorkspace::new();
-        let mut rng = StdRng::seed_from_u64(77);
-        let net = ProxyGazeNet::new(GazeFamily::FbnetLike, &mut rng);
-        for (i, &k) in [1usize, 2, 7, 32].iter().enumerate() {
-            let batch = random_input(k, 24, 32, 400 + i as u64);
-            let mut batched = Tensor::zeros(Shape::vector(1, 1));
-            net.forward_infer(&batch, &mut ws, &mut batched);
-            assert_eq!(batched.shape(), Shape::new(k, 3, 1, 1));
-            for item in 0..k {
-                let x = batch.batch_item(item);
-                let mut solo = Tensor::zeros(Shape::vector(1, 1));
-                net.forward_infer(&x, &mut solo_ws, &mut solo);
-                let row = &batched.as_slice()[item * 3..(item + 1) * 3];
-                for (a, b) in row.iter().zip(solo.as_slice()) {
-                    let rel = (a - b).abs() / b.abs().max(1e-3);
-                    assert!(
-                        rel <= 1e-4,
-                        "batch {k} item {item}: batched {a} vs solo {b} (rel {rel})"
+        for (f, family) in FAMILIES.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(77 + f as u64);
+            let net = ProxyGazeNet::new(family, &mut rng);
+            for (i, &k) in [1usize, 2, 7, 32].iter().enumerate() {
+                let batch = random_input(k, 24, 32, 400 + i as u64);
+                let mut batched = Tensor::zeros(Shape::vector(1, 1));
+                net.forward_infer(&batch, &mut ws, &mut batched);
+                assert_eq!(batched.shape(), Shape::new(k, 3, 1, 1));
+                for item in 0..k {
+                    let x = batch.batch_item(item);
+                    let mut solo = Tensor::zeros(Shape::vector(1, 1));
+                    net.forward_infer(&x, &mut solo_ws, &mut solo);
+                    assert_eq!(
+                        &bits(&batched)[item * 3..(item + 1) * 3],
+                        &bits(&solo)[..],
+                        "{family:?} batch {k} item {item}"
                     );
                 }
             }

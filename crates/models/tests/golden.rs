@@ -50,7 +50,8 @@ fn gaze_net(family: GazeFamily, seed: u64) -> ProxyGazeNet {
     net
 }
 
-/// f32 `forward_infer` (im2col GEMM) for one crop and a batch of three.
+/// f32 `forward_infer` (channel and position tiles) for one crop and a
+/// batch of three.
 fn f32_digests(family: GazeFamily, seed: u64) -> [u64; 2] {
     let net = gaze_net(family, seed);
     let mut ws = GazeInferWorkspace::new();

@@ -3,16 +3,14 @@
 //! Registries run the identical fleet schedule — same models, same
 //! sessions, same frames — once per [`TickMode`]: the sequential AoS
 //! reference, the batched tick, and the columnar scheduled tick. The tick
-//! mode is a pure execution-strategy choice, so:
+//! mode is a pure execution-strategy choice, so every session's gaze must
+//! agree **bit-identically** with the sequential reference:
 //!
-//! * f32 sessions must agree to a relative tolerance of 1e-4 (in practice
-//!   the blocked GEMM is item-independent and they agree bit-for-bit; the
-//!   tolerance is the contract, not the observation);
-//! * int8 sessions must agree **bit-identically** — integer arithmetic has
-//!   no rounding latitude for an execution strategy to hide in;
-//! * latent sessions run f32 arithmetic through a *different* net (and an
-//!   f32 recon path on refresh frames), so they carry the same 1e-4
-//!   relative contract as the f32 backend;
+//! * int8 sessions because integer arithmetic has no rounding latitude for
+//!   an execution strategy to hide in;
+//! * f32 and latent sessions because every f32 kernel on their paths runs
+//!   batch items one at a time in a fixed per-element order, so a batched
+//!   forward is bitwise equal to per-item forwards;
 //! * all properties must hold across ragged fleet sizes (1, 2, 7, 32
 //!   sessions) and mixed f32/int8/latent populations, where batch
 //!   partitioning across arena slots exercises every uneven split.
@@ -104,10 +102,6 @@ fn run(
     out
 }
 
-fn rel_close(a: f32, b: f32) -> bool {
-    (a - b).abs() <= 1e-4 * b.abs().max(1.0)
-}
-
 fn compare_fleet(mode: TickMode, size: usize, first: GazeBackend) {
     // long enough that every int8 session passes through warm-up (f32
     // routing), shared calibration, and a stretch of true int8 serving
@@ -124,28 +118,10 @@ fn compare_fleet(mode: TickMode, size: usize, first: GazeBackend) {
             (id_s, frame_s),
             "{mode:?}: trace order diverged"
         );
-        match backend {
-            // int8: integer arithmetic — the execution strategy must be
-            // invisible to the last bit (the shared network is calibrated
-            // from identical crops in both runs, so this covers
-            // calibration too)
-            GazeBackend::Int8 => assert_eq!(
-                bits_b, bits_s,
-                "{mode:?} size {size}: int8 session {id_b:?} frame {frame_b} not bit-identical"
-            ),
-            // f32 and latent: both pure f32 arithmetic (latent switches
-            // nets between steady and refresh frames, but every path is
-            // item-independent f32 GEMM) — the relative contract applies
-            GazeBackend::F32 | GazeBackend::Latent => {
-                for (xb, xs) in bits_b.iter().zip(bits_s) {
-                    let (a, b) = (f32::from_bits(*xb), f32::from_bits(*xs));
-                    assert!(
-                        rel_close(a, b),
-                        "{mode:?} size {size}: {backend:?} session {id_b:?} frame {frame_b}: {a} vs {b}"
-                    );
-                }
-            }
-        }
+        assert_eq!(
+            bits_b, bits_s,
+            "{mode:?} size {size}: {backend:?} session {id_b:?} frame {frame_b} not bit-identical"
+        );
     }
 }
 
@@ -181,9 +157,9 @@ fn ragged_fleets_starting_latent_match() {
     }
 }
 
-/// The strictest leg pulled out on its own: across every mixed fleet, the
-/// int8 sessions' full traces — warm-up frames included — must be
-/// bit-identical between the modes, not merely within tolerance.
+/// The int8 leg pulled out on its own: across every mixed fleet, the int8
+/// sessions' full traces — warm-up frames included — must be bit-identical
+/// between the modes.
 #[test]
 fn int8_sessions_are_bit_identical_in_every_mixed_fleet() {
     let int8_only = |v: Vec<(SessionId, GazeBackend, u64, [u32; 3])>| {
@@ -206,10 +182,8 @@ fn int8_sessions_are_bit_identical_in_every_mixed_fleet() {
 
 /// Latent sessions in a mixed fleet must produce the same full trace —
 /// steady recon-free frames and f32-routed refresh frames alike — under
-/// every tick mode. The blocked f32 GEMM is item-independent, so the
-/// traces agree bit-for-bit in practice; this leg pins that the latent
-/// batch partition (a *third* arena next to f32 and int8) neither reorders
-/// nor perturbs rows.
+/// every tick mode: the latent batch partition (a *third* arena next to
+/// f32 and int8) neither reorders nor perturbs rows.
 #[test]
 fn latent_sessions_trace_identically_in_every_mixed_fleet() {
     let latent_only = |v: Vec<(SessionId, GazeBackend, u64, [u32; 3])>| {

@@ -6,10 +6,11 @@
 //! `eyecod-models` are wired from these layers.
 
 use crate::init;
-use crate::ops;
+use crate::ops::{self, PackedConvWeights};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// A trainable parameter: a value tensor and its accumulated gradient.
 #[derive(Debug, Clone)]
@@ -88,6 +89,10 @@ pub struct Conv2d {
     pad: usize,
     groups: usize,
     cached_input: Option<Tensor>,
+    /// `weight` packed for the channel tile, built on first use by
+    /// [`Conv2d::forward_into`] and dropped by `params_mut` — the only
+    /// `&mut` path to the weights — so it can never go stale.
+    packed: OnceLock<PackedConvWeights>,
 }
 
 impl Conv2d {
@@ -122,6 +127,7 @@ impl Conv2d {
             pad,
             groups,
             cached_input: None,
+            packed: OnceLock::new(),
         }
     }
 
@@ -153,6 +159,35 @@ impl Conv2d {
     /// The group count (`C_in` for a depth-wise convolution).
     pub fn groups(&self) -> usize {
         self.groups
+    }
+
+    /// Inference forward into caller-owned buffers (`planes` is the
+    /// kernels' zero-padded input copy): allocation-free once the buffers
+    /// and the packed weights are warm. Bitwise equal to
+    /// [`Layer::forward`], which runs [`ops::conv2d`]: a `groups == 1`
+    /// layer whose output channels fill the channel tile's 16 lanes (`C_out`
+    /// a multiple of 16) runs the channel tile over the memoised packed
+    /// weights, every other layer the position tile. The choice depends on
+    /// the shapes alone: `BENCH_kernels.json` has the channel tile ahead
+    /// of, or even with, the position tile on every measured layer of
+    /// 16–64 output channels, and behind on the 4- and 8-channel
+    /// segmentation layers, whose 24×24 planes fill the position tile's
+    /// 16-wide vectors instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`ops::conv2d`].
+    pub fn forward_into(&self, input: &Tensor, planes: &mut Vec<f32>, out: &mut Tensor) {
+        let bias = self.bias();
+        if self.groups == 1 && self.weight.value.shape().n.is_multiple_of(16) {
+            let packed = self
+                .packed
+                .get_or_init(|| PackedConvWeights::pack(&self.weight.value));
+            ops::conv2d_packed_into(input, packed, bias, self.stride, self.pad, planes, out);
+        } else {
+            let (s, p, g) = (self.stride, self.pad, self.groups);
+            ops::conv2d_into(input, &self.weight.value, bias, s, p, g, planes, out);
+        }
     }
 }
 
@@ -191,6 +226,7 @@ impl Layer for Conv2d {
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.packed.take();
         let mut v = vec![&mut self.weight];
         if let Some(b) = &mut self.bias {
             v.push(b);

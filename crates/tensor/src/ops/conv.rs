@@ -5,7 +5,7 @@ use crate::tensor::Tensor;
 
 /// Validates convolution arguments and returns `(c_in_per_group,
 /// c_out_per_group)` — the one geometry contract every convolution kernel in
-/// the crate (direct, im2col GEMM, int8) enforces.
+/// the crate (position tile, channel tile, int8) enforces.
 pub(crate) fn check_conv_args(
     input: Shape,
     weight: Shape,
@@ -44,7 +44,7 @@ pub(crate) fn check_conv_args(
 /// an empty span comes back as `hi..hi`.
 ///
 /// Resolving the padding once per tap this way is what lets the streaming
-/// inner loops of the im2col, backward and int8 convolution kernels run
+/// inner loops of the backward and int8 convolution kernels run
 /// branch-free over contiguous rows.
 #[inline]
 pub(crate) fn tap_span(
@@ -184,17 +184,19 @@ pub fn conv2d_into(
 /// each followed by [`NR`] zeros of slack so the last tile's loads stay in
 /// bounds. Output position `(oy, ox)` lives at `q = oy · pw + ox`, and tap
 /// `(kh, kw)` reads phase `(kh mod s, kw mod s)` at `q + (kh / s) · pw +
-/// kw / s`.
+/// kw / s`. The channel tile (`super::packed`) uses the stride-1 layout,
+/// one zero-padded plane per channel, and applies the stride to its
+/// position offsets instead.
 #[derive(Clone, Copy)]
-struct PhaseGeom {
+pub(super) struct PhaseGeom {
     stride: usize,
     pad: usize,
-    pw: usize,
+    pub(super) pw: usize,
     plane: usize,
 }
 
 impl PhaseGeom {
-    fn new(ishape: Shape, stride: usize, pad: usize) -> Self {
+    pub(super) fn new(ishape: Shape, stride: usize, pad: usize) -> Self {
         let pw = (ishape.w + 2 * pad).div_ceil(stride);
         let ph = (ishape.h + 2 * pad).div_ceil(stride);
         PhaseGeom {
@@ -206,13 +208,20 @@ impl PhaseGeom {
     }
 
     /// Floats per input channel: its `s²` phase planes.
-    fn channel_len(self) -> usize {
+    pub(super) fn channel_len(self) -> usize {
         self.stride * self.stride * self.plane
     }
 
     /// Copies input channels `c0..c0 + cin` of batch item `n` into
     /// `planes` as zero-padded phase planes, one channel after another.
-    fn fill(self, input: &Tensor, n: usize, c0: usize, cin: usize, planes: &mut Vec<f32>) {
+    pub(super) fn fill(
+        self,
+        input: &Tensor,
+        n: usize,
+        c0: usize,
+        cin: usize,
+        planes: &mut Vec<f32>,
+    ) {
         let (s, pad, pw) = (self.stride, self.pad, self.pw);
         let w = input.shape().w;
         planes.clear();

@@ -108,32 +108,13 @@ pub fn downsample_avg_into(input: &Tensor, factor: usize, out: &mut Tensor) {
 /// Bilinear resize to an arbitrary target resolution (align-corners = false
 /// convention, matching common DNN framework behaviour).
 pub fn resize_bilinear(input: &Tensor, out_h: usize, out_w: usize) -> Tensor {
-    let s = input.shape();
-    assert!(out_h > 0 && out_w > 0, "target extent must be non-zero");
-    let scale_y = s.h as f32 / out_h as f32;
-    let scale_x = s.w as f32 / out_w as f32;
-    Tensor::from_fn(Shape::new(s.n, s.c, out_h, out_w), |n, c, oy, ox| {
-        let fy = ((oy as f32 + 0.5) * scale_y - 0.5).clamp(0.0, (s.h - 1) as f32);
-        let fx = ((ox as f32 + 0.5) * scale_x - 0.5).clamp(0.0, (s.w - 1) as f32);
-        let y0 = fy.floor() as usize;
-        let x0 = fx.floor() as usize;
-        let y1 = (y0 + 1).min(s.h - 1);
-        let x1 = (x0 + 1).min(s.w - 1);
-        let dy = fy - y0 as f32;
-        let dx = fx - x0 as f32;
-        let v00 = input.at(n, c, y0, x0);
-        let v01 = input.at(n, c, y0, x1);
-        let v10 = input.at(n, c, y1, x0);
-        let v11 = input.at(n, c, y1, x1);
-        v00 * (1.0 - dy) * (1.0 - dx)
-            + v01 * (1.0 - dy) * dx
-            + v10 * dy * (1.0 - dx)
-            + v11 * dy * dx
-    })
+    let mut out = Tensor::zeros(Shape::new(1, 1, 1, 1));
+    resize_bilinear_into(input, out_h, out_w, &mut out);
+    out
 }
 
 /// [`resize_bilinear`] writing into a caller-owned tensor (allocation-free
-/// once the output buffer is warm). Bit-identical to the allocating path.
+/// once the output buffer is warm).
 pub fn resize_bilinear_into(input: &Tensor, out_h: usize, out_w: usize, out: &mut Tensor) {
     let s = input.shape();
     assert!(out_h > 0 && out_w > 0, "target extent must be non-zero");

@@ -607,13 +607,37 @@ fn qconv2d_requant_into_impl(
     let oshape = qconv_accumulate_into(
         input, weight, bias, stride, pad, groups, acc, patches, use_simd,
     );
-    let plane = oshape.h * oshape.w;
     out.shape = oshape;
     out.scale = out_scale;
     out.data.clear();
-    for (i, acc_plane) in acc.chunks_exact(plane).enumerate() {
+    #[cfg(target_arch = "x86_64")]
+    if use_simd && simd::avx2_enabled() {
+        // SAFETY: avx2_enabled() returns true only on hosts with AVX2.
+        unsafe { requant_avx2(acc, oshape, bias, rescale, relu, out_scale, &mut out.data) };
+        return;
+    }
+    requant(acc, oshape, bias, rescale, relu, out_scale, &mut out.data);
+}
+
+/// The requantisation epilogue of [`qconv2d_requant`], appending to `out`:
+/// per output, the rescaled accumulator plus the channel's bias, the fused
+/// ReLU, then `(v / out_scale).round()` clamped to ±127. Outside an SSE4.1
+/// target `f32::round` is a libm call per element; [`requant_avx2`] lowers
+/// it inline, with the same result for every f32, exact halves (rounded
+/// away from zero) included.
+#[inline(always)]
+fn requant(
+    acc: &[i32],
+    oshape: Shape,
+    bias: Option<&[f32]>,
+    rescale: f32,
+    relu: bool,
+    out_scale: f32,
+    out: &mut Vec<i8>,
+) {
+    for (i, acc_plane) in acc.chunks_exact(oshape.h * oshape.w).enumerate() {
         let b = bias.map_or(0.0, |b| b[i % oshape.c]);
-        out.data.extend(acc_plane.iter().map(|&a| {
+        out.extend(acc_plane.iter().map(|&a| {
             let mut v = a as f32 * rescale + b;
             if relu {
                 v = v.max(0.0);
@@ -621,6 +645,26 @@ fn qconv2d_requant_into_impl(
             (v / out_scale).round().clamp(-127.0, 127.0) as i8
         }));
     }
+}
+
+/// AVX2 instantiation of [`requant`].
+///
+/// # Safety
+///
+/// The host must support AVX2, which [`qconv2d_requant_into`] checks via
+/// [`simd::avx2_enabled`] before calling.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn requant_avx2(
+    acc: &[i32],
+    oshape: Shape,
+    bias: Option<&[f32]>,
+    rescale: f32,
+    relu: bool,
+    out_scale: f32,
+    out: &mut Vec<i8>,
+) {
+    requant(acc, oshape, bias, rescale, relu, out_scale, out);
 }
 
 /// Int8 fully connected layer: `y = x · Wᵀ + b` with i32 accumulation and a

@@ -1,7 +1,7 @@
 //! Runtime SIMD capability probe and the int8 building-block kernels.
 //!
 //! Every SIMD-dispatched kernel in the workspace (the int8 `quant` ops, the
-//! f32 im2col GEMM in [`crate::ops`], and the f64 GEMM tile in
+//! f32 convolution tiles in [`crate::ops`], and the f64 GEMM tile in
 //! `eyecod-optics`) routes through the single probe here: AVX2 is used iff
 //! the host supports it **and** the `EYECOD_NO_SIMD=1` kill switch is not
 //! set. That gives every test suite a one-variable way to run both dispatch

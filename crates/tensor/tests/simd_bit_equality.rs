@@ -3,8 +3,9 @@
 //! The dispatch contract of `eyecod_tensor::simd` is that the AVX2 kernels
 //! are **bit-identical** to their scalar references — int8 ops because i32
 //! accumulation of i8·i8 products is exact integer arithmetic (associative,
-//! no rounding), the f32 GEMM because both instantiations execute the same
-//! IEEE mul-then-add sequence. These properties hammer the nasty geometries
+//! no rounding), the f32 convolutions because both instantiations execute
+//! the same IEEE mul-then-add sequence, which the per-element oracle
+//! `conv2d_naive` spells out. These properties hammer the nasty geometries
 //! where a tiling bug would hide: reduction lengths that are not multiples
 //! of the 32/16-lane tile widths, unaligned remainder columns, saturating
 //! ±127 codes (the `maddubs` i16-overflow trap the sign-split trick must
@@ -16,8 +17,8 @@
 //! result (the probe is cached per process).
 
 use eyecod_tensor::ops::{
-    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_gemm, conv2d_gemm_reference,
-    conv2d_naive,
+    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_naive, conv2d_packed_into,
+    PackedConvWeights,
 };
 use eyecod_tensor::quant::{
     qconv2d, qconv2d_reference, qconv2d_requant, qconv2d_requant_reference, qlinear,
@@ -158,6 +159,30 @@ proptest! {
         prop_assert_eq!(a.as_i8(), b.as_i8());
     }
 
+    /// The requantisation epilogue rounds identically in both dispatch
+    /// modes. Unit operand scales and small codes keep the accumulators
+    /// integral and inside the ±127 range after division, so `out_scale`
+    /// 2 and 0.5 land many outputs on exact halves (which round away from
+    /// zero), 0.25 saturates them into the clamp, and 3 leaves inexact
+    /// quotients.
+    #[test]
+    fn requant_epilogue_rounds_exact_halves_identically(
+        xcodes in proptest::collection::vec(-3i32..=3, 2 * 3 * 5 * 11),
+        wcodes in proptest::collection::vec(-3i32..=3, 9 * 3 * 3 * 3),
+        out_scale in prop_oneof![Just(2.0f32), Just(0.5), Just(0.25), Just(3.0)],
+        relu in 0u8..2,
+    ) {
+        let q = |shape, codes: Vec<i32>| {
+            let t = Tensor::from_vec(shape, codes.into_iter().map(|c| c as f32).collect());
+            QTensor::quantize_with_scale(&t, 1.0)
+        };
+        let qx = q(Shape::new(2, 3, 5, 11), xcodes);
+        let qw = q(Shape::new(9, 3, 3, 3), wcodes);
+        let a = qconv2d_requant(&qx, &qw, None, 1, 1, 1, relu != 0, out_scale);
+        let b = qconv2d_requant_reference(&qx, &qw, None, 1, 1, 1, relu != 0, out_scale);
+        prop_assert_eq!(a.as_i8(), b.as_i8());
+    }
+
     /// `qlinear` bit-identity over K values that straddle the 32-lane dot
     /// tile and the 4-row output tile (out = 5 leaves a remainder row).
     #[test]
@@ -181,23 +206,6 @@ proptest! {
         let b = qlinear_reference(&qx, &qw, Some(&bias));
         prop_assert_eq!(a.as_slice(), b.as_slice());
     }
-
-    /// The f32 im2col GEMM is bit-identical between the AVX2 and scalar
-    /// instantiations — same IEEE operation sequence, no FMA contraction.
-    #[test]
-    fn f32_gemm_dispatch_is_bit_identical(
-        xv in proptest::collection::vec(-2.0f32..2.0, 4 * 9 * 11),
-        wv in proptest::collection::vec(-1.0f32..1.0, 6 * 2 * 3 * 3),
-        bias in proptest::collection::vec(-0.5f32..0.5, 6),
-        stride in 1usize..3,
-        pad in 0usize..2,
-    ) {
-        let x = Tensor::from_vec(Shape::new(1, 4, 9, 11), xv);
-        let w = Tensor::from_vec(Shape::new(6, 2, 3, 3), wv);
-        let a = conv2d_gemm(&x, &w, Some(&bias), stride, pad.max(1), 2);
-        let b = conv2d_gemm_reference(&x, &w, Some(&bias), stride, pad.max(1), 2);
-        prop_assert_eq!(a.as_slice(), b.as_slice());
-    }
 }
 
 /// The raw bit patterns of an f32 tensor: `-0.0 != 0.0` and NaN payloads
@@ -217,36 +225,12 @@ fn sparse_f32_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
     })
 }
 
-// The shapes the frame path runs: the gaze networks' reduction depths
-// `C_in/g · k²` of 9 (first layer), 144 and 288 (the ResNet-like body),
-// full `MR = 4` register tiles plus a channel remainder, batches of more
-// than one crop, and the 3×4 output plane whose 12 positions leave an
-// `NR = 8` remainder.
+// The shapes the frame path runs: the gaze networks' int8 reduction depths
+// `C_in/g · k²` of 9 (first layer), 144 and 288 (the ResNet-like body) on
+// batches of more than one crop and the 3×4 output plane, and the direct
+// f32 `conv2d` and its backward pass against their oracles.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// f32 GEMM at `C_out/g` = 5 (one full tile plus one) and 10, N = 2,
-    /// on a 6×8 input whose stride-2 output is the 3×4 plane.
-    #[test]
-    fn f32_gemm_full_tiles_and_position_remainder_are_bit_identical(
-        xv in proptest::collection::vec(-2.0f32..2.0, 2 * 8 * 6 * 8),
-        wv in proptest::collection::vec(-1.0f32..1.0, 10 * 8 * 3 * 3),
-        bias in proptest::collection::vec(-0.5f32..0.5, 10),
-        stride in 1usize..3,
-        groups in prop_oneof![Just(1usize), Just(2usize)],
-    ) {
-        let x = Tensor::from_vec(Shape::new(2, 8, 6, 8), xv);
-        let cin_g = 8 / groups;
-        let w = Tensor::from_vec(Shape::new(10, cin_g, 3, 3), wv[..10 * cin_g * 9].to_vec());
-        let a = conv2d_gemm(&x, &w, Some(&bias), stride, 1, groups);
-        let b = conv2d_gemm_reference(&x, &w, Some(&bias), stride, 1, groups);
-        prop_assert_eq!(a.shape(), b.shape());
-        prop_assert_eq!(bits(&a), bits(&b));
-        // batching never changes a crop's bits
-        let solo = conv2d_gemm(&x.batch_item(1), &w, Some(&bias), stride, 1, groups);
-        let plane = a.shape().len() / 2;
-        prop_assert_eq!(&bits(&a)[plane..], &bits(&solo)[..]);
-    }
 
     /// int8 `qconv2d` and `qconv2d_requant` at reduction depth 9
     /// (`C_in/g = 1`), stride 1 and 2, 6 output channels.
@@ -381,6 +365,55 @@ proptest! {
         };
         let fast = conv2d(&x, &wt, bias, stride, pad, groups);
         let oracle = conv2d_naive(&x, &wt, bias, stride, pad, groups);
+        prop_assert_eq!(fast.shape(), oracle.shape());
+        prop_assert_eq!(bits(&fast), bits(&oracle));
+    }
+}
+
+// The channel tile's geometry space: output-channel counts against its
+// 16-lane tiles, and output planes against its position tiles.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The channel-tiled `conv2d_packed_into` equals the per-element oracle
+    /// bit for bit: stride 1–3, pad 0–2, k 1/3/5, 8–80 output channels
+    /// (multiples of 16 and counts whose last tile ends in zero-padded
+    /// lanes), output widths 1–35 so position tiles span output
+    /// rows and end part-full, a batch of 1–3, exact zeros in the weights,
+    /// and no bias, an all-zero bias or a bias with zeros and non-zeros.
+    #[test]
+    fn channel_tile_matches_per_element_oracle(
+        xv in proptest::collection::vec(-2.0f32..2.0, 3 * 3 * 5 * 107),
+        wv in sparse_f32_strategy(80 * 3 * 5 * 5),
+        bv in sparse_f32_strategy(80),
+        cout in 8usize..81,
+        cin in 1usize..4,
+        ow in 1usize..36,
+        h in 1usize..6,
+        n in 1usize..4,
+        stride in 1usize..4,
+        pad in 0usize..3,
+        k in prop_oneof![Just(1usize), Just(3usize), Just(5usize)],
+        bias_kind in 0u8..3,
+    ) {
+        let w = ((ow - 1) * stride + k).saturating_sub(2 * pad).max(1);
+        let h = h.max(k.saturating_sub(2 * pad));
+        let x = Tensor::from_vec(Shape::new(n, cin, h, w), xv[..n * cin * h * w].to_vec());
+        let wt = Tensor::from_vec(
+            Shape::new(cout, cin, k, k),
+            wv[..cout * cin * k * k].to_vec(),
+        );
+        let zeros = vec![0.0f32; cout];
+        let bias = match bias_kind {
+            0 => None,
+            1 => Some(&zeros[..]),
+            _ => Some(&bv[..cout]),
+        };
+        let mut planes = Vec::new();
+        let mut fast = Tensor::zeros(Shape::new(1, 1, 1, 1));
+        let packed = PackedConvWeights::pack(&wt);
+        conv2d_packed_into(&x, &packed, bias, stride, pad, &mut planes, &mut fast);
+        let oracle = conv2d_naive(&x, &wt, bias, stride, pad, 1);
         prop_assert_eq!(fast.shape(), oracle.shape());
         prop_assert_eq!(bits(&fast), bits(&oracle));
     }
