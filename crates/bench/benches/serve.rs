@@ -1,20 +1,19 @@
-//! Serving-layer benchmarks: serve-tick throughput under all three tick
-//! modes and the cross-session gaze micro-batching payoff.
+//! Serving-layer benchmarks: the serve tick, inline and pooled, and the
+//! cross-session gaze micro-batching payoff.
 //!
 //! Two outputs:
 //!
-//! * `serve/schedule_{n}/{seq,par,scheduled}` criterion groups for
-//!   interactive comparison (`cargo bench -p eyecod-bench --bench serve`);
+//! * `serve/tick_{n}/{inline,pooled}` criterion groups for interactive
+//!   comparison (`cargo bench -p eyecod-bench --bench serve`);
 //! * a `BENCH_serve.json` artifact at the repository root with one row per
-//!   fleet size {1, 16, 256}: best-of-N steady-state tick wall time / FPS
-//!   for the sequential AoS reference, the batched tick, and the columnar
-//!   scheduled tick, plus the gaze-forward throughput of one batched GEMM
-//!   against the same crops forwarded one session at a time — the record
-//!   behind the "batched ≥ 1.2× per-session at 256 sessions" acceptance
-//!   line. Every row carries `host_parallelism` and a non-empty `note`
-//!   saying what the numbers mean on *this* host: tick-mode deltas are a
-//!   function of worker count, so a 1-core container's seq ≈ par ≈ sched
-//!   is expected, not a regression.
+//!   fleet size {1, 16, 256} of mixed f32/int8/latent sessions: the median
+//!   and median absolute deviation of [`SAMPLES`] warm ticks on a registry
+//!   with no pool workers (`inline`) and with `available_parallelism() - 1`
+//!   workers (`pooled`), plus the gaze-forward time of one batched forward
+//!   against the same crops forwarded one session at a time. Every row
+//!   carries `host_parallelism` and a non-empty `note` saying what the
+//!   numbers mean on *this* host: on a 1-CPU host both ticks run inline,
+//!   and no parallel gain is claimed.
 
 use criterion::{criterion_group, Criterion};
 use eyecod_core::tracker::{GazeBackend, TrackerConfig};
@@ -22,7 +21,7 @@ use eyecod_core::training::{train_tracker_models, TrackerModels, TrainingSetup};
 use eyecod_eyedata::render::{render_eye, EyeParams};
 use eyecod_faults::FaultPlan;
 use eyecod_models::infer::GazeInferWorkspace;
-use eyecod_serve::{ServeConfig, ServeRegistry, SessionId, TickMode};
+use eyecod_serve::{ServeConfig, ServeRegistry, SessionId};
 use eyecod_tensor::{Shape, Tensor};
 use serde::Serialize;
 use std::path::Path;
@@ -30,16 +29,17 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 const FLEETS: [usize; 3] = [1, 16, 256];
-const MODES: [(TickMode, &str); 3] = [
-    (TickMode::Sequential, "seq"),
-    (TickMode::Batched, "par"),
-    (TickMode::Scheduled, "scheduled"),
-];
+/// Timed samples per measurement, after warm-up.
+const SAMPLES: usize = 21;
+const BACKENDS: [GazeBackend; 3] = [GazeBackend::F32, GazeBackend::Int8, GazeBackend::Latent];
 
 fn shared() -> &'static (TrackerConfig, TrackerModels, Tensor) {
     static SHARED: OnceLock<(TrackerConfig, TrackerModels, Tensor)> = OnceLock::new();
     SHARED.get_or_init(|| {
-        let cfg = TrackerConfig::small();
+        let mut cfg = TrackerConfig::small();
+        // sessions pick their backend at create time; the dense path keeps
+        // every tick's work the same whatever the shell sets
+        cfg.delta = false;
         let models = train_tracker_models(&TrainingSetup::quick(), &cfg);
         let scene = render_eye(&EyeParams::centered(cfg.scene_size), cfg.scene_size, 0).image;
         (cfg, models, scene)
@@ -50,23 +50,18 @@ fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
-/// A warm fleet: `n` sessions (alternating f32/int8), fed and ticked past
-/// ROI refresh and int8 calibration so measured ticks are steady-state.
-fn warm_fleet(n: usize, mode: TickMode) -> (ServeRegistry, Vec<SessionId>) {
+/// A warm fleet: `n` sessions (f32/int8/latent round-robin) on a registry
+/// with `workers` pool workers, fed and ticked past the first ROI refresh
+/// and the int8 calibration so measured ticks are steady-state.
+fn warm_fleet(n: usize, workers: usize) -> (ServeRegistry, Vec<SessionId>) {
     let (cfg, models, scene) = shared();
-    let mut sc = ServeConfig::new(cfg.clone());
-    sc.mode = mode;
-    sc.queue_capacity = 4;
+    let sc = ServeConfig {
+        threads: Some(workers),
+        ..ServeConfig::new(cfg.clone())
+    };
     let mut reg = ServeRegistry::new(sc, models.clone_models()).with_faults(FaultPlan::none());
     let ids: Vec<_> = (0..n)
-        .map(|s| {
-            let backend = if s % 2 == 0 {
-                GazeBackend::F32
-            } else {
-                GazeBackend::Int8
-            };
-            reg.create_with_backend(backend).unwrap()
-        })
+        .map(|s| reg.create_with_backend(BACKENDS[s % 3]).unwrap())
         .collect();
     for round in 0..12u64 {
         for id in &ids {
@@ -80,10 +75,10 @@ fn warm_fleet(n: usize, mode: TickMode) -> (ServeRegistry, Vec<SessionId>) {
 fn bench(c: &mut Criterion) {
     let (_, _, scene) = shared();
     for n in FLEETS {
-        for (mode, tag) in MODES {
-            let (mut reg, ids) = warm_fleet(n, mode);
+        for (workers, tag) in [(0, "inline"), (host_parallelism() - 1, "pooled")] {
+            let (mut reg, ids) = warm_fleet(n, workers);
             let mut round = 100u64;
-            c.bench_function(&format!("serve/schedule_{n}/{tag}"), |bch| {
+            c.bench_function(&format!("serve/tick_{n}/{tag}"), |bch| {
                 bch.iter(|| {
                     for id in &ids {
                         reg.feed(*id, scene, round).unwrap();
@@ -96,55 +91,83 @@ fn bench(c: &mut Criterion) {
     }
 }
 
-/// Best-of-N wall time of `f` in nanoseconds.
-fn best_of<R>(iters: usize, mut f: impl FnMut() -> R) -> u64 {
-    f(); // warm caches and buffers
-    (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            t0.elapsed().as_nanos() as u64
-        })
-        .min()
-        .unwrap()
+/// The median and median absolute deviation of one measurement's samples.
+#[derive(Clone, Copy)]
+struct Timing {
+    median_ns: u64,
+    mad_ns: u64,
 }
 
-/// Best-of-N steady-state serve tick through a warm registry.
-fn measure_tick(n: usize, mode: TickMode) -> u64 {
+fn median(xs: &mut [u64]) -> u64 {
+    xs.sort_unstable();
+    xs[xs.len() / 2]
+}
+
+/// Wall time of one call of `f`, in nanoseconds.
+fn elapsed_ns(f: impl FnOnce()) -> u64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_nanos() as u64
+}
+
+/// The spread of [`SAMPLES`] calls of `sample`, each returning its own
+/// timed span in nanoseconds.
+fn time(mut sample: impl FnMut() -> u64) -> Timing {
+    let mut ns: Vec<u64> = (0..SAMPLES).map(|_| sample()).collect();
+    let median_ns = median(&mut ns);
+    let mut dev: Vec<u64> = ns.iter().map(|&v| v.abs_diff(median_ns)).collect();
+    Timing {
+        median_ns,
+        mad_ns: median(&mut dev),
+    }
+}
+
+/// Warm ticks through a registry with `workers` pool workers, each timed
+/// without its feeds. One tick in ten refreshes every session's ROI, so a
+/// sample set holds two refresh ticks; the median is a steady tick.
+fn measure_tick(n: usize, workers: usize) -> Timing {
     let (_, _, scene) = shared();
-    let (mut reg, ids) = warm_fleet(n, mode);
+    let (mut reg, ids) = warm_fleet(n, workers);
     let mut round = 100u64;
-    best_of(12, || {
+    time(|| {
         for id in &ids {
             reg.feed(*id, scene, round).unwrap();
         }
         round += 1;
-        reg.tick()
+        elapsed_ns(|| {
+            std::hint::black_box(reg.tick());
+        })
     })
 }
 
 #[derive(Serialize)]
 struct ServeRow {
     sessions: usize,
-    /// Sequential AoS reference tick: every stage inline, one session at a
-    /// time — the semantics every other mode is pinned against.
-    seq_tick_ns: u64,
-    seq_fps: f64,
-    /// Batched tick: pooled per-session prepare + cross-session batched
-    /// gaze forwards.
-    par_tick_ns: u64,
-    par_fps: f64,
-    /// Columnar scheduled tick: per-stage batch kernels pipelined across
-    /// session shards (the Act-GB-style stage wavefront).
-    sched_tick_ns: u64,
-    sched_fps: f64,
-    /// One batched gaze GEMM over all `sessions` crops.
+    /// Median tick on a registry with no pool workers: every stage runs
+    /// on the calling thread.
+    inline_tick_ns: u64,
+    inline_tick_mad_ns: u64,
+    inline_fps: f64,
+    /// Pool workers of the pooled tick: `host_parallelism - 1`, so the
+    /// calling thread and the workers fill the host.
+    pool_workers: usize,
+    /// Median tick on a registry with `pool_workers` workers: one
+    /// front-half job per session, one batched gaze forward per pool
+    /// participant.
+    pooled_tick_ns: u64,
+    pooled_tick_mad_ns: u64,
+    pooled_fps: f64,
+    /// Median of one batched f32 gaze forward over all `sessions` crops.
     batched_gaze_ns: u64,
-    /// The same crops forwarded one at a time (the per-session regime
-    /// micro-batching replaces).
+    batched_gaze_mad_ns: u64,
+    /// Median of the same crops forwarded one at a time (the per-session
+    /// regime micro-batching replaces).
     per_session_gaze_ns: u64,
+    per_session_gaze_mad_ns: u64,
     gaze_speedup: f64,
-    /// Logical CPUs visible to this run. Tick-mode deltas scale with pool
+    /// Timed samples behind every median.
+    samples: usize,
+    /// Logical CPUs visible to this run. The pooled tick scales with pool
     /// workers, so rows from hosts with different parallelism are not
     /// comparable.
     host_parallelism: usize,
@@ -156,54 +179,59 @@ fn write_serve_artifact() {
     let (cfg, models, _) = shared();
     let (gh, gw) = cfg.gaze_input;
     let cores = host_parallelism();
+    let pool_workers = cores - 1;
     let mut rows = Vec::new();
     for n in FLEETS {
-        let seq_tick_ns = measure_tick(n, TickMode::Sequential);
-        let par_tick_ns = measure_tick(n, TickMode::Batched);
-        let sched_tick_ns = measure_tick(n, TickMode::Scheduled);
+        let inline = measure_tick(n, 0);
+        let pooled = measure_tick(n, pool_workers);
 
-        // the gaze-forward payoff in isolation: one batched GEMM over the
-        // fleet's crops vs the same crops forwarded one session at a time
+        // the gaze-forward payoff in isolation: one batched forward over
+        // the fleet's crops vs the same crops forwarded one at a time
         let crops = Tensor::from_fn(Shape::new(n, 1, gh, gw), |i, _, h, w| {
             (((i * 31 + h) * 37 + w) % 613) as f32 / 613.0 - 0.5
         });
         let mut ws = GazeInferWorkspace::new();
         let mut out = Tensor::zeros(Shape::new(1, 1, 1, 1));
-        let batched_gaze_ns = best_of(12, || {
-            models.gaze.forward_infer(&crops, &mut ws, &mut out);
-        });
+        let batched = time(|| elapsed_ns(|| models.gaze.forward_infer(&crops, &mut ws, &mut out)));
         let mut one = Tensor::zeros(Shape::new(1, 1, gh, gw));
         let mut out1 = Tensor::zeros(Shape::new(1, 1, 1, 1));
         let item = gh * gw;
-        let per_session_gaze_ns = best_of(12, || {
-            for i in 0..n {
-                one.as_mut_slice()
-                    .copy_from_slice(&crops.as_slice()[i * item..(i + 1) * item]);
-                models.gaze.forward_infer(&one, &mut ws, &mut out1);
-            }
+        let per_session = time(|| {
+            elapsed_ns(|| {
+                for i in 0..n {
+                    one.as_mut_slice()
+                        .copy_from_slice(&crops.as_slice()[i * item..(i + 1) * item]);
+                    models.gaze.forward_infer(&one, &mut ws, &mut out1);
+                }
+            })
         });
-        let gaze_speedup = per_session_gaze_ns as f64 / batched_gaze_ns as f64;
-        let mut note = format!(
-            "{cores}-core host: tick-mode deltas scale with pool workers \
-             (seq is the single-thread reference)"
-        );
-        if n >= 256 && gaze_speedup < 1.2 {
-            note.push_str(&format!(
-                "; batched gaze {gaze_speedup:.2}x below the 1.2x line: batching can \
-                 only amortise per-forward overhead here, not add parallel lanes"
-            ));
-        }
+        let gaze_speedup = per_session.median_ns as f64 / batched.median_ns as f64;
+        let note = if pool_workers == 0 {
+            format!(
+                "{cores}-CPU host: both ticks run inline, so no parallel gain is measured; \
+                 median and MAD of {SAMPLES} warm ticks, two of them ROI-refresh ticks"
+            )
+        } else {
+            format!(
+                "{cores}-CPU host, pooled tick on the calling thread + {pool_workers} pool \
+                 worker(s); median and MAD of {SAMPLES} warm ticks, two of them ROI-refresh ticks"
+            )
+        };
         rows.push(ServeRow {
             sessions: n,
-            seq_tick_ns,
-            seq_fps: n as f64 * 1e9 / seq_tick_ns as f64,
-            par_tick_ns,
-            par_fps: n as f64 * 1e9 / par_tick_ns as f64,
-            sched_tick_ns,
-            sched_fps: n as f64 * 1e9 / sched_tick_ns as f64,
-            batched_gaze_ns,
-            per_session_gaze_ns,
+            inline_tick_ns: inline.median_ns,
+            inline_tick_mad_ns: inline.mad_ns,
+            inline_fps: n as f64 * 1e9 / inline.median_ns as f64,
+            pool_workers,
+            pooled_tick_ns: pooled.median_ns,
+            pooled_tick_mad_ns: pooled.mad_ns,
+            pooled_fps: n as f64 * 1e9 / pooled.median_ns as f64,
+            batched_gaze_ns: batched.median_ns,
+            batched_gaze_mad_ns: batched.mad_ns,
+            per_session_gaze_ns: per_session.median_ns,
+            per_session_gaze_mad_ns: per_session.mad_ns,
             gaze_speedup,
+            samples: SAMPLES,
             host_parallelism: cores,
             note,
         });
@@ -213,14 +241,15 @@ fn write_serve_artifact() {
     eyecod_bench::reporting::write_json(root, "BENCH_serve", &rows);
     for r in &rows {
         println!(
-            "{:>4} sessions: seq {:>12} ns ({:>10.1} fps)  par {:>12} ns ({:>10.1} fps)  sched {:>12} ns ({:>10.1} fps)  gaze batched {:.2}x",
+            "{:>4} sessions: inline {:>11} ± {:>9} ns ({:>8.1} fps)  pooled/{}w {:>11} ± {:>9} ns ({:>8.1} fps)  gaze batched {:.2}x",
             r.sessions,
-            r.seq_tick_ns,
-            r.seq_fps,
-            r.par_tick_ns,
-            r.par_fps,
-            r.sched_tick_ns,
-            r.sched_fps,
+            r.inline_tick_ns,
+            r.inline_tick_mad_ns,
+            r.inline_fps,
+            r.pool_workers,
+            r.pooled_tick_ns,
+            r.pooled_tick_mad_ns,
+            r.pooled_fps,
             r.gaze_speedup
         );
     }

@@ -9,7 +9,8 @@ use eyecod_optics::recon::{DeltaReconWorkspace, ReconWorkspace, TikhonovReconstr
 use eyecod_optics::sensor::SensorModel;
 use eyecod_tensor::{Shape, Tensor};
 
-/// Reusable buffers for [`Acquisition::acquire_faulted_into`]: the scene
+/// Reusable buffers for [`Acquisition::capture_faulted_into`] and
+/// [`Acquisition::recon_into`]: the scene
 /// staging matrix, the FlatCam capture temporaries, and the reconstruction
 /// workspace. Buffers are sized on first use and then reused verbatim, so a
 /// steady-state acquisition performs zero heap allocations.
@@ -218,47 +219,21 @@ impl Acquisition {
     ) -> (Tensor, u32) {
         let mut scratch = AcquireScratch::new();
         let mut out = Tensor::zeros(Shape::new(1, 1, 1, 1));
-        let injected =
-            self.acquire_faulted_into(scene, seed, plan, frame, attempt, &mut scratch, &mut out);
+        let injected = self.capture_faulted_into(scene, seed, plan, frame, attempt, &mut scratch);
+        self.recon_into(&mut scratch, &mut out);
         (out, injected)
     }
 
-    /// [`Acquisition::acquire_faulted`] writing the acquired image into a
-    /// caller-owned tensor through reusable scratch buffers — the
-    /// allocation-free variant the steady-state frame path uses. Every step
-    /// runs the in-place twin of the allocating chain (`assign_tensor` /
-    /// `apply_inplace` / `capture_into` / `reconstruct_into` /
-    /// `write_tensor`), each of which is byte-identical to its allocating
-    /// counterpart, so both variants produce identical images.
-    ///
-    /// Implemented as [`Acquisition::capture_faulted_into`] followed by
-    /// [`Acquisition::recon_into`]: the columnar serve scheduler runs those
-    /// two halves as separate column sweeps, and this composition is the
-    /// conformance reference that keeps them byte-identical.
-    ///
-    /// Returns the number of injected fault events.
-    #[allow(clippy::too_many_arguments)]
-    pub fn acquire_faulted_into(
-        &self,
-        scene: &Tensor,
-        seed: u64,
-        plan: &FaultPlan,
-        frame: u64,
-        attempt: u64,
-        scratch: &mut AcquireScratch,
-        out: &mut Tensor,
-    ) -> u32 {
-        let injected = self.capture_faulted_into(scene, seed, plan, frame, attempt, scratch);
-        self.recon_into(scratch, out);
-        injected
-    }
-
-    /// The capture half of [`Acquisition::acquire_faulted_into`]: sensor
-    /// exposure, sensor-plane degradation, and link-plane transport faults,
-    /// leaving the transported signal staged inside `scratch` (the FlatCam
-    /// measurement in `y`, or the focused image in `m` for the lens
-    /// baseline). [`Acquisition::recon_into`] turns the staged signal into
-    /// the image the pipeline sees.
+    /// The capture half of [`Acquisition::acquire_faulted`], through
+    /// reusable scratch buffers: sensor exposure, sensor-plane degradation,
+    /// and link-plane transport faults, leaving the transported signal
+    /// staged inside `scratch` (the FlatCam measurement in `y`, or the
+    /// focused image in `m` for the lens baseline).
+    /// [`Acquisition::recon_into`] turns the staged signal into the image
+    /// the pipeline sees. Every step runs the in-place twin of the
+    /// allocating chain, each byte-identical to its allocating
+    /// counterpart, so a steady-state capture allocates nothing and
+    /// matches the allocating path bit for bit.
     ///
     /// Returns the number of injected fault events.
     pub fn capture_faulted_into(
@@ -293,7 +268,7 @@ impl Acquisition {
         }
     }
 
-    /// The reconstruction half of [`Acquisition::acquire_faulted_into`]:
+    /// The reconstruction half of [`Acquisition::acquire_faulted`]:
     /// reads the signal a matching [`Acquisition::capture_faulted_into`]
     /// staged in `scratch` and writes the image the processing pipeline
     /// sees into `out` (Tikhonov reconstruction for the FlatCam, a plain
@@ -493,7 +468,8 @@ impl Acquisition {
         }
     }
 
-    /// The event-driven twin of [`Acquisition::acquire_faulted_into`]:
+    /// The event-driven twin of [`Acquisition::capture_faulted_into`] +
+    /// [`Acquisition::recon_into`]:
     /// instead of re-sensing the full scene, folds the changed columns
     /// (from [`Acquisition::detect_changes`]) into the cached measurement
     /// and applies the matching sparse-column correction to the cached
@@ -714,7 +690,7 @@ mod tests {
     }
 
     #[test]
-    fn acquire_faulted_into_reuses_scratch_across_paths() {
+    fn scratch_capture_and_recon_reuse_buffers_across_paths() {
         let s = render_eye(&EyeParams::centered(48), 48, 0);
         let mut plan = FaultPlan::none();
         plan.seed = 4;
@@ -727,8 +703,8 @@ mod tests {
         for acq in [Acquisition::lens(), Acquisition::flatcam(48, 64, 1e-4, 7)] {
             for frame in 0..3u64 {
                 let (want, want_injected) = acq.acquire_faulted(&s.image, 5, &plan, frame, 0);
-                let injected =
-                    acq.acquire_faulted_into(&s.image, 5, &plan, frame, 0, &mut scratch, &mut out);
+                let injected = acq.capture_faulted_into(&s.image, 5, &plan, frame, 0, &mut scratch);
+                acq.recon_into(&mut scratch, &mut out);
                 assert_eq!(injected, want_injected);
                 assert_eq!(out.shape(), want.shape());
                 assert_eq!(out.as_slice(), want.as_slice(), "must be byte-identical");

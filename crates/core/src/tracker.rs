@@ -286,6 +286,11 @@ pub struct EyeTracker {
     calib_inputs: Vec<Tensor>,
     /// The deployed int8 network, once calibrated.
     quantized_gaze: Option<QuantizedGazeNet>,
+    /// Whether this session's int8 network exists — calibrated here
+    /// (`quantized_gaze`) or outside the tracker
+    /// ([`EyeTracker::mark_int8_calibrated`]). Until then an int8 tracker
+    /// exempts its frames from the motion gate to feed calibration.
+    int8_calibrated: bool,
     /// The active fault-injection plan ([`FaultPlan::none`] in production;
     /// `EYECOD_FAULT_PLAN` or [`EyeTracker::with_faults`] enable it).
     faults: FaultPlan,
@@ -367,65 +372,6 @@ impl FrameScratch {
     }
 }
 
-/// A frame that has run through acquisition, the (possibly due) ROI
-/// refresh, and the crop/resize stage, but not yet the gaze network — the
-/// hand-off point where a serving layer can lift the gaze forward out of
-/// the tracker and batch it across sessions.
-///
-/// Produced by [`EyeTracker::prepare_frame`]; consumed by exactly one of
-/// [`EyeTracker::complete_frame`] (tracker-owned gaze forward) or
-/// [`EyeTracker::complete_frame_with_pred`] (externally computed
-/// prediction). It owns the tracker's scratch buffers for the duration, so
-/// the split adds no allocation and no copying over the fused
-/// [`EyeTracker::process_frame`] path.
-pub struct PreparedFrame {
-    scratch: Box<FrameScratch>,
-    cur: StageCursor,
-}
-
-impl PreparedFrame {
-    /// Whether an image made it through acquisition and a gaze input is
-    /// staged in [`PreparedFrame::gaze_input`]. When `false`, completion
-    /// takes the missing-frame fallback path and no gaze forward is
-    /// needed.
-    pub fn has_gaze_input(&self) -> bool {
-        self.cur.has_image
-    }
-
-    /// The resized gaze-network input staged for this frame
-    /// (`(1, 1, gaze_h, gaze_w)`). Only meaningful while
-    /// [`PreparedFrame::has_gaze_input`] is true.
-    pub fn gaze_input(&self) -> &Tensor {
-        &self.scratch.gaze_in
-    }
-
-    /// Frame index this preparation belongs to.
-    pub fn frame(&self) -> u64 {
-        self.cur.frame
-    }
-
-    /// Whether the segmentation model ran and re-anchored the ROI during
-    /// preparation.
-    pub fn roi_refreshed(&self) -> bool {
-        self.cur.refreshed
-    }
-
-    /// Whether this frame was a scheduled ROI-refresh frame. Under
-    /// [`GazeBackend::Latent`] this is also the routing key for the gaze
-    /// forward: refresh frames carry a recon-path ROI crop (f32 network),
-    /// steady-state frames carry a projected raw measurement (latent
-    /// network).
-    pub fn refresh_due(&self) -> bool {
-        self.cur.due
-    }
-
-    /// Whether the motion gate skipped this frame's gaze forward (no gaze
-    /// input is staged; completion serves the last-good direction).
-    pub fn gaze_skipped(&self) -> bool {
-        self.cur.skipped
-    }
-}
-
 /// What the capture stage staged for the reconstruction stage.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum CaptureOutcome {
@@ -449,6 +395,16 @@ enum CaptureOutcome {
     Skipped,
 }
 
+/// What the reconstruction stage turns a capture into.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Signal {
+    /// The Tikhonov reconstruction: the recon path, and every frame that
+    /// runs segmentation.
+    Image,
+    /// The raw transported measurement: the latent fast path.
+    Measurement,
+}
+
 /// Per-frame control state threaded through the per-stage entry points
 /// ([`EyeTracker::begin_frame`] → [`EyeTracker::capture_stage`] →
 /// [`EyeTracker::recon_stage`] → [`EyeTracker::roi_stage`] →
@@ -458,11 +414,11 @@ enum CaptureOutcome {
 /// fault plan, fault accounting, degradation flags, the ROI-refresh
 /// schedule decision — while the image/crop/prediction buffers themselves
 /// are borrowed from the caller at each stage. That inversion is what lets
-/// a columnar serving layer keep those buffers in per-stage columns and
-/// sweep one stage across many sessions; [`EyeTracker::prepare_frame`] is
-/// re-expressed on the same entry points over the tracker-owned
-/// [`FrameScratch`], so both layouts execute identical code and stay
-/// byte-identical by construction.
+/// a serving layer keep those buffers in per-session columns and batch the
+/// gaze forward across sessions; [`EyeTracker::process_frame`] runs the
+/// same entry points over the tracker-owned [`FrameScratch`], so both
+/// layouts execute identical code and stay byte-identical by
+/// construction.
 pub struct StageCursor {
     frame: u64,
     plan: FaultPlan,
@@ -483,9 +439,9 @@ pub struct StageCursor {
 }
 
 impl StageCursor {
-    /// Frame index this cursor belongs to — the conformance key a
-    /// columnar scheduler checks at every stage boundary (no stage may
-    /// consume a previous stage's output from a different frame index).
+    /// Frame index this cursor belongs to — the conformance key a serving
+    /// layer checks at every stage boundary (no stage may consume a
+    /// previous stage's output from a different frame index).
     pub fn frame(&self) -> u64 {
         self.frame
     }
@@ -578,6 +534,7 @@ impl EyeTracker {
             last_gaze: GazeVector::from_angles(0.0, 0.0),
             calib_inputs: Vec::new(),
             quantized_gaze: None,
+            int8_calibrated: false,
             faults: FaultPlan::from_env(),
             recovery: RecoveryPolicy::default(),
             fault_stats: FaultStats::default(),
@@ -657,6 +614,15 @@ impl EyeTracker {
         self.quantized_gaze.as_ref()
     }
 
+    /// Tells an int8 tracker that its session's int8 network exists outside
+    /// it — a serving layer's fleet-shared calibration, which runs the gaze
+    /// forward on the tracker's behalf. This ends the calibration warm-up's
+    /// exemption from the motion gate exactly where the tracker's own
+    /// calibration would have; nothing else about the tracker changes.
+    pub fn mark_int8_calibrated(&mut self) {
+        self.int8_calibrated = true;
+    }
+
     /// Processes one frame: acquires the scene, refreshes the ROI if due,
     /// and estimates gaze from the ROI crop.
     ///
@@ -692,71 +658,75 @@ impl EyeTracker {
     ///
     /// Panics if the scene resolution does not match the configuration.
     pub fn process_frame(&mut self, scene: &Tensor, noise_seed: u64) -> TrackedFrame {
-        let prep = self.prepare_frame(scene, noise_seed);
-        self.complete_frame(prep)
-    }
-
-    /// The front half of [`EyeTracker::process_frame`]: acquisition, the
-    /// scheduled ROI refresh, and the crop/resize that stages the gaze
-    /// input — everything up to (but excluding) the gaze forward.
-    ///
-    /// The returned [`PreparedFrame`] must be handed back to exactly one
-    /// of [`EyeTracker::complete_frame`] or
-    /// [`EyeTracker::complete_frame_with_pred`] before the next frame is
-    /// prepared (it carries the tracker's scratch buffers). The split
-    /// exists so a serving layer can prepare many sessions in parallel and
-    /// run all their gaze forwards as one batched GEMM;
-    /// `process_frame(..) == complete_frame(prepare_frame(..))` exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scene resolution does not match the configuration.
-    pub fn prepare_frame(&mut self, scene: &Tensor, noise_seed: u64) -> PreparedFrame {
-        let mut cur = self.begin_frame(scene);
         let mut scratch = self
             .scratch
             .take()
             .unwrap_or_else(|| Box::new(FrameScratch::new()));
+        let FrameScratch {
+            acquire,
+            image,
+            crop,
+            gaze_in,
+            pred,
+            infer,
+        } = &mut *scratch;
+        let cur = self.front_stages(scene, noise_seed, acquire, image, crop, gaze_in);
+        if cur.has_image {
+            let fast = self.latent_fast(&cur);
+            static_histogram!("tracker/gaze_forward_ns")
+                .time(|| self.gaze_forward_into(fast, gaze_in, infer, pred));
+        }
+        let out = self.complete_stage(cur, pred);
+        self.scratch = Some(scratch);
+        out
+    }
 
+    /// The front half of a frame over caller-owned buffers — everything up
+    /// to (but excluding) the gaze forward: [`EyeTracker::begin_frame`] →
+    /// [`EyeTracker::capture_stage`] → [`EyeTracker::recon_stage`] →
+    /// [`EyeTracker::roi_stage`] (when due) → [`EyeTracker::crop_stage`],
+    /// timed into `tracker/acquire_ns`, `tracker/segment_ns` and
+    /// `tracker/crop_resize_ns`. The returned cursor goes to exactly one of
+    /// [`EyeTracker::complete_stage`] (after the caller's own gaze forward
+    /// into its prediction buffer) or [`EyeTracker::complete_stage_with_pred`].
+    ///
+    /// [`EyeTracker::process_frame`] runs it over the tracker-owned scratch;
+    /// a serving layer runs it over per-session columns as one pool job per
+    /// session, then batches the gaze forwards across sessions. Both share
+    /// this one composition, so they cannot drift apart.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scene resolution does not match the configuration.
+    pub fn front_stages(
+        &mut self,
+        scene: &Tensor,
+        noise_seed: u64,
+        acquire: &mut AcquireScratch,
+        image: &mut Tensor,
+        crop: &mut Tensor,
+        gaze_in: &mut Tensor,
+    ) -> StageCursor {
+        let mut cur = self.begin_frame(scene);
         static_histogram!("tracker/acquire_ns").time(|| {
-            self.capture_stage(&mut cur, scene, noise_seed, &mut scratch.acquire);
-            self.recon_stage(
-                &mut cur,
-                scene,
-                noise_seed,
-                &mut scratch.acquire,
-                &mut scratch.image,
-            );
+            self.capture_stage(&mut cur, scene, noise_seed, acquire);
+            self.recon_stage(&mut cur, scene, noise_seed, acquire, image);
         });
-
         if cur.has_image {
             if cur.due {
-                static_histogram!("tracker/segment_ns")
-                    .time(|| self.roi_stage(&mut cur, &scratch.image));
+                static_histogram!("tracker/segment_ns").time(|| self.roi_stage(&mut cur, image));
             }
-            static_histogram!("tracker/crop_resize_ns").time(|| {
-                let FrameScratch {
-                    image,
-                    crop,
-                    gaze_in,
-                    ..
-                } = &mut *scratch;
-                self.crop_stage(&cur, image, crop, gaze_in);
-            });
+            static_histogram!("tracker/crop_resize_ns")
+                .time(|| self.crop_stage(&cur, image, crop, gaze_in));
         }
-
-        PreparedFrame { scratch, cur }
+        cur
     }
 
     /// Opens a frame for per-stage processing: validates the scene shape,
     /// accounts the frame, snapshots the fault plan and the ROI-refresh
     /// schedule decision, and returns the [`StageCursor`] the remaining
-    /// stage entry points thread through. The first stage of the
-    /// decomposed pipeline a columnar scheduler drives directly;
-    /// [`EyeTracker::prepare_frame`] is exactly `begin_frame` +
-    /// [`EyeTracker::capture_stage`] + [`EyeTracker::recon_stage`] +
-    /// [`EyeTracker::roi_stage`] + [`EyeTracker::crop_stage`] over the
-    /// tracker-owned scratch.
+    /// stage entry points thread through. The first stage of
+    /// [`EyeTracker::front_stages`].
     ///
     /// # Panics
     ///
@@ -843,7 +813,7 @@ impl EyeTracker {
             // never reach the quantised chain), so those frames take the
             // sparse-update path instead of skipping
             let calibrating =
-                self.config.gaze_backend == GazeBackend::Int8 && self.quantized_gaze.is_none();
+                self.config.gaze_backend == GazeBackend::Int8 && !self.int8_calibrated;
             if changed < self.config.delta_threshold && !calibrating {
                 // motion gate: too few pixels moved to shift the gaze —
                 // skip acquisition, reconstruction and the gaze forward
@@ -867,13 +837,19 @@ impl EyeTracker {
     }
 
     /// The reconstruction stage: turns the capture stage's staged outcome
-    /// into the image the rest of the pipeline sees, written into `image`.
+    /// into the signal the rest of the pipeline sees, written into `image`.
     /// A fresh capture is reconstructed and sanity-checked; detected
     /// transport corruption is re-requested within the recovery policy's
     /// retry budget (each attempt re-draws the link faults with its own
-    /// salt, re-running capture + reconstruction); a missing frame falls
-    /// back to the last-good image. After this stage
-    /// [`StageCursor::has_gaze_input`] is final.
+    /// salt, re-running the capture); a missing frame falls back to the
+    /// last-good signal. After this stage [`StageCursor::has_gaze_input`]
+    /// is final.
+    ///
+    /// On the latent fast path (steady frames under [`GazeBackend::Latent`])
+    /// the same recovery runs over the raw transported measurement, with
+    /// **zero** reconstruction solves: the signal is the measurement itself
+    /// and the last-good buffer is the last sane measurement — never a
+    /// reconstruction, which the latent net was not trained on.
     ///
     /// # Panics
     ///
@@ -887,91 +863,90 @@ impl EyeTracker {
         acquire: &mut AcquireScratch,
         image: &mut Tensor,
     ) {
-        if self.latent_fast(cur) {
-            // recon-free fast path: no Tikhonov solve — `image` receives
-            // the raw (transported) measurement itself
-            self.sense_stage(cur, scene, noise_seed, acquire, image);
-            return;
-        }
+        let signal = if self.latent_fast(cur) {
+            Signal::Measurement
+        } else {
+            Signal::Image
+        };
         match cur.capture {
             CaptureOutcome::Pending => panic!("recon_stage called before capture_stage"),
-            CaptureOutcome::Missing => {
-                cur.has_image = match &self.last_image {
-                    Some(prev) => {
-                        cur.ff.recovered += 1;
-                        self.image_staleness += 1;
-                        image.copy_from(prev);
-                        true
-                    }
-                    None => {
-                        cur.ff.unrecovered += 1;
-                        false
-                    }
-                };
-            }
-            CaptureOutcome::Duplicate => {
-                let prev = self
-                    .last_image
-                    .as_ref()
-                    .expect("duplicate needs last image");
-                image.copy_from(prev);
-                cur.has_image = true;
-            }
             CaptureOutcome::Skipped => {
                 // motion-gated: nothing moved enough to matter, no image
                 // is produced; completion serves the last-good gaze (the
                 // cursor's skip flag routes it past the lost-frame path)
             }
+            CaptureOutcome::Missing => {
+                cur.has_image = self.serve_last_good(signal, &mut cur.ff, image);
+                if !cur.has_image {
+                    cur.ff.unrecovered += 1;
+                }
+            }
+            CaptureOutcome::Duplicate => {
+                // the duplicate outcome is gated on `last_image`; under the
+                // latent backend its raw twin `last_meas` is only refreshed
+                // on frames that sensed, so it can lag by one fallback window
+                match self.last_good(signal) {
+                    Some(prev) => {
+                        image.copy_from(prev);
+                        cur.has_image = true;
+                    }
+                    None => cur.ff.unrecovered += 1,
+                }
+            }
             CaptureOutcome::Delta => {
                 // event-driven sparse update: fold the staged changed
-                // columns into the cached measurement and apply the
-                // matching sparse-column correction to the cached
-                // reconstruction — no dense capture, no dense solve
-                self.acquisition
-                    .sense_delta_cached_into(scene, acquire, image);
-                if let Some(buf) = self.last_image.as_mut() {
-                    buf.copy_from(image);
-                } else {
-                    self.last_image = Some(image.clone());
+                // columns into the cached measurement and, on the recon
+                // path, apply the matching sparse-column correction to the
+                // cached reconstruction — no dense capture, no dense solve
+                match signal {
+                    Signal::Image => self
+                        .acquisition
+                        .sense_delta_cached_into(scene, acquire, image),
+                    Signal::Measurement => self
+                        .acquisition
+                        .sense_delta_meas_cached_into(scene, acquire, image),
                 }
+                self.keep_last_good(signal, image);
                 self.image_staleness = 0;
                 cur.has_image = true;
             }
             CaptureOutcome::Fresh => {
-                // attempt 0 reconstructs the already-staged measurement;
-                // detected corruption is re-requested within budget (each
-                // retry is a full fresh capture + reconstruction)
+                // attempt 0 reads the already-staged capture; detected
+                // corruption is re-requested within budget (each retry is a
+                // full fresh capture)
                 let budget = self.recovery.max_stage_retries as u64;
                 for attempt in 0..=budget {
-                    if attempt == 0 {
-                        self.acquisition.recon_into(acquire, image);
-                    } else {
-                        let injected = self.acquisition.acquire_faulted_into(
-                            scene, noise_seed, &cur.plan, cur.frame, attempt, acquire, image,
+                    if attempt > 0 {
+                        cur.ff.injected += self.acquisition.capture_faulted_into(
+                            scene, noise_seed, &cur.plan, cur.frame, attempt, acquire,
                         );
-                        cur.ff.injected += injected;
                     }
+                    self.read_signal(signal, acquire, image);
                     if image_is_sane(image) {
                         if attempt > 0 {
                             cur.ff.recovered += 1;
                             cur.degraded = true;
                             static_counter!("tracker/acquire_retries").add(attempt);
                         }
-                        if let Some(buf) = self.last_image.as_mut() {
-                            buf.copy_from(image);
-                        } else {
-                            self.last_image = Some(image.clone());
-                        }
-                        if self.config.gaze_backend == GazeBackend::Latent {
-                            // a refresh frame's capture also carries the
-                            // raw measurement this reconstruction came
-                            // from — keep it as the fast path's fallback
-                            self.stash_measurement(acquire);
+                        self.keep_last_good(signal, image);
+                        if signal == Signal::Image
+                            && self.config.gaze_backend == GazeBackend::Latent
+                        {
+                            // a latent session's refresh capture also
+                            // carries the raw measurement this
+                            // reconstruction came from — keep it as the
+                            // fast path's fallback
+                            let meas = self
+                                .last_meas
+                                .get_or_insert_with(|| Tensor::zeros(Shape::new(1, 1, 1, 1)));
+                            self.acquisition.sense_into(acquire, meas);
                         }
                         if self.config.delta {
-                            // a sane dense capture + solve is the new
-                            // delta base: re-prime, resetting any drift
-                            // the clean-event updates accumulated
+                            // a sane dense capture is the new delta base:
+                            // re-prime, resetting any drift the clean-event
+                            // updates accumulated (the latent fast path
+                            // never reads the reconstruction cache, which
+                            // re-syncs at the next scheduled dense refresh)
                             self.acquisition.prime_delta(scene, acquire);
                         }
                         self.image_staleness = 0;
@@ -982,25 +957,21 @@ impl EyeTracker {
                 }
                 // budget exhausted on a corrupt transfer
                 cur.degraded = true;
-                cur.has_image = match &self.last_image {
-                    Some(prev) => {
-                        cur.ff.recovered += 1;
-                        self.image_staleness += 1;
-                        image.copy_from(prev);
-                        true
-                    }
-                    None => {
-                        // nothing good has ever arrived: flush the
-                        // corruption to finite values and limp on with a
-                        // best-effort image
-                        cur.ff.unrecovered += 1;
-                        let _ = self.acquisition.acquire_faulted_into(
-                            scene, noise_seed, &cur.plan, cur.frame, 0, acquire, image,
+                if !self.serve_last_good(signal, &mut cur.ff, image) {
+                    // nothing sane has ever arrived: flush the corruption
+                    // to finite values and limp on with a best-effort
+                    // signal (the recon path re-derives it from the
+                    // attempt-0 capture)
+                    cur.ff.unrecovered += 1;
+                    if signal == Signal::Image {
+                        let _ = self.acquisition.capture_faulted_into(
+                            scene, noise_seed, &cur.plan, cur.frame, 0, acquire,
                         );
-                        sanitize_image_inplace(image);
-                        true
                     }
-                };
+                    self.read_signal(signal, acquire, image);
+                    sanitize_image_inplace(image);
+                }
+                cur.has_image = true;
             }
         }
     }
@@ -1013,132 +984,54 @@ impl EyeTracker {
         self.config.gaze_backend == GazeBackend::Latent && !cur.due
     }
 
-    /// Copies the raw measurement staged in `acquire` into `last_meas`
-    /// (allocating only the first time).
-    fn stash_measurement(&mut self, acquire: &AcquireScratch) {
-        match self.last_meas.as_mut() {
-            Some(buf) => self.acquisition.sense_into(acquire, buf),
-            None => {
-                let mut buf = Tensor::zeros(Shape::new(1, 1, 1, 1));
-                self.acquisition.sense_into(acquire, &mut buf);
-                self.last_meas = Some(buf);
-            }
+    /// Turns the capture staged in `acquire` into `signal`: a Tikhonov
+    /// reconstruction, or the raw transported measurement itself.
+    fn read_signal(&self, signal: Signal, acquire: &mut AcquireScratch, out: &mut Tensor) {
+        match signal {
+            Signal::Image => self.acquisition.recon_into(acquire, out),
+            Signal::Measurement => self.acquisition.sense_into(acquire, out),
         }
     }
 
-    /// The latent fast path's replacement for the reconstruction stage:
-    /// serves the raw transported measurement into `image` with **zero**
-    /// reconstruction solves. Fault handling mirrors
-    /// [`EyeTracker::recon_stage`] exactly — sanity check, bounded
-    /// re-capture retries, last-good fallback, staleness accounting — but
-    /// the last-good buffer is `last_meas` (a measurement), never
-    /// `last_image` (a reconstruction the latent net was not trained on).
-    fn sense_stage(
+    /// The last sane `signal`, if one has ever arrived.
+    fn last_good(&self, signal: Signal) -> Option<&Tensor> {
+        match signal {
+            Signal::Image => self.last_image.as_ref(),
+            Signal::Measurement => self.last_meas.as_ref(),
+        }
+    }
+
+    /// Serves the last sane `signal` into `image` in place of a lost or
+    /// unrecoverable capture, accounting the recovery and the staleness.
+    /// Returns `false` (touching nothing) when no sane signal ever arrived.
+    fn serve_last_good(
         &mut self,
-        cur: &mut StageCursor,
-        scene: &Tensor,
-        noise_seed: u64,
-        acquire: &mut AcquireScratch,
+        signal: Signal,
+        ff: &mut FrameFaults,
         image: &mut Tensor,
-    ) {
-        match cur.capture {
-            CaptureOutcome::Pending => panic!("recon_stage called before capture_stage"),
-            CaptureOutcome::Missing => {
-                cur.has_image = match &self.last_meas {
-                    Some(prev) => {
-                        cur.ff.recovered += 1;
-                        self.image_staleness += 1;
-                        image.copy_from(prev);
-                        true
-                    }
-                    None => {
-                        cur.ff.unrecovered += 1;
-                        false
-                    }
-                };
-            }
-            CaptureOutcome::Duplicate => {
-                // the duplicate outcome is gated on `last_image`, which
-                // under the latent backend is only refreshed on due
-                // frames — the raw twin can lag by one fallback window
-                cur.has_image = match &self.last_meas {
-                    Some(prev) => {
-                        image.copy_from(prev);
-                        true
-                    }
-                    None => {
-                        cur.ff.unrecovered += 1;
-                        false
-                    }
-                };
-            }
-            CaptureOutcome::Skipped => {
-                // motion-gated: completion serves the last-good gaze
-            }
-            CaptureOutcome::Delta => {
-                // sparse update in the measurement domain only — the
-                // recon-free fast path never consumes a reconstruction,
-                // so the cached-reconstruction correction is skipped too
-                self.acquisition
-                    .sense_delta_meas_cached_into(scene, acquire, image);
-                // keep the fallback twin current (the updated measurement
-                // lives in the delta cache, not the dense capture scratch)
-                match self.last_meas.as_mut() {
-                    Some(buf) => buf.copy_from(image),
-                    None => self.last_meas = Some(image.clone()),
-                }
-                self.image_staleness = 0;
-                cur.has_image = true;
-            }
-            CaptureOutcome::Fresh => {
-                let budget = self.recovery.max_stage_retries as u64;
-                for attempt in 0..=budget {
-                    if attempt > 0 {
-                        let injected = self.acquisition.capture_faulted_into(
-                            scene, noise_seed, &cur.plan, cur.frame, attempt, acquire,
-                        );
-                        cur.ff.injected += injected;
-                    }
-                    self.acquisition.sense_into(acquire, image);
-                    if image_is_sane(image) {
-                        if attempt > 0 {
-                            cur.ff.recovered += 1;
-                            cur.degraded = true;
-                            static_counter!("tracker/acquire_retries").add(attempt);
-                        }
-                        self.stash_measurement(acquire);
-                        if self.config.delta {
-                            // re-prime the measurement-side caches; the
-                            // reconstruction cache goes stale but is never
-                            // read on the recon-free path and re-syncs at
-                            // the next scheduled dense refresh
-                            self.acquisition.prime_delta(scene, acquire);
-                        }
-                        self.image_staleness = 0;
-                        cur.has_image = true;
-                        return;
-                    }
-                    static_counter!("tracker/acquire_corrupt").inc();
-                }
-                // budget exhausted on a corrupt transfer
-                cur.degraded = true;
-                cur.has_image = match &self.last_meas {
-                    Some(prev) => {
-                        cur.ff.recovered += 1;
-                        self.image_staleness += 1;
-                        image.copy_from(prev);
-                        true
-                    }
-                    None => {
-                        // nothing sane has ever arrived: flush the
-                        // corruption to finite values and limp on
-                        cur.ff.unrecovered += 1;
-                        self.acquisition.sense_into(acquire, image);
-                        sanitize_image_inplace(image);
-                        true
-                    }
-                };
-            }
+    ) -> bool {
+        let Some(prev) = (match signal {
+            Signal::Image => &self.last_image,
+            Signal::Measurement => &self.last_meas,
+        }) else {
+            return false;
+        };
+        image.copy_from(prev);
+        ff.recovered += 1;
+        self.image_staleness += 1;
+        true
+    }
+
+    /// Keeps a sane `image` as the last-good `signal` (allocating only the
+    /// first time).
+    fn keep_last_good(&mut self, signal: Signal, image: &Tensor) {
+        let slot = match signal {
+            Signal::Image => &mut self.last_image,
+            Signal::Measurement => &mut self.last_meas,
+        };
+        match slot {
+            Some(buf) => buf.copy_from(image),
+            None => *slot = Some(image.clone()),
         }
     }
 
@@ -1191,63 +1084,6 @@ impl EyeTracker {
             self.config.gaze_input.1,
             gaze_in,
         );
-    }
-
-    /// The back half of [`EyeTracker::process_frame`]: runs the tracker's
-    /// own gaze forward (configured backend, including int8 warm-up
-    /// calibration) on the prepared input, then grades and accounts the
-    /// frame.
-    pub fn complete_frame(&mut self, mut prep: PreparedFrame) -> TrackedFrame {
-        if prep.cur.has_image {
-            let fast = self.latent_fast(&prep.cur);
-            let FrameScratch {
-                gaze_in,
-                infer,
-                pred,
-                ..
-            } = &mut *prep.scratch;
-            static_histogram!("tracker/gaze_forward_ns")
-                .time(|| self.gaze_forward_into(fast, gaze_in, infer, pred));
-        }
-        self.finish_frame(prep)
-    }
-
-    /// Completes a prepared frame with an externally computed gaze
-    /// prediction (the raw 3-component network output, before
-    /// normalisation) instead of running the tracker's own forward — the
-    /// hook a serving layer uses after batching this frame's gaze forward
-    /// with other sessions'. Fault staging, degenerate-gaze fallback and
-    /// quality grading all apply to `pred` exactly as they would to a
-    /// tracker-computed output.
-    ///
-    /// `pred` is ignored when the frame has no gaze input (acquisition
-    /// lost the frame); the missing-frame fallback runs instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pred` does not have exactly 3 components.
-    pub fn complete_frame_with_pred(
-        &mut self,
-        mut prep: PreparedFrame,
-        pred: &[f32],
-    ) -> TrackedFrame {
-        assert_eq!(pred.len(), 3, "gaze prediction must have 3 components");
-        if prep.cur.has_image {
-            let out = &mut prep.scratch.pred;
-            out.reset(Shape::new(1, 3, 1, 1));
-            out.as_mut_slice().copy_from_slice(pred);
-        }
-        self.finish_frame(prep)
-    }
-
-    /// The shared tail of frame completion over the tracker-owned scratch:
-    /// runs [`EyeTracker::complete_stage`] on the staged prediction, then
-    /// restores the scratch buffers.
-    fn finish_frame(&mut self, prep: PreparedFrame) -> TrackedFrame {
-        let PreparedFrame { mut scratch, cur } = prep;
-        let out = self.complete_stage(cur, &mut scratch.pred);
-        self.scratch = Some(scratch);
-        out
     }
 
     /// The completion stage over a borrowed prediction buffer: stage
@@ -1366,9 +1202,11 @@ impl EyeTracker {
 
     /// [`EyeTracker::complete_stage`] with an externally computed gaze
     /// prediction (the raw 3-component network output) staged into the
-    /// borrowed `pred` buffer first — the columnar twin of
-    /// [`EyeTracker::complete_frame_with_pred`], used after a scheduler
-    /// batches this frame's gaze forward with other sessions'.
+    /// borrowed `pred` buffer first — the hook a serving layer uses after
+    /// batching this frame's gaze forward with other sessions'. Fault
+    /// staging, degenerate-gaze fallback and quality grading all apply to
+    /// `pred_src` exactly as they would to a tracker-computed output, and
+    /// `pred_src` is ignored when the frame has no gaze input.
     ///
     /// # Panics
     ///
@@ -1480,6 +1318,7 @@ impl EyeTracker {
                     let calib = Tensor::stack(&self.calib_inputs);
                     self.quantized_gaze =
                         Some(QuantizedGazeNet::from_calibrated(&self.models.gaze, &calib));
+                    self.int8_calibrated = true;
                     self.calib_inputs = Vec::new();
                     static_counter!("tracker/int8_calibrations").inc();
                 }

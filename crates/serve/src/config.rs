@@ -1,65 +1,9 @@
-//! Serving-layer configuration and its `EYECOD_SERVE_*` environment knobs.
+//! Serving-layer configuration.
 
-use eyecod_core::env;
 use eyecod_core::tracker::TrackerConfig;
 
-/// How a serve tick executes its staged frames.
-///
-/// All three modes produce identical per-session outputs (bit-identical
-/// under the int8 backend, rel ≤ 1e-4 under f32 where batched GEMM
-/// summation order differs) — the property the serve differential and
-/// scheduler-invariant suites pin. They differ only in how the work is
-/// laid out over the pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TickMode {
-    /// The retained AoS reference path: each staged session runs its
-    /// whole frame pipeline inline, one session at a time in stable slot
-    /// order, with every gaze forward executed individually. Slowest, but
-    /// trivially deterministic — the golden reference every other mode is
-    /// differentially pinned against.
-    Sequential,
-    /// PR 6's batched tick: all sessions prepare in parallel on the pool
-    /// (one AoS `prepare_frame` job per session), then gaze forwards run
-    /// as one batched GEMM per pool participant.
-    #[default]
-    Batched,
-    /// The columnar path: per-stage state lives in `SessionStore` columns
-    /// and a `StageScheduler` decomposes the tick into per-stage batch
-    /// kernels (all captures → all recons → all crops → batched gaze),
-    /// pipelining stages of *different* session shards across pool
-    /// workers — the paper's DNN time-multiplexing lifted to fleet level.
-    Scheduled,
-}
-
-impl TickMode {
-    /// Parses a mode name (`seq`/`sequential`, `batched`/`par`,
-    /// `scheduled`/`sched`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown name — a silently ignored knob would make an
-    /// operator believe a mode is in force when it is not.
-    pub fn parse(v: &str) -> Self {
-        match v.to_ascii_lowercase().as_str() {
-            "seq" | "sequential" => TickMode::Sequential,
-            "batched" | "batch" | "par" => TickMode::Batched,
-            "scheduled" | "sched" => TickMode::Scheduled,
-            other => panic!("bad tick mode {other:?} (want seq|batched|scheduled)"),
-        }
-    }
-}
-
-/// Configuration of a [`ServeRegistry`](crate::ServeRegistry).
-///
-/// Environment knobs (read by [`ServeConfig::from_env`]):
-///
-/// | Variable | Field | Default |
-/// |---|---|---|
-/// | `EYECOD_SERVE_MAX_SESSIONS` | `max_sessions` | 4096 |
-/// | `EYECOD_SERVE_QUEUE` | `queue_capacity` | 4 |
-/// | `EYECOD_SERVE_MODE` | `mode` (`seq`/`batched`/`scheduled`) | `batched` |
-/// | `EYECOD_SERVE_BATCH` | legacy: `0`/`off` → `seq`, `1`/`on` → `batched` | — |
-/// | `EYECOD_SERVE_THREADS` | `threads` (dedicated pool size; unset = global pool) | unset |
+/// Configuration of a [`ServeRegistry`](crate::ServeRegistry). Plain
+/// data: nothing here reads the environment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Geometry and scheduling shared by every hosted tracker. The
@@ -70,8 +14,6 @@ pub struct ServeConfig {
     /// Bounded ingress queue depth per session; feeding past it sheds the
     /// oldest queued frame (drop-head, freshest-data-wins).
     pub queue_capacity: usize,
-    /// How a tick executes its staged frames (see [`TickMode`]).
-    pub mode: TickMode,
     /// `Some(n)`: the registry owns a dedicated pool with `n` background
     /// workers (`0` = fully sequential). `None`: use the process-global
     /// pool (`EYECOD_THREADS`).
@@ -80,42 +22,14 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Defaults around a tracker configuration: 4096 sessions, queue depth
-    /// 4, batched tick, global pool.
+    /// 4, global pool.
     pub fn new(tracker: TrackerConfig) -> Self {
         ServeConfig {
             tracker,
             max_sessions: 4096,
             queue_capacity: 4,
-            mode: TickMode::Batched,
             threads: None,
         }
-    }
-
-    /// [`ServeConfig::new`] with the `EYECOD_SERVE_*` environment
-    /// overrides applied (see the type docs for the table).
-    /// `EYECOD_SERVE_MODE` wins over the legacy `EYECOD_SERVE_BATCH`
-    /// toggle when both are set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a set variable fails to parse — a silently ignored knob
-    /// would make an operator believe a limit is in force when it is not.
-    pub fn from_env(tracker: TrackerConfig) -> Self {
-        let mut cfg = Self::new(tracker);
-        cfg.max_sessions = env::usize_or("EYECOD_SERVE_MAX_SESSIONS", cfg.max_sessions);
-        cfg.queue_capacity = env::usize_or("EYECOD_SERVE_QUEUE", cfg.queue_capacity);
-        if let Some(v) = env::read("EYECOD_SERVE_BATCH") {
-            cfg.mode = if env::parse_bool("EYECOD_SERVE_BATCH", &v) {
-                TickMode::Batched
-            } else {
-                TickMode::Sequential
-            };
-        }
-        if let Some(v) = env::read("EYECOD_SERVE_MODE") {
-            cfg.mode = TickMode::parse(&v);
-        }
-        cfg.threads = env::opt_usize("EYECOD_SERVE_THREADS").or(cfg.threads);
-        cfg
     }
 
     /// Validates internal consistency (including the tracker config).
@@ -139,26 +53,9 @@ mod tests {
     fn defaults_are_sane_and_validate() {
         let cfg = ServeConfig::new(TrackerConfig::small());
         cfg.validate();
-        assert_eq!(cfg.mode, TickMode::Batched);
         assert_eq!(cfg.queue_capacity, 4);
         assert_eq!(cfg.max_sessions, 4096);
         assert_eq!(cfg.threads, None);
-    }
-
-    #[test]
-    fn tick_modes_parse_by_name() {
-        assert_eq!(TickMode::parse("seq"), TickMode::Sequential);
-        assert_eq!(TickMode::parse("sequential"), TickMode::Sequential);
-        assert_eq!(TickMode::parse("Batched"), TickMode::Batched);
-        assert_eq!(TickMode::parse("par"), TickMode::Batched);
-        assert_eq!(TickMode::parse("scheduled"), TickMode::Scheduled);
-        assert_eq!(TickMode::parse("SCHED"), TickMode::Scheduled);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad tick mode")]
-    fn unknown_tick_mode_is_rejected() {
-        TickMode::parse("pipelined");
     }
 
     #[test]

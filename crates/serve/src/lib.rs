@@ -6,25 +6,21 @@
 //! * **Generational ids** — [`SessionId`] carries the slot's generation, so
 //!   an id kept across an evict can never resolve to the slot's next
 //!   occupant; every lookup is O(1).
-//! * **Shared pool** — each serve tick prepares every staged frame
-//!   (acquisition → ROI refresh → crop/resize) in parallel on the existing
-//!   work-stealing pool (`eyecod-pool`), one session per job.
-//! * **Columnar store + stage scheduler** — sessions live in a columnar
-//!   `SessionStore` (rows = sessions, per-stage state = columns), and
-//!   under [`TickMode::Scheduled`] a stage scheduler decomposes the tick
-//!   into per-stage batch kernels (all captures → all recons → all
-//!   crops/resizes → cross-session batched gaze) and pipelines stages of
-//!   *different* session shards across pool workers — the paper's partial
-//!   DNN time-multiplexing lifted to fleet level. Every stage stamps a
-//!   per-session epoch and asserts its upstream stage ran for the *same*
-//!   frame index, under any interleaving.
-//! * **Cross-session micro-batching** — the tick gathers every prepared
-//!   gaze crop into per-worker [`WorkspaceArena`] slots and runs one
-//!   batched GEMM per worker instead of one forward per session; the
-//!   fleet's time-multiplexing of the paper's two DNNs. Int8 sessions
-//!   share a single fleet-calibrated [`QuantizedGazeNet`]; until enough
-//!   calibration crops have been collected they ride the f32 batch,
-//!   mirroring the single-tracker warm-up.
+//! * **One tick** — each serve tick runs every staged frame's front half
+//!   (capture → recon → ROI refresh when due → crop/resize, the tracker's
+//!   own [`front_stages`] call) as one job per session on the shared
+//!   work-stealing pool (`eyecod-pool`), over per-session columns of a
+//!   columnar `SessionStore` (rows = sessions, per-stage state = columns).
+//!   Every stage stamps a per-session epoch, and each consumer asserts its
+//!   upstream stage ran for the *same* frame index.
+//! * **Cross-session micro-batching** — the tick gathers every staged
+//!   gaze input into per-worker [`WorkspaceArena`] slots and runs one
+//!   batched forward per worker instead of one per session: the paper's
+//!   time-multiplexing of two DNNs over one set of MAC lanes, lifted to a
+//!   fleet. Int8 sessions share a single fleet-calibrated
+//!   [`QuantizedGazeNet`]; until enough calibration crops have been
+//!   collected they ride the f32 batch, mirroring the single-tracker
+//!   warm-up.
 //! * **Backpressure** — each session has a bounded ingress queue
 //!   ([`ServeConfig::queue_capacity`]); feeding a full queue sheds the
 //!   *oldest* queued frame so the freshest data survives. Shed frames
@@ -33,16 +29,21 @@
 //!   `serve/frames_shed` plus each session's
 //!   [`TrackingStats::frames_shed`].
 //! * **Telemetry** — fleet counters (`serve/sessions_active`,
-//!   `serve/frames_ingested`, `serve/frames_shed`, `serve/batch_size`) and
-//!   the `serve/batch_ns` batch-latency histogram flow into the global
-//!   name-keyed registry and merge with per-tracker metrics in snapshots.
+//!   `serve/frames_ingested`, `serve/frames_shed`, `serve/batch_size`,
+//!   `serve/sched_panics_recovered`, `serve/steady_state_allocs`) and the
+//!   `serve/tick_ns` / `serve/batch_ns` latency histograms flow into the
+//!   global name-keyed registry and merge with per-tracker metrics in
+//!   snapshots.
 //!
 //! Determinism is preserved end to end: batching partitions a tick's
-//! forwards but never reorders or mixes them (batched GEMMs process items
-//! independently), so a registry driven by an N-worker pool produces
-//! frame-for-frame identical output to a sequential one — the property the
-//! registry test suite pins.
+//! forwards but never reorders or mixes them (batched forwards process
+//! items independently), and routing, completion and calibration run in
+//! slot order. So a registry driven by an N-worker pool produces
+//! frame-for-frame identical output to a sequential one, and every f32 and
+//! latent session serves exactly what a standalone tracker would — the
+//! properties the registry test suites pin.
 //!
+//! [`front_stages`]: eyecod_core::tracker::EyeTracker::front_stages
 //! [`EyeTracker`]: eyecod_core::tracker::EyeTracker
 //! [`WorkspaceArena`]: eyecod_models::infer::WorkspaceArena
 //! [`QuantizedGazeNet`]: eyecod_models::quantized::QuantizedGazeNet
@@ -51,10 +52,9 @@
 
 mod config;
 mod registry;
-mod scheduler;
 mod store;
 
-pub use config::{ServeConfig, TickMode};
+pub use config::ServeConfig;
 pub use registry::{FeedOutcome, ServeRegistry, SessionSnapshot, TickReport};
 
 /// A generational session handle: `index` addresses the registry slot,

@@ -1,13 +1,33 @@
 //! The session registry and its serve tick.
 //!
 //! Sessions live in a columnar [`SessionStore`] (rows = sessions, columns
-//! = per-stage state); the tick executes in one of three
-//! [`TickMode`]s — the sequential AoS reference, PR 6's batched tick, or
-//! the columnar stage-scheduled tick (see `scheduler.rs`) — all of which
-//! produce identical per-session outputs.
+//! = per-stage state). One tick serves every staged frame:
+//!
+//! 1. **front half**, one pool job per session over the store's columns:
+//!    [`EyeTracker::front_stages`] (capture → recon → ROI refresh when due
+//!    → crop/resize), the same call a standalone `process_frame` makes;
+//! 2. **route**, serially in work order: pick each frame's gaze batch and
+//!    collect the fleet's int8 calibration crops;
+//! 3. **batched gaze**, one forward per pool participant per route;
+//! 4. **complete**, serially in work order, through
+//!    [`EyeTracker::complete_stage_with_pred`];
+//! 5. **calibrate** the fleet's shared int8 network once its crops are in.
+//!
+//! **Worker-panic recovery.** Every front-half job checks the registry's
+//! execution-plane fault plan at entry ([`FaultPlan::worker_panics`], job id
+//! = work index) and panics *before touching any column* when listed; the
+//! tick catches the unwind and re-runs the job inline at attempt 1 (which
+//! never re-fires). Because the injected panic happens at the entry point,
+//! the retry replays the job from clean state and the tick's output is
+//! byte-identical to an unfaulted run. (A *genuine* mid-job panic is also
+//! caught, but its retry re-executes the body as-is; a deterministic bug
+//! surfaces on the retry instead of being silently absorbed.)
 
-use crate::store::{QueuedFrame, Route, SendPtr, SessionStore, STAGES};
-use crate::{ServeConfig, ServeError, SessionId, TickMode};
+use crate::store::{
+    stamp_stage_row, QueuedFrame, Route, SendPtr, SessionStore, STAGES, STAGE_CAPTURE, STAGE_CROP,
+    STAGE_GAZE, STAGE_RECON,
+};
+use crate::{ServeConfig, ServeError, SessionId};
 use eyecod_core::acquisition::Acquisition;
 use eyecod_core::metrics::TrackingStats;
 use eyecod_core::tracker::{EyeTracker, GazeBackend, TrackedFrame};
@@ -19,6 +39,7 @@ use eyecod_models::quantized::QuantizedGazeNet;
 use eyecod_pool::ThreadPool;
 use eyecod_telemetry::{static_counter, static_histogram};
 use eyecod_tensor::{Shape, Tensor};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// What happened to a fed frame.
 #[derive(Debug, Clone)]
@@ -87,49 +108,59 @@ pub struct TickReport {
     pub latent_forwards: usize,
 }
 
-pub(crate) enum PoolHandle {
+enum PoolHandle {
     Global,
     Owned(ThreadPool),
+}
+
+impl PoolHandle {
+    fn get(&self) -> &ThreadPool {
+        match self {
+            PoolHandle::Global => eyecod_pool::global(),
+            PoolHandle::Owned(p) => p,
+        }
+    }
 }
 
 /// The multi-session serving registry. See the crate docs for the model;
 /// the short version: [`create`](ServeRegistry::create) sessions,
 /// [`feed`](ServeRegistry::feed) them frames (bounded queues, drop-head
 /// shedding), drive everything with [`tick`](ServeRegistry::tick)
-/// (per-stage column sweeps or pooled AoS prepare + cross-session batched
-/// gaze forwards, per [`TickMode`]),
-/// [`snapshot`](ServeRegistry::snapshot) or
+/// (pooled per-session front halves + cross-session batched gaze
+/// forwards), [`snapshot`](ServeRegistry::snapshot) or
 /// [`evict`](ServeRegistry::evict) when done.
 pub struct ServeRegistry {
-    pub(crate) config: ServeConfig,
-    pub(crate) models: TrackerModels,
+    config: ServeConfig,
+    models: TrackerModels,
     /// Built once from the config, cloned per session — sessions share the
     /// same mask/reconstruction geometry, so each create skips the
     /// Tikhonov setup.
     acquisition: Acquisition,
-    pub(crate) faults: FaultPlan,
+    /// Handed to every created session; its execution plane also drives
+    /// the tick's worker-panic injection.
+    faults: FaultPlan,
     recovery: RecoveryPolicy,
-    pub(crate) pool: PoolHandle,
-    pub(crate) store: SessionStore,
+    pool: PoolHandle,
+    store: SessionStore,
     /// Rows with a staged frame this tick (reused across ticks).
-    pub(crate) work: Vec<u32>,
-    pub(crate) f32_batch: Vec<u32>,
-    pub(crate) i8_batch: Vec<u32>,
-    pub(crate) lat_batch: Vec<u32>,
-    pub(crate) f32_arena: WorkspaceArena,
-    pub(crate) i8_arena: WorkspaceArena,
-    pub(crate) lat_arena: WorkspaceArena,
+    work: Vec<u32>,
+    /// Per-work-index panic flags of the current front half.
+    failed: Vec<u8>,
+    f32_batch: Vec<u32>,
+    i8_batch: Vec<u32>,
+    lat_batch: Vec<u32>,
+    f32_arena: WorkspaceArena,
+    i8_arena: WorkspaceArena,
+    lat_arena: WorkspaceArena,
     /// The fleet-shared int8 network, once calibrated. Per-session
     /// calibration would give each session data-dependent activation
     /// scales and defeat cross-session batching; sharing one network
     /// calibrated on the first crops the fleet produces mirrors a deployed
     /// parameter server.
-    pub(crate) shared_qnet: Option<QuantizedGazeNet>,
+    shared_qnet: Option<QuantizedGazeNet>,
     /// Gaze crops collected from warming int8 sessions, pending the shared
     /// calibration.
-    pub(crate) calib: Vec<Tensor>,
-    /// Reusable stage-scheduler state (scheduled mode).
-    pub(crate) sched: crate::scheduler::SchedState,
+    calib: Vec<Tensor>,
 }
 
 impl ServeRegistry {
@@ -159,6 +190,7 @@ impl ServeRegistry {
             pool,
             store: SessionStore::new(),
             work: Vec::new(),
+            failed: Vec::new(),
             f32_batch: Vec::new(),
             i8_batch: Vec::new(),
             lat_batch: Vec::new(),
@@ -167,7 +199,6 @@ impl ServeRegistry {
             lat_arena: WorkspaceArena::new(),
             shared_qnet: None,
             calib: Vec::new(),
-            sched: crate::scheduler::SchedState::new(),
         }
     }
 
@@ -224,10 +255,13 @@ impl ServeRegistry {
         }
         let mut cfg = self.config.tracker.clone();
         cfg.gaze_backend = backend;
-        let tracker =
+        let mut tracker =
             EyeTracker::with_acquisition(cfg, self.models.clone_models(), self.acquisition.clone())
                 .with_faults(self.faults.clone())
                 .with_recovery(self.recovery);
+        if backend == GazeBackend::Int8 && self.shared_qnet.is_some() {
+            tracker.mark_int8_calibrated();
+        }
         let id = self.store.insert(tracker, backend);
         static_counter!("serve/sessions_created").inc();
         static_counter!("serve/sessions_active").set(self.store.active as u64);
@@ -348,24 +382,19 @@ impl ServeRegistry {
         total
     }
 
-    /// The pool this registry schedules on.
-    pub(crate) fn pool(&self) -> &ThreadPool {
-        match &self.pool {
-            PoolHandle::Global => eyecod_pool::global(),
-            PoolHandle::Owned(p) => p,
-        }
-    }
-
     /// Runs one serve tick: pops at most one frame per session (stable
-    /// slot order), executes every staged frame per the configured
-    /// [`TickMode`], and completes each frame.
+    /// slot order), runs every staged frame's front half as one pool job
+    /// per session, batches the gaze forwards per route, and completes each
+    /// frame in slot order (see the module docs for the five steps).
     ///
-    /// Neither batching nor stage scheduling ever changes results: batched
-    /// GEMMs process items independently and fault draws are pure hashes
-    /// of (seed, site, frame), so per-session outputs are invariant to
-    /// batch composition, stage interleaving and worker count — the
-    /// property the differential and scheduler-invariant suites pin
-    /// against [`TickMode::Sequential`].
+    /// Neither batching nor the pool ever changes results: batched
+    /// forwards process items independently, fault draws are pure hashes
+    /// of (seed, site, frame), and routing, completion and calibration run
+    /// serially in slot order. So every f32 and latent session serves
+    /// exactly what a standalone [`EyeTracker::process_frame`] would on the
+    /// same frames, and every session's output is invariant to batch
+    /// composition and worker count — the properties the registry test
+    /// suites pin.
     pub fn tick(&mut self) -> TickReport {
         self.tick_impl(None)
     }
@@ -382,7 +411,7 @@ impl ServeRegistry {
     fn tick_impl(&mut self, mut trace: Option<&mut Vec<(SessionId, TrackedFrame)>>) -> TickReport {
         static_counter!("serve/ticks").inc();
         let tick_timer = static_histogram!("serve/tick_ns").timer();
-        // 1. stage: at most one queued frame per session, slot order
+        // stage: at most one queued frame per session, slot order
         self.work.clear();
         for row in 0..self.store.rows() {
             if self.store.is_live(row) {
@@ -397,16 +426,85 @@ impl ServeRegistry {
             drop(tick_timer);
             return TickReport::default();
         }
-        // 2. execute per the configured mode
-        let (f32_forwards, int8_forwards, latent_forwards) = match self.config.mode {
-            TickMode::Sequential => self.tick_sequential(trace.as_deref_mut()),
-            TickMode::Batched => self.tick_batched(trace.as_deref_mut()),
-            TickMode::Scheduled => self.tick_scheduled(trace),
-        };
+        // steady-state proof: an untraced tick with no ROI refresh due must
+        // not allocate
+        let steady = trace.is_none()
+            && !self.work.iter().any(|&r| {
+                let t = self.store.trackers[r as usize].as_ref().expect("staged");
+                t.frames_processed()
+                    .is_multiple_of(t.config().roi_period as u64)
+            });
+        let allocs_before = eyecod_core::alloc_counter::allocations();
+
+        self.run_front_half();
+
+        // route serially in work order: warming int8 sessions contribute
+        // their calibration crops deterministically
+        self.f32_batch.clear();
+        self.i8_batch.clear();
+        self.lat_batch.clear();
+        for w in 0..staged {
+            let row = self.work[w] as usize;
+            let cur = self.store.cursors[row].as_ref().expect("front half ran");
+            let (has_input, due, frame) = (cur.has_gaze_input(), cur.due(), cur.frame());
+            if has_input {
+                self.store.stamp_stage(row, STAGE_GAZE, frame);
+            }
+            self.route_row(row, has_input, due);
+        }
+        let (f32_forwards, int8_forwards, latent_forwards) = (
+            self.f32_batch.len(),
+            self.i8_batch.len(),
+            self.lat_batch.len(),
+        );
+        let group = std::mem::take(&mut self.f32_batch);
+        self.run_batch(&group, Route::F32);
+        self.f32_batch = group;
+        let group = std::mem::take(&mut self.i8_batch);
+        self.run_batch(&group, Route::Int8);
+        self.i8_batch = group;
+        let group = std::mem::take(&mut self.lat_batch);
+        self.run_batch(&group, Route::Latent);
+        self.lat_batch = group;
+
+        // complete in work order: scatter predictions back, grade and
+        // account each frame through the tracker's recovery tail
+        for w in 0..staged {
+            let row = self.work[w] as usize;
+            let route = self.store.routes[row];
+            let cur = self.store.cursors[row].take().expect("front half ran");
+            let upstream = if route == Route::Fallback {
+                STAGE_CROP
+            } else {
+                STAGE_GAZE
+            };
+            self.store.check_stage(row, upstream, cur.frame());
+            let store = &mut self.store;
+            let tracker = store.trackers[row].as_mut().expect("staged row is live");
+            let out = if route == Route::Fallback {
+                tracker.complete_stage(cur, &mut store.preds[row])
+            } else {
+                let (p, j) = store.batch_pos[row];
+                let arena = match route {
+                    Route::Int8 => &self.i8_arena,
+                    Route::Latent => &self.lat_arena,
+                    _ => &self.f32_arena,
+                };
+                let j = j as usize;
+                let pred = &arena.slot(p as usize).output.as_slice()[j * 3..j * 3 + 3];
+                tracker.complete_stage_with_pred(cur, pred, &mut store.preds[row])
+            };
+            self.account_completion(row, out, trace.as_deref_mut());
+        }
+        if steady {
+            static_counter!("serve/steady_state_allocs")
+                .add(eyecod_core::alloc_counter::allocations() - allocs_before);
+        }
         static_counter!("serve/frames_completed").add(staged as u64);
-        // 3. fleet int8 calibration, once the warm-up crops are in — at
-        // tick end so the tick that fills the window still serves f32,
-        // exactly like the single-tracker warm-up
+
+        // fleet int8 calibration, once the warm-up crops are in — at tick
+        // end so the tick that fills the window still serves f32, exactly
+        // like the single-tracker warm-up
         let calib_target = self.config.tracker.calibration_frames;
         if self.shared_qnet.is_none() && calib_target > 0 && self.calib.len() >= calib_target {
             let batch = Tensor::stack(&self.calib);
@@ -414,6 +512,14 @@ impl ServeRegistry {
             self.calib.clear();
             self.calib.shrink_to_fit();
             static_counter!("serve/int8_calibrations").inc();
+            // the int8 trackers' warm-up ends here too: their frames stop
+            // being exempt from the motion gate, as a standalone tracker's
+            // do once it calibrates
+            for (tracker, backend) in self.store.trackers.iter_mut().zip(&self.store.backends) {
+                if let (Some(t), GazeBackend::Int8) = (tracker, backend) {
+                    t.mark_int8_calibrated();
+                }
+            }
         }
         drop(tick_timer);
         TickReport {
@@ -425,7 +531,82 @@ impl ServeRegistry {
         }
     }
 
-    /// Routes row `row`'s prepared gaze input: picks the forward path,
+    /// The front half of every staged frame, one pool job per session:
+    /// [`EyeTracker::front_stages`] over the session's columns, stamping the
+    /// capture/recon/crop epochs. Jobs listed in the fault plan's execution
+    /// plane panic at entry and are re-run inline (see the module docs).
+    fn run_front_half(&mut self) {
+        let ServeRegistry {
+            faults,
+            pool,
+            store,
+            work,
+            failed,
+            ..
+        } = self;
+        let n = work.len();
+        failed.clear();
+        failed.resize(n, 0);
+        let trackers = SendPtr(store.trackers.as_mut_ptr());
+        let staged = SendPtr(store.staged.as_mut_ptr());
+        let cursors = SendPtr(store.cursors.as_mut_ptr());
+        let acquires = SendPtr(store.acquires.as_mut_ptr());
+        let images = SendPtr(store.images.as_mut_ptr());
+        let crops = SendPtr(store.crops.as_mut_ptr());
+        let gaze_ins = SendPtr(store.gaze_ins.as_mut_ptr());
+        let epochs = SendPtr(store.epochs.as_mut_ptr());
+        let work: &[u32] = work;
+        let job = |w: usize| {
+            let row = work[w] as usize;
+            // SAFETY: `work` holds unique live rows, so concurrent jobs
+            // touch disjoint elements of every column
+            unsafe {
+                let tracker = trackers.get(row).as_mut().expect("staged row is live");
+                let qf = staged.get(row).as_ref().expect("frame staged");
+                let cur = tracker.front_stages(
+                    &qf.scene,
+                    qf.noise_seed,
+                    acquires.get(row),
+                    images.get(row),
+                    crops.get(row),
+                    gaze_ins.get(row),
+                );
+                let epoch = epochs.get(row);
+                for stage in [STAGE_CAPTURE, STAGE_RECON, STAGE_CROP] {
+                    stamp_stage_row(epoch, stage, cur.frame(), row);
+                }
+                *cursors.get(row) = Some(cur);
+            }
+        };
+        let flags = SendPtr(failed.as_mut_ptr());
+        let plan: &FaultPlan = faults;
+        pool.get().parallel_for_chunked(n, 1, |w| {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                if plan.worker_panics(w as u64, 0) {
+                    panic!("injected exec-plane fault: front-half job {w}");
+                }
+                job(w);
+            }));
+            if caught.is_err() {
+                // SAFETY: flag `w` belongs to this job alone
+                *unsafe { flags.get(w) } = 1;
+            }
+        });
+        // deterministic inline retry: attempt 1 never re-fires an injected
+        // panic, and the panic happened before any column write
+        let mut recovered = 0u64;
+        for (w, &flag) in failed.iter().enumerate() {
+            if flag != 0 {
+                job(w);
+                recovered += 1;
+            }
+        }
+        if recovered > 0 {
+            static_counter!("serve/sched_panics_recovered").add(recovered);
+        }
+    }
+
+    /// Routes row `row`'s staged gaze input: picks the forward path,
     /// collects fleet calibration crops from warming int8 sessions, and
     /// appends the row to the matching batch group. Must run in work
     /// order — calibration collection is deterministic and
@@ -435,19 +616,12 @@ impl ServeRegistry {
     /// sessions route their refresh frames (recon-path crops) through the
     /// f32 batch and their steady-state frames (projected measurements)
     /// through the latent batch, mirroring the tracker's own dispatch.
-    pub(crate) fn route_row(
-        &mut self,
-        row: usize,
-        has_input: bool,
-        input_non_finite: bool,
-        refresh_due: bool,
-    ) {
+    fn route_row(&mut self, row: usize, has_input: bool, refresh_due: bool) {
         if !has_input {
             self.store.routes[row] = Route::Fallback;
             return;
         }
         let calibrated = self.shared_qnet.is_some();
-        let calib_open = self.calib.len() < self.config.tracker.calibration_frames;
         let backend = self.store.backends[row];
         if backend == GazeBackend::Int8 && calibrated {
             self.store.routes[row] = Route::Int8;
@@ -456,155 +630,24 @@ impl ServeRegistry {
             self.store.routes[row] = Route::Latent;
             self.lat_batch.push(row as u32);
         } else {
-            if backend == GazeBackend::Int8 && !calibrated && calib_open && !input_non_finite {
-                let crop = match self.config.mode {
-                    TickMode::Scheduled => self.store.gaze_ins[row].clone(),
-                    _ => self.store.preps[row]
-                        .as_ref()
-                        .expect("prepared")
-                        .gaze_input()
-                        .clone(),
-                };
-                self.calib.push(crop);
+            // never let a corrupted crop into the calibration batch, as in
+            // the standalone tracker's warm-up
+            let crop = &self.store.gaze_ins[row];
+            if backend == GazeBackend::Int8
+                && !calibrated
+                && self.calib.len() < self.config.tracker.calibration_frames
+                && !crop.has_non_finite()
+            {
+                self.calib.push(crop.clone());
             }
             self.store.routes[row] = Route::F32;
             self.f32_batch.push(row as u32);
         }
     }
 
-    /// The sequential AoS reference tick: each staged session runs its
-    /// whole frame pipeline inline in work order — per-session
-    /// `prepare_frame` through the tracker-owned scratch, routing (with
-    /// the same fleet-shared int8 semantics as every other mode), an
-    /// individual gaze forward, and completion. The golden path the
-    /// differential suites compare the batched and scheduled ticks
-    /// against.
-    fn tick_sequential(
-        &mut self,
-        mut trace: Option<&mut Vec<(SessionId, TrackedFrame)>>,
-    ) -> (usize, usize, usize) {
-        self.f32_batch.clear();
-        self.i8_batch.clear();
-        self.lat_batch.clear();
-        for w in 0..self.work.len() {
-            let row = self.work[w] as usize;
-            // prepare inline (AoS: the tracker's own scratch buffers)
-            let prep = {
-                let qf = self.store.staged[row].as_ref().expect("staged");
-                self.store.trackers[row]
-                    .as_mut()
-                    .expect("staged row is live")
-                    .prepare_frame(&qf.scene, qf.noise_seed)
-            };
-            let has_input = prep.has_gaze_input();
-            let non_finite = has_input && prep.gaze_input().has_non_finite();
-            let due = prep.refresh_due();
-            self.store.preps[row] = Some(prep);
-            self.route_row(row, has_input, non_finite, due);
-            // forward individually + complete
-            let route = self.store.routes[row];
-            let mut pred = [0.0f32; 3];
-            if route != Route::Fallback {
-                self.forward_single(row, route, &mut pred);
-            }
-            let prep = self.store.preps[row].take().expect("prepared");
-            let tracker = self.store.trackers[row].as_mut().expect("live");
-            let out = if route == Route::Fallback {
-                tracker.complete_frame(prep)
-            } else {
-                tracker.complete_frame_with_pred(prep, &pred)
-            };
-            self.account_completion(row, out, trace.as_deref_mut());
-        }
-        (
-            self.f32_batch.len(),
-            self.i8_batch.len(),
-            self.lat_batch.len(),
-        )
-    }
-
-    /// PR 6's batched tick: pooled AoS prepare (one job per session),
-    /// serial routing, one batched gaze GEMM per pool participant, serial
-    /// completion.
-    fn tick_batched(
-        &mut self,
-        mut trace: Option<&mut Vec<(SessionId, TrackedFrame)>>,
-    ) -> (usize, usize, usize) {
-        // prepare in parallel: acquisition / ROI refresh / crop+resize,
-        // one pool job per session
-        {
-            let trackers = SendPtr(self.store.trackers.as_mut_ptr());
-            let preps = SendPtr(self.store.preps.as_mut_ptr());
-            let staged = SendPtr(self.store.staged.as_mut_ptr());
-            let work = &self.work;
-            self.pool().parallel_for_chunked(work.len(), 1, |i| {
-                // SAFETY: `work` holds unique rows, so every job touches a
-                // distinct session's columns
-                let row = work[i] as usize;
-                let tracker = unsafe { trackers.get(row) }.as_mut().expect("staged row");
-                let qf = unsafe { staged.get(row) }.as_ref().expect("staged frame");
-                *unsafe { preps.get(row) } = Some(tracker.prepare_frame(&qf.scene, qf.noise_seed));
-            });
-        }
-        // route serially in work order
-        self.f32_batch.clear();
-        self.i8_batch.clear();
-        self.lat_batch.clear();
-        for w in 0..self.work.len() {
-            let row = self.work[w] as usize;
-            let prep = self.store.preps[row].as_ref().expect("prepared");
-            let has_input = prep.has_gaze_input();
-            let non_finite = has_input && prep.gaze_input().has_non_finite();
-            let due = prep.refresh_due();
-            self.route_row(row, has_input, non_finite, due);
-        }
-        let counts = (
-            self.f32_batch.len(),
-            self.i8_batch.len(),
-            self.lat_batch.len(),
-        );
-        // batched forwards: one GEMM per pool participant
-        let group = std::mem::take(&mut self.f32_batch);
-        self.run_batch(&group, Route::F32);
-        self.f32_batch = group;
-        let group = std::mem::take(&mut self.i8_batch);
-        self.run_batch(&group, Route::Int8);
-        self.i8_batch = group;
-        let group = std::mem::take(&mut self.lat_batch);
-        self.run_batch(&group, Route::Latent);
-        self.lat_batch = group;
-        // complete in work order: scatter predictions back, grade and
-        // account each frame through the tracker's recovery tail
-        for w in 0..self.work.len() {
-            let row = self.work[w] as usize;
-            let route = self.store.routes[row];
-            let mut pred = [0.0f32; 3];
-            let use_pred = route != Route::Fallback;
-            if use_pred {
-                let (p, j) = self.store.batch_pos[row];
-                let arena = match route {
-                    Route::Int8 => &self.i8_arena,
-                    Route::Latent => &self.lat_arena,
-                    _ => &self.f32_arena,
-                };
-                let out = arena.slot(p as usize).output.as_slice();
-                pred.copy_from_slice(&out[j as usize * 3..j as usize * 3 + 3]);
-            }
-            let prep = self.store.preps[row].take().expect("prepared");
-            let tracker = self.store.trackers[row].as_mut().expect("live");
-            let out = if use_pred {
-                tracker.complete_frame_with_pred(prep, &pred)
-            } else {
-                tracker.complete_frame(prep)
-            };
-            self.account_completion(row, out, trace.as_deref_mut());
-        }
-        counts
-    }
-
     /// Folds a completed frame into the session's accounting columns and
     /// the trace, and recycles the staged scene buffer.
-    pub(crate) fn account_completion(
+    fn account_completion(
         &mut self,
         row: usize,
         out: TrackedFrame,
@@ -631,22 +674,17 @@ impl ServeRegistry {
     /// parallel. On a sequential pool this is literally one batched GEMM,
     /// executed inline with zero allocation once the arena is warm.
     ///
-    /// The gather reads each row's gaze input from the mode's layout: the
-    /// `gaze_ins` column in scheduled mode, the AoS prepared frame
-    /// otherwise.
-    ///
     /// `route` selects the network and arena: [`Route::F32`],
     /// [`Route::Int8`] or [`Route::Latent`] (never [`Route::Fallback`]).
-    pub(crate) fn run_batch(&mut self, group: &[u32], route: Route) {
+    fn run_batch(&mut self, group: &[u32], route: Route) {
         if group.is_empty() {
             return;
         }
         let batch_timer = static_histogram!("serve/batch_ns").timer();
         static_counter!("serve/batches").inc();
         static_counter!("serve/batch_size").add(group.len() as u64);
-        let columnar = self.config.mode == TickMode::Scheduled;
         let n = group.len();
-        let parts = self.pool().participants().min(n);
+        let parts = self.pool.get().participants().min(n);
         let (gh, gw) = self.config.tracker.gaze_input;
         let arena = match route {
             Route::Int8 => &mut self.i8_arena,
@@ -663,23 +701,13 @@ impl ServeRegistry {
             for (j, &row) in group[start..end].iter().enumerate() {
                 let row = row as usize;
                 self.store.batch_pos[row] = (p as u32, j as u32);
-                let src = if columnar {
-                    self.store.gaze_ins[row].as_slice()
-                } else {
-                    self.store.preps[row]
-                        .as_ref()
-                        .expect("prepared")
-                        .gaze_input()
-                        .as_slice()
-                };
-                slot.input.batch_item_slice_mut(j).copy_from_slice(src);
+                slot.input
+                    .batch_item_slice_mut(j)
+                    .copy_from_slice(self.store.gaze_ins[row].as_slice());
             }
         }
         {
-            let pool = match &self.pool {
-                PoolHandle::Global => eyecod_pool::global(),
-                PoolHandle::Owned(p) => p,
-            };
+            let pool = self.pool.get();
             let slots = SendPtr(arena.slots_mut().as_mut_ptr());
             let gaze = &self.models.gaze;
             let latent = &self.models.latent;
@@ -699,44 +727,6 @@ impl ServeRegistry {
             });
         }
         drop(batch_timer);
-    }
-
-    /// The sequential-mode forward: the same routing and shared int8
-    /// semantics, but each forward runs individually through arena slot 0.
-    fn forward_single(&mut self, row: usize, route: Route, pred: &mut [f32; 3]) {
-        let arena = match route {
-            Route::Int8 => &mut self.i8_arena,
-            Route::Latent => &mut self.lat_arena,
-            Route::F32 => &mut self.f32_arena,
-            Route::Fallback => unreachable!("fallback rows never forward"),
-        };
-        arena.ensure(1);
-        let slot = arena.slot_mut(0);
-        let input = match self.config.mode {
-            TickMode::Scheduled => &self.store.gaze_ins[row],
-            _ => self.store.preps[row]
-                .as_ref()
-                .expect("prepared")
-                .gaze_input(),
-        };
-        slot.input.copy_from(input);
-        match route {
-            Route::Int8 => self
-                .shared_qnet
-                .as_ref()
-                .expect("int8 forwards only run once calibrated")
-                .forward_into(&slot.input, &mut slot.ws, &mut slot.output),
-            Route::Latent => {
-                self.models
-                    .latent
-                    .forward_infer(&slot.input, &mut slot.ws, &mut slot.output)
-            }
-            _ => self
-                .models
-                .gaze
-                .forward_infer(&slot.input, &mut slot.ws, &mut slot.output),
-        }
-        pred.copy_from_slice(&slot.output.as_slice()[..3]);
     }
 
     /// The epoch column row for `row` — test/debug hook for the
@@ -866,64 +856,57 @@ mod tests {
 
     #[test]
     fn tick_completes_frames_and_frame_indices_stay_dense() {
-        for mode in [TickMode::Sequential, TickMode::Batched, TickMode::Scheduled] {
-            // session `a` is f32 even under ambient EYECOD_GAZE_BACKEND:
-            // the forward counts below assume f32 + int8 sessions
-            let mut reg = registry(|c| {
-                c.mode = mode;
-                c.tracker.gaze_backend = GazeBackend::F32;
-            });
-            let a = reg.create().unwrap();
-            let b = reg.create_with_backend(GazeBackend::Int8).unwrap();
-            for i in 0..3u64 {
-                reg.feed(a, &scene(i), i).unwrap();
-                reg.feed(b, &scene(i), i).unwrap();
-            }
-            for seen in 0..3u64 {
-                let (report, trace) = reg.tick_traced();
-                assert_eq!(report.staged, 2, "{mode:?}");
-                assert_eq!(report.completed, 2, "{mode:?}");
-                assert_eq!(report.f32_forwards + report.int8_forwards, 2, "{mode:?}");
-                for (id, frame) in &trace {
-                    assert!(*id == a || *id == b);
-                    assert_eq!(frame.frame, seen, "frame indices are per-session dense");
-                    assert!(frame.quality.usable());
-                }
-            }
-            // queues drained: an empty tick is a no-op
-            assert_eq!(reg.tick(), TickReport::default());
-            let snap = reg.snapshot(a).unwrap();
-            assert_eq!(snap.stats.frames, 3);
-            assert_eq!(snap.queue_depth, 0);
-            assert!(snap.last.is_some());
-            assert_eq!(reg.fleet_stats().frames, 6);
+        // session `a` is f32 even under ambient EYECOD_GAZE_BACKEND: the
+        // forward counts below assume f32 + int8 sessions
+        let mut reg = registry(|c| c.tracker.gaze_backend = GazeBackend::F32);
+        let a = reg.create().unwrap();
+        let b = reg.create_with_backend(GazeBackend::Int8).unwrap();
+        for i in 0..3u64 {
+            reg.feed(a, &scene(i), i).unwrap();
+            reg.feed(b, &scene(i), i).unwrap();
         }
+        for seen in 0..3u64 {
+            let (report, trace) = reg.tick_traced();
+            assert_eq!(report.staged, 2);
+            assert_eq!(report.completed, 2);
+            assert_eq!(report.f32_forwards + report.int8_forwards, 2);
+            for (id, frame) in &trace {
+                assert!(*id == a || *id == b);
+                assert_eq!(frame.frame, seen, "frame indices are per-session dense");
+                assert!(frame.quality.usable());
+            }
+        }
+        // queues drained: an empty tick is a no-op
+        assert_eq!(reg.tick(), TickReport::default());
+        let snap = reg.snapshot(a).unwrap();
+        assert_eq!(snap.stats.frames, 3);
+        assert_eq!(snap.queue_depth, 0);
+        assert!(snap.last.is_some());
+        assert_eq!(reg.fleet_stats().frames, 6);
     }
 
     #[test]
     fn int8_sessions_share_one_fleet_calibration() {
-        for mode in [TickMode::Sequential, TickMode::Batched, TickMode::Scheduled] {
-            let mut reg = registry(|c| c.mode = mode);
-            let ids: Vec<_> = (0..4)
-                .map(|_| reg.create_with_backend(GazeBackend::Int8).unwrap())
-                .collect();
-            assert!(!reg.int8_calibrated());
-            // calibration_frames = 8 and 4 warming sessions feed crops per
-            // tick: the window fills during tick 2, calibrating at its end
-            for t in 0..2u64 {
-                for id in &ids {
-                    reg.feed(*id, &scene(t), t).unwrap();
-                }
-                let report = reg.tick();
-                assert_eq!(report.int8_forwards, 0, "{mode:?}: still warming");
-            }
-            assert!(reg.int8_calibrated(), "{mode:?}");
+        let mut reg = registry(|_| {});
+        let ids: Vec<_> = (0..4)
+            .map(|_| reg.create_with_backend(GazeBackend::Int8).unwrap())
+            .collect();
+        assert!(!reg.int8_calibrated());
+        // calibration_frames = 8 and 4 warming sessions feed crops per
+        // tick: the window fills during tick 2, calibrating at its end
+        for t in 0..2u64 {
             for id in &ids {
-                reg.feed(*id, &scene(9), 9).unwrap();
+                reg.feed(*id, &scene(t), t).unwrap();
             }
             let report = reg.tick();
-            assert_eq!(report.f32_forwards, 0, "{mode:?}");
-            assert_eq!(report.int8_forwards, 4, "{mode:?}");
+            assert_eq!(report.int8_forwards, 0, "still warming");
         }
+        assert!(reg.int8_calibrated());
+        for id in &ids {
+            reg.feed(*id, &scene(9), 9).unwrap();
+        }
+        let report = reg.tick();
+        assert_eq!(report.f32_forwards, 0);
+        assert_eq!(report.int8_forwards, 4);
     }
 }

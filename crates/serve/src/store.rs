@@ -2,21 +2,21 @@
 //!
 //! Sessions are rows; per-stage pipeline state lives in parallel columns —
 //! acquisition scratch, reconstructed images, ROI crops, gaze inputs,
-//! predictions — so a scheduler can sweep one column across all ready
-//! sessions with cache-friendly strides instead of hopping between
+//! predictions — so the tick's batch gather sweeps one column across all
+//! staged sessions with cache-friendly strides instead of hopping between
 //! per-session AoS bundles (the ECS archetype layout, after `flax`; the
 //! software analogue of the accelerator keeping each pipeline stage's
 //! activations in its own global-buffer bank).
 //!
-//! The store only manages rows and columns. Stage execution lives in the
-//! scheduler; the AoS reference paths read the same rows through the
-//! tracker-owned scratch instead of the stage columns, which is what makes
+//! The store only manages rows and columns; the tick in `registry.rs`
+//! executes the stages over them. A standalone tracker runs the same stage
+//! calls over its own scratch instead of the columns, which is what makes
 //! the two layouts differentially comparable.
 
 use crate::{ServeError, SessionId};
 use eyecod_core::acquisition::AcquireScratch;
 use eyecod_core::metrics::TrackingStats;
-use eyecod_core::tracker::{EyeTracker, GazeBackend, PreparedFrame, StageCursor, TrackedFrame};
+use eyecod_core::tracker::{EyeTracker, GazeBackend, StageCursor, TrackedFrame};
 use eyecod_eyedata::GazeVector;
 use eyecod_tensor::{Shape, Tensor};
 use std::collections::VecDeque;
@@ -25,7 +25,8 @@ use std::collections::VecDeque;
 /// crop/resize, gaze gather). The epoch a stage stamps is `frame + 1`
 /// (so 0 means "never ran"), and every downstream stage asserts its
 /// upstream stamp matches the cursor's frame — no stage may consume a
-/// previous stage's output from a different frame index.
+/// previous stage's output from a different frame index, whichever pool
+/// worker ran it.
 pub(crate) const STAGE_CAPTURE: usize = 0;
 /// See [`STAGE_CAPTURE`].
 pub(crate) const STAGE_RECON: usize = 1;
@@ -84,7 +85,7 @@ impl<T> SendPtr<T> {
 /// `generations[row]` guards stale [`SessionId`]s. Rows are recycled
 /// through the free list, keeping every column's allocation warm — column
 /// buffers grow on session create / first use and are never shrunk by the
-/// steady state (the zero-alloc proof covers the scheduled tick).
+/// steady state (the zero-alloc proof covers the tick).
 pub(crate) struct SessionStore {
     // --- row management -------------------------------------------------
     pub(crate) generations: Vec<u32>,
@@ -101,26 +102,22 @@ pub(crate) struct SessionStore {
     // --- per-tick columns -----------------------------------------------
     /// The frame popped for the current tick (between stage and complete).
     pub(crate) staged: Vec<Option<QueuedFrame>>,
-    /// AoS modes: the prepared frame (between prepare and complete).
-    pub(crate) preps: Vec<Option<PreparedFrame>>,
-    /// Scheduled mode: the per-frame stage cursor (between capture and
-    /// complete).
+    /// The per-frame stage cursor (between the front half and completion).
     pub(crate) cursors: Vec<Option<StageCursor>>,
     pub(crate) routes: Vec<Route>,
     /// `(arena slot, row-in-sub-batch)` of this session's crop in the
     /// current batch.
     pub(crate) batch_pos: Vec<(u32, u32)>,
-    // --- columnar stage-state columns (scheduled mode) -------------------
+    // --- stage-state columns ---------------------------------------------
     /// Acquisition scratch: capture temporaries + reconstruction
-    /// workspace (the stage the capture column sweep writes and the recon
-    /// sweep reads).
+    /// workspace (written by the capture stage, read by the recon stage).
     pub(crate) acquires: Vec<AcquireScratch>,
     /// Reconstructed (or fallback) image per session.
     pub(crate) images: Vec<Tensor>,
     /// ROI crop of `images[row]`.
     pub(crate) crops: Vec<Tensor>,
     /// Resized gaze-network inputs — the column the batched gaze gather
-    /// sweeps.
+    /// and the int8 calibration read.
     pub(crate) gaze_ins: Vec<Tensor>,
     /// Per-session prediction buffers (scattered back from the batch
     /// output, or written by fault staging during completion).
@@ -145,7 +142,6 @@ impl SessionStore {
             spares: Vec::new(),
             frames_ingested: Vec::new(),
             staged: Vec::new(),
-            preps: Vec::new(),
             cursors: Vec::new(),
             routes: Vec::new(),
             batch_pos: Vec::new(),
@@ -185,11 +181,10 @@ impl SessionStore {
                 // the new session: unprime them (the warmed buffers stay,
                 // like every other column allocation) so the first frames
                 // run dense until a refresh re-primes — exactly as a fresh
-                // tracker's own scratch would in the AoS modes
+                // standalone tracker's own scratch would
                 self.acquires[r].invalidate_delta();
                 self.frames_ingested[r] = 0;
                 self.staged[r] = None;
-                self.preps[r] = None;
                 self.cursors[r] = None;
                 self.routes[r] = Route::Fallback;
                 self.batch_pos[r] = (0, 0);
@@ -206,7 +201,6 @@ impl SessionStore {
                 self.spares.push(Vec::new());
                 self.frames_ingested.push(0);
                 self.staged.push(None);
-                self.preps.push(None);
                 self.cursors.push(None);
                 self.routes.push(Route::Fallback);
                 self.batch_pos.push((0, 0));
@@ -231,7 +225,6 @@ impl SessionStore {
     pub(crate) fn remove(&mut self, row: usize) {
         self.trackers[row] = None;
         self.staged[row] = None;
-        self.preps[row] = None;
         self.cursors[row] = None;
         self.queues[row].clear();
         self.spares[row].clear();
@@ -253,7 +246,7 @@ impl SessionStore {
 
     /// Stamps stage `stage` of `row` as produced by `frame`, asserting the
     /// upstream stage (if any) was produced by the *same* frame — the
-    /// stage-conformance invariant of the scheduled tick.
+    /// tick's stage-conformance invariant.
     ///
     /// # Panics
     ///
@@ -269,12 +262,18 @@ impl SessionStore {
     ///
     /// Panics if the stamp belongs to a different frame index.
     pub(crate) fn check_stage(&self, row: usize, stage: usize, frame: u64) {
-        check_stage_row(&self.epochs[row], stage, frame, row);
+        let got = self.epochs[row][stage];
+        assert_eq!(
+            got,
+            frame + 1,
+            "completion of row {row} consuming stage {stage} output from frame {} (want {frame})",
+            got.wrapping_sub(1),
+        );
     }
 }
 
 /// [`SessionStore::stamp_stage`] over a borrowed epoch row — the form a
-/// column sweep calls through its raw column pointer.
+/// pool job calls through its raw column pointer.
 ///
 /// # Panics
 ///
@@ -292,19 +291,4 @@ pub(crate) fn stamp_stage_row(epoch: &mut [u64; STAGES], stage: usize, frame: u6
         );
     }
     epoch[stage] = frame + 1;
-}
-
-/// [`SessionStore::check_stage`] over a borrowed epoch row.
-///
-/// # Panics
-///
-/// Panics if the stamp belongs to a different frame index.
-pub(crate) fn check_stage_row(epoch: &[u64; STAGES], stage: usize, frame: u64, row: usize) {
-    let got = epoch[stage];
-    assert_eq!(
-        got,
-        frame + 1,
-        "completion of row {row} consuming stage {stage} output from frame {} (want {frame})",
-        got.wrapping_sub(1),
-    );
 }

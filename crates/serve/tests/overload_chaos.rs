@@ -13,7 +13,9 @@
 //!   graded `Degraded` — a capacity decision, never `Lost` (which is
 //!   reserved for pipeline failures);
 //! * the entire scenario — faults, sheds, gaze outputs — replays
-//!   byte-identically under the same seed.
+//!   byte-identically under the same seed, on any worker count;
+//! * worker panics injected into the tick's front-half jobs are recovered
+//!   without a trace of them in the output.
 
 use std::sync::OnceLock;
 
@@ -21,7 +23,7 @@ use eyecod_core::tracker::{GazeBackend, TrackerConfig};
 use eyecod_core::training::{train_tracker_models, TrackerModels, TrainingSetup};
 use eyecod_eyedata::render::{render_eye, EyeParams};
 use eyecod_faults::{FaultPlan, FrameQuality};
-use eyecod_serve::{ServeConfig, ServeRegistry, TickMode};
+use eyecod_serve::{ServeConfig, ServeRegistry};
 use eyecod_tensor::Tensor;
 
 const SESSIONS: usize = 256;
@@ -58,11 +60,10 @@ struct RunDigest {
 
 /// Runs the full chaos scenario once and returns its digest, asserting
 /// the graceful-degradation invariants along the way.
-fn run_chaos(mode: TickMode, threads: usize) -> RunDigest {
+fn run_chaos(threads: usize) -> RunDigest {
     let (cfg, models, scenes) = shared();
     let mut sc = ServeConfig::new(cfg.clone());
     sc.queue_capacity = QUEUE;
-    sc.mode = mode;
     sc.threads = Some(threads);
     let mut reg = ServeRegistry::new(sc, models.clone_models()).with_faults(FaultPlan::heavy(SEED));
     // half the fleet takes the configured default backend (CI runs this
@@ -189,71 +190,62 @@ fn run_chaos(mode: TickMode, threads: usize) -> RunDigest {
 
 #[test]
 fn overloaded_fleet_degrades_gracefully_and_replays_exactly() {
-    let first = run_chaos(TickMode::Batched, 0);
+    let first = run_chaos(0);
     assert!(
         !first.shed_events.is_empty(),
         "the overload schedule must actually shed frames"
     );
     assert_eq!(first.frames.len(), SESSIONS * CHAOS_TICKS);
     // byte-identical replay: same seed, same fleet, same everything
-    let second = run_chaos(TickMode::Batched, 0);
+    let second = run_chaos(0);
     assert_eq!(
         first, second,
         "chaos run is not reproducible under a fixed seed"
     );
 }
 
-/// The columnar leg of the overload matrix: the scheduled tick absorbs
-/// the same 3× overload under `FaultPlan::heavy` (which injects a worker
-/// panic into the column sweeps every tick) with zero panics escaping,
-/// and its digest — sheds, gaze bits, quality grades, fleet totals — is
-/// byte-identical to the sequential AoS reference *and* invariant to the
-/// worker count driving the wavefront.
+/// The pool leg of the overload matrix: the same 3× overload under
+/// `FaultPlan::heavy` (which also kills front-half job 1 every tick) on 1
+/// and 3 pool workers, with zero panics escaping and a digest — sheds,
+/// gaze bits, quality grades, fleet totals — byte-identical to the
+/// 0-worker run's.
 #[test]
-fn overloaded_scheduled_fleet_matches_sequential_reference() {
-    let reference = run_chaos(TickMode::Sequential, 0);
+fn overloaded_fleet_digest_is_worker_count_invariant() {
+    let reference = run_chaos(0);
     assert!(!reference.shed_events.is_empty());
-    let inline = run_chaos(TickMode::Scheduled, 0);
-    assert_eq!(
-        reference, inline,
-        "scheduled (sequential pool) chaos digest diverged from the AoS reference"
-    );
-    let pooled = run_chaos(TickMode::Scheduled, 3);
-    assert_eq!(
-        reference, pooled,
-        "scheduled (3-worker wavefront) chaos digest diverged from the AoS reference"
-    );
+    for threads in [1, 3] {
+        assert_eq!(
+            reference,
+            run_chaos(threads),
+            "{threads}-worker chaos digest diverged from the 0-worker run"
+        );
+    }
 }
 
 /// The serve-level mirror of the pool's `try_parallel_map` pin: a fault
-/// plan that kills column-sweep and wavefront jobs at their entry points
-/// is recovered by the scheduler's inline retry, byte-identically — and
-/// the recovery actually happened (the telemetry counter moved).
+/// plan that kills front-half jobs at their entry points is recovered by
+/// the tick's inline retry, byte-identically to the same fleet run without
+/// the plan — and, in builds that carry telemetry, the recovery counter
+/// proves the retries happened.
 #[test]
-fn worker_panic_during_column_sweep_recovers_byte_identically() {
-    use eyecod_telemetry::static_counter;
+fn injected_worker_panics_recover_byte_identically() {
+    // the counter proof needs recording on, whatever `EYECOD_TELEMETRY` says
+    #[cfg(feature = "telemetry")]
+    eyecod_telemetry::set_enabled(true);
 
     let (cfg, models, scenes) = shared();
-    // kill: barrier capture sweep job 1 (stage 0, w = 1), a barrier recon
-    // sweep job (stage 1 << 16 | 3), and two pipelined wavefront jobs
-    // (0x100_0000 | stage << 16 | shard)
-    let mut plan = FaultPlan::none();
-    plan.exec.worker_panic_jobs = vec![1, (1 << 16) | 3, 0x100_0000, 0x100_0000 | (2 << 16) | 1];
-    let run = |mode: TickMode, threads: usize| {
+    let run = |plan: &FaultPlan, threads: usize| {
         let mut sc = ServeConfig::new(cfg.clone());
-        sc.mode = mode;
         sc.threads = Some(threads);
         let mut reg = ServeRegistry::new(sc, models.clone_models()).with_faults(plan.clone());
-        // mixed backends: int8 warm-up forces the barrier sweeps first,
-        // then calibration flips the tick into the pipelined wavefront —
-        // both job-id spaces get exercised
+        // mixed backends: the int8 warm-up and the calibrated int8 batch
+        // both run under the injected panics
         let ids: Vec<_> = (0..8)
             .map(|s| {
                 if s % 2 == 0 {
                     reg.create().unwrap()
                 } else {
-                    reg.create_with_backend(eyecod_core::tracker::GazeBackend::Int8)
-                        .unwrap()
+                    reg.create_with_backend(GazeBackend::Int8).unwrap()
                 }
             })
             .collect();
@@ -266,30 +258,42 @@ fn worker_panic_during_column_sweep_recovers_byte_identically() {
             let (_, trace) = reg.tick_traced();
             for (id, f) in trace {
                 out.push(format!(
-                    "{} f{} {:08x}/{:08x}/{:08x} {:?}",
+                    "{} f{} {:08x}/{:08x}/{:08x} {:?} {:?}",
                     id.index(),
                     f.frame,
                     f.gaze.x.to_bits(),
                     f.gaze.y.to_bits(),
                     f.gaze.z.to_bits(),
-                    f.quality
+                    f.quality,
+                    f.faults
                 ));
             }
         }
         out
     };
-    let reference = run(TickMode::Sequential, 0);
-    let before = static_counter!("serve/sched_panics_recovered").get();
+    let reference = run(&FaultPlan::none(), 0);
+    // kill the first, an interior and the last front-half job of every tick
+    let mut plan = FaultPlan::none();
+    plan.exec.worker_panic_jobs = vec![0, 3, 7];
+    // without telemetry compiled in there is no counter to read
+    #[cfg(feature = "telemetry")]
+    let before = eyecod_telemetry::static_counter!("serve/sched_panics_recovered").get();
     for threads in [0usize, 3] {
-        let got = run(TickMode::Scheduled, threads);
         assert_eq!(
-            reference, got,
-            "{threads}-worker scheduled run with injected worker panics diverged"
+            reference,
+            run(&plan, threads),
+            "{threads}-worker run with injected worker panics diverged"
         );
     }
-    let recovered = static_counter!("serve/sched_panics_recovered").get() - before;
-    assert!(
-        recovered > 0,
-        "the injected worker panics never fired — the pin is testing nothing"
-    );
+    #[cfg(feature = "telemetry")]
+    {
+        let recovered =
+            eyecod_telemetry::static_counter!("serve/sched_panics_recovered").get() - before;
+        // 3 killed jobs per tick × 12 ticks × 2 runs; sibling tests under
+        // `FaultPlan::heavy` may add theirs concurrently
+        assert!(
+            recovered >= 72,
+            "only {recovered} of 72 injected worker panics were recovered"
+        );
+    }
 }

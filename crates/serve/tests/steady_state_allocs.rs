@@ -1,16 +1,14 @@
 //! Allocation regression for the serving layer: a steady-state serve tick
-//! over a warm 16-session registry must not touch the heap — in the
-//! batched tick *and* in the columnar scheduled tick.
+//! over a warm 16-session registry must not touch the heap.
 //!
 //! Everything on the feed+tick path is arena- or freelist-backed: ingress
 //! scenes recycle through each session's spare-buffer list, staged work
-//! lists and batch index vectors retain capacity across ticks, the batch
-//! arenas reuse their gather/output tensors, and each hosted tracker's
-//! frame path is the zero-allocation one pinned by the core suite. The
-//! scheduled tick adds the store's stage columns (images, crops, gaze
-//! inputs, predictions, acquisition scratch) and the scheduler's job /
-//! flag / group buffers — all of which grow on session create or first
-//! use only, never in a warm sweep. Once the fleet is warm — ROI scratch
+//! lists, panic flags and batch index vectors retain capacity across
+//! ticks, the batch arenas reuse their gather/output tensors, and each
+//! hosted tracker's stage calls are the zero-allocation ones pinned by the
+//! core suite, run over the store's stage columns (images, crops, gaze
+//! inputs, predictions, acquisition scratch) — all of which grow on
+//! session create or first use only. Once the fleet is warm — ROI scratch
 //! built, int8 calibrated, the latent batch arena grown, every static
 //! counter materialised — feeding and ticking 16 sessions (mixed
 //! f32/int8/latent) performs **zero** transient heap allocations on
@@ -21,22 +19,25 @@
 
 use eyecod_core::alloc_counter::{allocations, CountingAllocator};
 use eyecod_core::tracker::{GazeBackend, TrackerConfig};
-use eyecod_core::training::{train_tracker_models, TrackerModels, TrainingSetup};
+use eyecod_core::training::{train_tracker_models, TrainingSetup};
 use eyecod_eyedata::render::{render_eye, EyeParams};
 use eyecod_faults::FaultPlan;
-use eyecod_serve::{ServeConfig, ServeRegistry, TickMode};
+use eyecod_serve::{ServeConfig, ServeRegistry};
 use eyecod_telemetry::static_counter;
-use eyecod_tensor::Tensor;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-fn prove_zero_alloc(mode: TickMode, cfg: &TrackerConfig, models: &TrackerModels, scene: &Tensor) {
+#[test]
+fn steady_state_serve_ticks_do_not_allocate() {
+    let cfg = TrackerConfig::small();
+    let models = train_tracker_models(&TrainingSetup::quick(), &cfg);
+    // rendered once, outside the measured window
+    let scene = render_eye(&EyeParams::centered(cfg.scene_size), cfg.scene_size, 0).image;
     let mut sc = ServeConfig::new(cfg.clone());
     // the sequential inline pool: parallel dispatch would hand jobs to
     // worker threads whose own bookkeeping is outside this test's scope
     sc.threads = Some(0);
-    sc.mode = mode;
     let mut reg = ServeRegistry::new(sc, models.clone_models()).with_faults(FaultPlan::none());
     let ids: Vec<_> = (0..16)
         .map(|s| {
@@ -50,18 +51,18 @@ fn prove_zero_alloc(mode: TickMode, cfg: &TrackerConfig, models: &TrackerModels,
         .collect();
 
     // warm-up: per-session trackers see frames 0..12, covering both ROI
-    // refreshes (`roi_period` 10), the fleet int8 calibration (8 warming
-    // sessions fill the 8-crop window on the first tick), spare-buffer and
-    // arena growth, column growth, and every telemetry static
+    // refreshes (`roi_period` 10), the fleet int8 calibration (the warming
+    // int8 sessions fill the 8-crop window within two ticks), spare-buffer
+    // and arena growth, column growth, and every telemetry static
     for round in 0..12u64 {
         for id in &ids {
-            reg.feed(*id, scene, round).unwrap();
+            reg.feed(*id, &scene, round).unwrap();
         }
         reg.tick();
     }
     assert!(
         reg.int8_calibrated(),
-        "{mode:?}: fleet calibration must finish in warm-up"
+        "fleet calibration must finish in warm-up"
     );
 
     // frames 12..18 per session: no ROI refresh falls in the window (next
@@ -70,33 +71,20 @@ fn prove_zero_alloc(mode: TickMode, cfg: &TrackerConfig, models: &TrackerModels,
     for round in 12..18u64 {
         let before = allocations();
         for id in &ids {
-            reg.feed(*id, scene, round).unwrap();
+            reg.feed(*id, &scene, round).unwrap();
         }
         let report = reg.tick();
         let delta = allocations() - before;
         assert_eq!(report.staged, 16);
         assert_eq!(
             delta, 0,
-            "{mode:?}: steady-state serve round {round} made {delta} heap allocations"
+            "steady-state serve round {round} made {delta} heap allocations"
         );
     }
-    if mode == TickMode::Scheduled {
-        // the scheduler's own telemetry must agree with the external proof
-        let steady = static_counter!("serve/steady_state_allocs").get() - steady_before;
-        assert_eq!(
-            steady, 0,
-            "serve/steady_state_allocs recorded {steady} allocations in warm scheduled ticks"
-        );
-    }
-}
-
-#[test]
-fn steady_state_serve_ticks_do_not_allocate() {
-    let cfg = TrackerConfig::small();
-    let models = train_tracker_models(&TrainingSetup::quick(), &cfg);
-    // rendered once, outside the measured window
-    let scene = render_eye(&EyeParams::centered(cfg.scene_size), cfg.scene_size, 0).image;
-
-    prove_zero_alloc(TickMode::Batched, &cfg, &models, &scene);
-    prove_zero_alloc(TickMode::Scheduled, &cfg, &models, &scene);
+    // the tick's own telemetry must agree with the external proof
+    let steady = static_counter!("serve/steady_state_allocs").get() - steady_before;
+    assert_eq!(
+        steady, 0,
+        "serve/steady_state_allocs recorded {steady} allocations in warm ticks"
+    );
 }

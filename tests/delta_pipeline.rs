@@ -44,7 +44,7 @@ use eyecod::core::training::{train_tracker_models, TrackerModels, TrainingSetup}
 use eyecod::eyedata::render::render_eye;
 use eyecod::eyedata::EyeMotionGenerator;
 use eyecod::faults::{FaultPlan, FrameQuality};
-use eyecod::serve::{ServeConfig, ServeRegistry, SessionId, TickMode};
+use eyecod::serve::{ServeConfig, ServeRegistry, SessionId};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -313,13 +313,12 @@ fn digest(id: SessionId, f: &TrackedFrame) -> String {
 /// Drives a mixed-backend delta fleet through one fixed schedule and
 /// returns every completed frame's digest plus the per-tick forward
 /// counts.
-fn run_fleet(mode: TickMode, threads: usize, ragged: u64) -> (Vec<String>, Vec<usize>) {
+fn run_fleet(threads: usize, ragged: u64) -> (Vec<String>, Vec<usize>) {
     let (cfg, models) = shared();
     let mut tracker_cfg = cfg.clone();
     tracker_cfg.delta = true;
     tracker_cfg.delta_threshold = 16;
     let mut sc = ServeConfig::new(tracker_cfg);
-    sc.mode = mode;
     sc.threads = Some(threads);
     let mut reg = ServeRegistry::new(sc, models.clone_models()).with_faults(FaultPlan::none());
     let backends = [
@@ -349,12 +348,12 @@ fn run_fleet(mode: TickMode, threads: usize, ragged: u64) -> (Vec<String>, Vec<u
     (out, forwards)
 }
 
-/// Motion-gated sessions never enter a gaze batch: in every tick mode, the
-/// per-tick forward counts plus the gated completions add up to the staged
-/// frames, and a fully static fleet stops forwarding entirely between
-/// refreshes.
+/// Motion-gated sessions never enter a gaze batch: on any worker count,
+/// the per-tick forward counts plus the gated completions add up to the
+/// staged frames, and a fully static fleet stops forwarding entirely
+/// between refreshes.
 #[test]
-fn gated_sessions_stay_out_of_gaze_batches_in_every_mode() {
+fn gated_sessions_stay_out_of_gaze_batches() {
     let _serial = frame_lock();
     let (cfg, models) = shared();
     let scene = render_eye(
@@ -363,13 +362,12 @@ fn gated_sessions_stay_out_of_gaze_batches_in_every_mode() {
         5,
     )
     .image;
-    for mode in [TickMode::Sequential, TickMode::Batched, TickMode::Scheduled] {
+    for threads in [0, 3] {
         let mut tracker_cfg = cfg.clone();
         tracker_cfg.delta = true;
         tracker_cfg.delta_threshold = 16;
         let mut sc = ServeConfig::new(tracker_cfg);
-        sc.mode = mode;
-        sc.threads = Some(0);
+        sc.threads = Some(threads);
         let mut reg = ServeRegistry::new(sc, models.clone_models()).with_faults(FaultPlan::none());
         let ids: Vec<SessionId> = (0..3).map(|_| reg.create().unwrap()).collect();
         for step in 0..12u64 {
@@ -377,35 +375,42 @@ fn gated_sessions_stay_out_of_gaze_batches_in_every_mode() {
                 reg.feed(*id, &scene, step).unwrap();
             }
             let (report, trace) = reg.tick_traced();
-            assert_eq!(report.staged, ids.len(), "{mode:?} step {step}");
+            assert_eq!(report.staged, ids.len(), "{threads} workers step {step}");
             let skipped = trace.iter().filter(|(_, f)| f.gaze_skipped).count();
             let due = step % cfg.roi_period as u64 == 0;
             if due {
                 // refresh ticks run the dense path for every session
-                assert_eq!(skipped, 0, "{mode:?} step {step}: refresh ticks never gate");
+                assert_eq!(
+                    skipped, 0,
+                    "{threads} workers step {step}: refresh ticks never gate"
+                );
                 assert_eq!(
                     report.f32_forwards + report.int8_forwards + report.latent_forwards,
                     ids.len(),
-                    "{mode:?} step {step}"
+                    "{threads} workers step {step}"
                 );
             } else {
                 // a static scene gates every session: zero forwards, and
                 // every frame still completes with a served gaze
-                assert_eq!(skipped, ids.len(), "{mode:?} step {step}: all gated");
+                assert_eq!(
+                    skipped,
+                    ids.len(),
+                    "{threads} workers step {step}: all gated"
+                );
                 assert_eq!(
                     report.f32_forwards + report.int8_forwards + report.latent_forwards,
                     0,
-                    "{mode:?} step {step}: gated sessions must not batch"
+                    "{threads} workers step {step}: gated sessions must not batch"
                 );
             }
             for (_, f) in &trace {
-                assert_eq!(f.quality, FrameQuality::Ok, "{mode:?} step {step}");
+                assert_eq!(f.quality, FrameQuality::Ok, "{threads} workers step {step}");
             }
         }
         for id in &ids {
             let snap = reg.snapshot(*id).unwrap();
             // 12 steps with refreshes at 0 and 10: 10 gated frames each
-            assert_eq!(snap.stats.skipped_frames, 10, "{mode:?}");
+            assert_eq!(snap.stats.skipped_frames, 10, "{threads} workers");
         }
     }
 }
@@ -413,19 +418,19 @@ fn gated_sessions_stay_out_of_gaze_batches_in_every_mode() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Worker-count invariance for delta fleets: a scheduled-mode registry
-    /// on an N-worker pool produces frame-for-frame identical output to a
-    /// sequential one for the same ragged schedule — the motion gate and
-    /// the sparse updates key on per-session state alone, so stage
-    /// interleaving across workers must be invisible.
+    /// Worker-count invariance for delta fleets: a registry on an N-worker
+    /// pool produces frame-for-frame identical output to a sequential one
+    /// for the same ragged schedule — the motion gate and the sparse
+    /// updates key on per-session state alone, so how the front-half jobs
+    /// land on workers must be invisible.
     #[test]
     fn delta_fleet_output_is_worker_count_invariant(
         threads in 1usize..4,
         ragged in 0u64..7,
     ) {
         let _serial = frame_lock();
-        let (seq, seq_fwd) = run_fleet(TickMode::Scheduled, 0, ragged);
-        let (par, par_fwd) = run_fleet(TickMode::Scheduled, threads, ragged);
+        let (seq, seq_fwd) = run_fleet(0, ragged);
+        let (par, par_fwd) = run_fleet(threads, ragged);
         prop_assert!(!seq.is_empty());
         prop_assert_eq!(seq.len(), par.len(), "{} workers completed a different frame count", threads);
         for (a, b) in seq.iter().zip(&par) {
