@@ -32,7 +32,6 @@ use eyecod_core::tracker::{EyeTracker, GazeBackend, TrackerConfig};
 use eyecod_core::training::{train_tracker_models, TrackerModels, TrainingSetup};
 use eyecod_eyedata::render::{render_eye, EyeParams};
 use eyecod_eyedata::{EyeMotionGenerator, MotionConfig};
-use eyecod_faults::FaultPlan;
 use eyecod_serve::{ServeConfig, ServeRegistry};
 use eyecod_tensor::{simd, Tensor};
 use serde::Serialize;
@@ -80,12 +79,9 @@ fn backend_name(backend: GazeBackend) -> &'static str {
     }
 }
 
-/// Every measured backend, in artifact row order.
-const BACKENDS: [GazeBackend; 3] = [GazeBackend::F32, GazeBackend::Int8, GazeBackend::Latent];
-
 fn bench(c: &mut Criterion) {
     let (_, _, scene) = shared();
-    for backend in BACKENDS {
+    for backend in GazeBackend::ALL {
         let mut tracker = warm_tracker(backend);
         let mut frame = WARMUP_FRAMES;
         c.bench_function(&format!("e2e/frame_{}", backend_name(backend)), |bch| {
@@ -133,7 +129,7 @@ struct SparsityRow {
     frames: usize,
     /// Dense-mode throughput (every frame runs the full pipeline).
     dense_fps: f64,
-    /// Delta-mode throughput (`EYECOD_DELTA` semantics: motion gate +
+    /// Delta-mode throughput (`TrackerConfig::delta` semantics: motion gate +
     /// sparse column updates between scheduled refreshes).
     delta_fps: f64,
     /// `delta_fps / dense_fps`.
@@ -185,10 +181,10 @@ fn measure_backend(backend: GazeBackend) -> BackendRow {
 fn measure_fleet() -> (u64, f64) {
     let (cfg, models, scene) = shared();
     let sc = ServeConfig::new(cfg.clone());
-    let mut reg = ServeRegistry::new(sc, models.clone_models()).with_faults(FaultPlan::none());
+    let mut reg = ServeRegistry::new(sc, models.clone_models());
     let ids: Vec<_> = (0..FLEET)
         .map(|s| {
-            reg.create_with_backend(BACKENDS[s % BACKENDS.len()])
+            reg.create_with_backend(GazeBackend::ALL[s % GazeBackend::ALL.len()])
                 .unwrap()
         })
         .collect();
@@ -247,7 +243,6 @@ fn measure_sparsity_cell(
     let mut cfg = cfg.clone();
     cfg.gaze_backend = backend;
     cfg.delta = delta;
-    cfg.delta_threshold = 16;
     let mut tracker = EyeTracker::new(cfg, models.clone_models());
     for f in 0..WARMUP_FRAMES {
         tracker.process_frame(&frames[f as usize % frames.len()], f);
@@ -271,10 +266,10 @@ fn measure_sparsity_cell(
 
 /// The dense-vs-delta sweep across motion mixes and backends.
 fn measure_sparsity() -> Vec<SparsityRow> {
-    let mut rows = Vec::with_capacity(MIXES.len() * BACKENDS.len());
+    let mut rows = Vec::with_capacity(MIXES.len() * GazeBackend::ALL.len());
     for (m, (mix, preset)) in MIXES.iter().enumerate() {
         let frames = render_mix(preset(), 90 + m as u64, 60);
-        for backend in BACKENDS {
+        for backend in GazeBackend::ALL {
             let (dense_fps, _, _) = measure_sparsity_cell(&frames, backend, false);
             let (delta_fps, gated, sparse) = measure_sparsity_cell(&frames, backend, true);
             let dense = MEASURED_FRAMES - gated - sparse;
@@ -303,7 +298,7 @@ fn write_e2e_artifact() {
     } else {
         String::new()
     };
-    let backends: Vec<BackendRow> = BACKENDS.into_iter().map(measure_backend).collect();
+    let backends: Vec<BackendRow> = GazeBackend::ALL.into_iter().map(measure_backend).collect();
     let (fleet_tick_ns, fleet_fps) = measure_fleet();
     let sparsity = measure_sparsity();
     let report = E2eReport {

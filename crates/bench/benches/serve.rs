@@ -19,7 +19,6 @@ use criterion::{criterion_group, Criterion};
 use eyecod_core::tracker::{GazeBackend, TrackerConfig};
 use eyecod_core::training::{train_tracker_models, TrackerModels, TrainingSetup};
 use eyecod_eyedata::render::{render_eye, EyeParams};
-use eyecod_faults::FaultPlan;
 use eyecod_models::infer::GazeInferWorkspace;
 use eyecod_serve::{ServeConfig, ServeRegistry, SessionId};
 use eyecod_tensor::{Shape, Tensor};
@@ -31,15 +30,11 @@ use std::time::Instant;
 const FLEETS: [usize; 3] = [1, 16, 256];
 /// Timed samples per measurement, after warm-up.
 const SAMPLES: usize = 21;
-const BACKENDS: [GazeBackend; 3] = [GazeBackend::F32, GazeBackend::Int8, GazeBackend::Latent];
 
 fn shared() -> &'static (TrackerConfig, TrackerModels, Tensor) {
     static SHARED: OnceLock<(TrackerConfig, TrackerModels, Tensor)> = OnceLock::new();
     SHARED.get_or_init(|| {
-        let mut cfg = TrackerConfig::small();
-        // sessions pick their backend at create time; the dense path keeps
-        // every tick's work the same whatever the shell sets
-        cfg.delta = false;
+        let cfg = TrackerConfig::small();
         let models = train_tracker_models(&TrainingSetup::quick(), &cfg);
         let scene = render_eye(&EyeParams::centered(cfg.scene_size), cfg.scene_size, 0).image;
         (cfg, models, scene)
@@ -59,9 +54,12 @@ fn warm_fleet(n: usize, workers: usize) -> (ServeRegistry, Vec<SessionId>) {
         threads: Some(workers),
         ..ServeConfig::new(cfg.clone())
     };
-    let mut reg = ServeRegistry::new(sc, models.clone_models()).with_faults(FaultPlan::none());
+    let mut reg = ServeRegistry::new(sc, models.clone_models());
     let ids: Vec<_> = (0..n)
-        .map(|s| reg.create_with_backend(BACKENDS[s % 3]).unwrap())
+        .map(|s| {
+            reg.create_with_backend(GazeBackend::ALL[s % GazeBackend::ALL.len()])
+                .unwrap()
+        })
         .collect();
     for round in 0..12u64 {
         for id in &ids {

@@ -747,8 +747,7 @@ pub struct Int8BackendComparison {
 pub fn int8_backend_comparison(scale: Scale) -> Int8BackendComparison {
     use std::time::Instant;
 
-    let mut config = TrackerConfig::small();
-    config.gaze_backend = GazeBackend::F32;
+    let config = TrackerConfig::small();
     let models = train_tracker_models(&scale.training(), &config);
     let frames = scale.seq_frames();
 

@@ -35,7 +35,6 @@
 
 pub mod acquisition;
 pub mod alloc_counter;
-pub mod env;
 pub mod interface;
 pub mod metrics;
 pub mod parallel;

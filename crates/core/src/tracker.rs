@@ -37,6 +37,9 @@ pub enum GazeBackend {
 }
 
 impl GazeBackend {
+    /// Every backend, in the order the benches and test cells list them.
+    pub const ALL: [GazeBackend; 3] = [GazeBackend::F32, GazeBackend::Int8, GazeBackend::Latent];
+
     /// Parses a backend name (`"f32"`/`"float"`, `"int8"`/`"i8"`, or
     /// `"latent"`/`"recon-free"`, case-insensitive).
     pub fn parse(name: &str) -> Option<Self> {
@@ -46,47 +49,6 @@ impl GazeBackend {
             "latent" | "recon-free" | "reconfree" => Some(GazeBackend::Latent),
             _ => None,
         }
-    }
-
-    /// Reads `EYECOD_GAZE_BACKEND` from the environment, defaulting to
-    /// [`GazeBackend::F32`] only when the variable is genuinely absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable is set to an unrecognised or non-unicode
-    /// value — any silent fallback would make CI's backend jobs quietly
-    /// test the wrong backend.
-    pub fn from_env() -> Self {
-        match std::env::var("EYECOD_GAZE_BACKEND") {
-            Ok(v) => Self::from_env_value(&v),
-            Err(std::env::VarError::NotPresent) => GazeBackend::F32,
-            Err(std::env::VarError::NotUnicode(raw)) => panic!(
-                "EYECOD_GAZE_BACKEND is set to a non-unicode value {raw:?}; \
-                 expected one of f32 | int8 | latent"
-            ),
-        }
-    }
-
-    /// Interprets a *set* `EYECOD_GAZE_BACKEND` value: empty / whitespace
-    /// means the default ([`GazeBackend::F32`], matching an unset
-    /// variable); anything else must parse. Split out of
-    /// [`GazeBackend::from_env`] so the rejection contract is testable
-    /// without mutating the process environment.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the offending value on anything [`GazeBackend::parse`]
-    /// rejects.
-    pub fn from_env_value(value: &str) -> Self {
-        if value.trim().is_empty() {
-            return GazeBackend::F32;
-        }
-        Self::parse(value).unwrap_or_else(|| {
-            panic!(
-                "unrecognised EYECOD_GAZE_BACKEND value: {value:?}; \
-                 expected one of f32 | int8 | latent"
-            )
-        })
     }
 }
 
@@ -136,12 +98,12 @@ pub struct TrackerConfig {
     /// against the last fully-sensed base and fold only the changed
     /// columns into the cached measurement/reconstruction instead of
     /// re-sensing the full scene; scheduled ROI-refresh frames still run
-    /// the dense path and re-prime the caches. (`EYECOD_DELTA`.)
+    /// the dense path and re-prime the caches.
     pub delta: bool,
     /// Motion gate for the delta path: when fewer than this many pixels
     /// changed, the whole gaze forward is skipped and the frame is served
     /// from the last-good gaze. `0` disables the gate (every changed frame
-    /// runs the sparse update). (`EYECOD_DELTA_THRESHOLD`.)
+    /// runs the sparse update).
     pub delta_threshold: usize,
     /// Per-pixel magnitude a scene value must move by to count as changed
     /// (≈4σ of the render's sensor noise, so pure noise rarely registers).
@@ -151,7 +113,8 @@ pub struct TrackerConfig {
 impl TrackerConfig {
     /// A laptop-scale configuration used by tests and the quickstart:
     /// 48×48 scenes, 24×24 segmentation, 24×32 ROI, refresh every 10
-    /// frames.
+    /// frames, the f32 gaze backend on the dense path (motion gate at 16
+    /// changed pixels, should the delta path be switched on).
     pub fn small() -> Self {
         TrackerConfig {
             scene_size: 48,
@@ -164,10 +127,10 @@ impl TrackerConfig {
             flatcam: true,
             mask_seed: 17,
             roi_sizing: RoiSizing::Fixed,
-            gaze_backend: GazeBackend::from_env(),
+            gaze_backend: GazeBackend::F32,
             calibration_frames: 8,
-            delta: crate::env::bool_or("EYECOD_DELTA", false),
-            delta_threshold: crate::env::usize_or("EYECOD_DELTA_THRESHOLD", 16),
+            delta: false,
+            delta_threshold: 16,
             delta_epsilon: 0.05,
         }
     }
@@ -291,8 +254,8 @@ pub struct EyeTracker {
     /// ([`EyeTracker::mark_int8_calibrated`]). Until then an int8 tracker
     /// exempts its frames from the motion gate to feed calibration.
     int8_calibrated: bool,
-    /// The active fault-injection plan ([`FaultPlan::none`] in production;
-    /// `EYECOD_FAULT_PLAN` or [`EyeTracker::with_faults`] enable it).
+    /// The active fault-injection plan ([`FaultPlan::none`] unless
+    /// [`EyeTracker::with_faults`] sets one).
     faults: FaultPlan,
     /// Retry budgets and staleness limits for graceful degradation.
     recovery: RecoveryPolicy,
@@ -535,7 +498,7 @@ impl EyeTracker {
             calib_inputs: Vec::new(),
             quantized_gaze: None,
             int8_calibrated: false,
-            faults: FaultPlan::from_env(),
+            faults: FaultPlan::none(),
             recovery: RecoveryPolicy::default(),
             fault_stats: FaultStats::default(),
             last_image: None,
@@ -1562,97 +1525,131 @@ mod tests {
     use eyecod_tensor::Layer;
     use std::sync::OnceLock;
 
-    /// Train once, share across tests (training is the expensive part).
-    fn tracker() -> EyeTracker {
+    /// A tracker in the given cell; the model set is trained once and
+    /// shared across tests (training is the expensive part).
+    fn tracker_in(gaze_backend: GazeBackend, delta: bool) -> EyeTracker {
         static MODELS: OnceLock<(TrackerConfig, TrackerModels)> = OnceLock::new();
         let (cfg, models) = MODELS.get_or_init(|| {
             let cfg = TrackerConfig::small();
             let models = train_tracker_models(&TrainingSetup::quick(), &cfg);
             (cfg, models)
         });
-        EyeTracker::new(cfg.clone(), models.clone_models())
+        let config = TrackerConfig {
+            gaze_backend,
+            delta,
+            ..cfg.clone()
+        };
+        EyeTracker::new(config, models.clone_models())
+    }
+
+    /// A tracker in `TrackerConfig::small()`'s own cell.
+    fn tracker() -> EyeTracker {
+        tracker_in(GazeBackend::F32, false)
+    }
+
+    /// The `(backend, delta)` cells a configuration-dependent test runs
+    /// in: every gaze backend on the dense path, plus f32 on the
+    /// event-driven delta path. Each cell is printed as the loop reaches
+    /// it, so a failing test's captured output names the cell.
+    fn cells() -> impl Iterator<Item = (GazeBackend, bool)> {
+        GazeBackend::ALL
+            .into_iter()
+            .map(|b| (b, false))
+            .chain([(GazeBackend::F32, true)])
+            .inspect(|(backend, delta)| println!("cell: {backend:?}, delta {delta}"))
     }
 
     #[test]
     fn tracks_a_centered_eye_reasonably() {
-        let mut t = tracker();
         let mut params = EyeParams::centered(48);
         params.yaw = 0.15;
         params.pitch = -0.1;
         let sample = render_eye(&params, 48, 3);
-        let out = t.process_frame(&sample.image, 4);
-        let err = out.gaze.angular_error_degrees(&sample.gaze);
-        // a quick-trained proxy on one frame: just demand it is far better
-        // than chance (random guessing in the ±25° cone averages >15°)
-        assert!(err < 15.0, "single-frame error {err:.1}°");
-        assert!(out.roi_refreshed, "first frame must refresh the ROI");
+        for (backend, delta) in cells() {
+            let mut t = tracker_in(backend, delta);
+            let out = t.process_frame(&sample.image, 4);
+            let err = out.gaze.angular_error_degrees(&sample.gaze);
+            // a quick-trained proxy on one frame: just demand it is far
+            // better than chance (random guessing in the ±25° cone
+            // averages >15°)
+            assert!(err < 15.0, "single-frame error {err:.1}°");
+            assert!(out.roi_refreshed, "first frame must refresh the ROI");
+        }
     }
 
     #[test]
     fn roi_refresh_happens_on_schedule() {
-        let mut t = tracker();
         let sample = render_eye(&EyeParams::centered(48), 48, 0);
-        let mut refreshes = 0;
-        for i in 0..25 {
-            let out = t.process_frame(&sample.image, i);
-            if out.roi_refreshed {
-                refreshes += 1;
+        for (backend, delta) in cells() {
+            let mut t = tracker_in(backend, delta);
+            let mut refreshes = 0;
+            for i in 0..25 {
+                let out = t.process_frame(&sample.image, i);
+                if out.roi_refreshed {
+                    refreshes += 1;
+                }
             }
+            // period 10 over 25 frames -> frames 0, 10, 20
+            assert_eq!(refreshes, 3);
+            assert!(t.last_labels().is_some());
         }
-        // period 10 over 25 frames -> frames 0, 10, 20
-        assert_eq!(refreshes, 3);
-        assert!(t.last_labels().is_some());
     }
 
     #[test]
     fn roi_follows_the_eye_after_refresh() {
-        let mut t = tracker();
         let mut left = EyeParams::centered(48);
         left.center_x = 0.42;
         let mut right = EyeParams::centered(48);
         right.center_x = 0.58;
         let sl = render_eye(&left, 48, 1);
         let sr = render_eye(&right, 48, 2);
-        t.process_frame(&sl.image, 1);
-        let roi_left = t.current_roi();
-        // advance to the next refresh frame with the eye moved right
-        for i in 0..t.config().roi_period {
-            t.process_frame(&sr.image, 10 + i as u64);
+        for (backend, delta) in cells() {
+            let mut t = tracker_in(backend, delta);
+            t.process_frame(&sl.image, 1);
+            let roi_left = t.current_roi();
+            // advance to the next refresh frame with the eye moved right
+            for i in 0..t.config().roi_period {
+                t.process_frame(&sr.image, 10 + i as u64);
+            }
+            let roi_right = t.current_roi();
+            assert!(
+                roi_right.x0 > roi_left.x0,
+                "ROI should move right: {roi_left:?} -> {roi_right:?}"
+            );
         }
-        let roi_right = t.current_roi();
-        assert!(
-            roi_right.x0 > roi_left.x0,
-            "ROI should move right: {roi_left:?} -> {roi_right:?}"
-        );
     }
 
     #[test]
     fn sequence_tracking_beats_chance() {
-        let mut t = tracker();
-        let mut gen = EyeMotionGenerator::with_seed(5);
-        let stats = t.run_sequence(&mut gen, 30);
-        assert_eq!(stats.frames, 30);
-        assert!(stats.roi_refreshes >= 3);
-        assert!(
-            stats.mean_error_deg() < 18.0,
-            "sequence mean error {:.1}°",
-            stats.mean_error_deg()
-        );
+        for (backend, delta) in cells() {
+            let mut t = tracker_in(backend, delta);
+            let mut gen = EyeMotionGenerator::with_seed(5);
+            let stats = t.run_sequence(&mut gen, 30);
+            assert_eq!(stats.frames, 30);
+            assert!(stats.roi_refreshes >= 3);
+            assert!(
+                stats.mean_error_deg() < 18.0,
+                "sequence mean error {:.1}°",
+                stats.mean_error_deg()
+            );
+        }
     }
 
     #[test]
     fn parallel_sequences_match_sequential_runs() {
-        let t = tracker();
-        let (config, models) = (t.config().clone(), t.models.clone_models());
-        let seeds = [5u64, 6, 7, 8, 9];
-        let parallel = EyeTracker::run_sequences_parallel(&config, &models, &seeds, 12);
-        assert_eq!(parallel.len(), seeds.len());
-        for (&seed, stats) in seeds.iter().zip(&parallel) {
-            let mut fresh = EyeTracker::new(config.clone(), models.clone_models());
-            let sequential = fresh.run_sequence(&mut EyeMotionGenerator::with_seed(seed), 12);
-            assert_eq!(stats.frames, sequential.frames);
-            assert_eq!(stats.roi_refreshes, sequential.roi_refreshes);
-            assert_eq!(stats.mean_error_deg(), sequential.mean_error_deg());
+        for (backend, delta) in cells() {
+            let t = tracker_in(backend, delta);
+            let (config, models) = (t.config().clone(), t.models.clone_models());
+            let seeds = [5u64, 6, 7, 8, 9];
+            let parallel = EyeTracker::run_sequences_parallel(&config, &models, &seeds, 12);
+            assert_eq!(parallel.len(), seeds.len());
+            for (&seed, stats) in seeds.iter().zip(&parallel) {
+                let mut fresh = EyeTracker::new(config.clone(), models.clone_models());
+                let sequential = fresh.run_sequence(&mut EyeMotionGenerator::with_seed(seed), 12);
+                assert_eq!(stats.frames, sequential.frames);
+                assert_eq!(stats.roi_refreshes, sequential.roi_refreshes);
+                assert_eq!(stats.mean_error_deg(), sequential.mean_error_deg());
+            }
         }
     }
 
@@ -1662,20 +1659,22 @@ mod tests {
         // roi.rs; here we verify the live policy plumbing: the adaptive
         // mode derives a (generally different) size from predicted labels
         // and the ROI always stays inside the scene
-        let mut t = tracker();
-        t.config.roi_sizing = RoiSizing::ScleraAdaptive;
         let s = render_eye(&EyeParams::centered(48), 48, 3);
-        let out = t.process_frame(&s.image, 4);
-        let r = out.roi;
-        assert!(
-            r.y0 + r.h <= 48 && r.x0 + r.w <= 48,
-            "ROI out of bounds: {r:?}"
-        );
-        assert!(r.h >= 12 && r.w >= 12, "adaptive ROI degenerate: {r:?}");
-        // fixed mode pins the configured size
-        let mut tf = tracker();
-        let out_fixed = tf.process_frame(&s.image, 4);
-        assert_eq!((out_fixed.roi.h, out_fixed.roi.w), tf.config().roi);
+        for (backend, delta) in cells() {
+            let mut t = tracker_in(backend, delta);
+            t.config.roi_sizing = RoiSizing::ScleraAdaptive;
+            let out = t.process_frame(&s.image, 4);
+            let r = out.roi;
+            assert!(
+                r.y0 + r.h <= 48 && r.x0 + r.w <= 48,
+                "ROI out of bounds: {r:?}"
+            );
+            assert!(r.h >= 12 && r.w >= 12, "adaptive ROI degenerate: {r:?}");
+            // fixed mode pins the configured size
+            let mut tf = tracker_in(backend, delta);
+            let out_fixed = tf.process_frame(&s.image, 4);
+            assert_eq!((out_fixed.roi.h, out_fixed.roi.w), tf.config().roi);
+        }
     }
 
     #[test]
@@ -1712,14 +1711,10 @@ mod tests {
 
     #[test]
     fn degenerate_gaze_falls_back_instead_of_panicking() {
+        // the f32 backend on the dense path: every frame reaches the f32
+        // gaze forward (the latent net would still emit a non-zero gaze on
+        // steady frames, and the motion gate would skip static ones)
         let mut t = tracker();
-        // every frame must reach the gaze forward for the degenerate flag
-        // to be observable — run dense even under ambient EYECOD_DELTA=1
-        t.config.delta = false;
-        // the zeroed weights below are the f32 net's: pin its backend even
-        // under ambient EYECOD_GAZE_BACKEND (the latent net would still
-        // emit a non-zero gaze on steady frames)
-        t.config.gaze_backend = GazeBackend::F32;
         // zero every gaze parameter: the network now emits an exact zero
         // vector for any input
         for p in t.models.gaze.params_mut() {
@@ -1741,12 +1736,9 @@ mod tests {
 
     #[test]
     fn motion_gate_skips_static_scenes_and_serves_the_last_gaze() {
-        let mut t = tracker();
-        t.config.delta = true;
-        t.config.delta_threshold = 16;
-        // f32 semantics even under ambient EYECOD_GAZE_BACKEND: int8
-        // calibration warm-up exempts frames from the motion gate
-        t.config.gaze_backend = GazeBackend::F32;
+        // f32, since int8 calibration warm-up exempts frames from the
+        // motion gate; the gate sits at `small()`'s 16 changed pixels
+        let mut t = tracker_in(GazeBackend::F32, true);
         let s = render_eye(&EyeParams::centered(48), 48, 3);
         // frame 0 (due) runs the dense path and primes the delta caches
         let first = t.process_frame(&s.image, 4);
@@ -1772,12 +1764,9 @@ mod tests {
 
     #[test]
     fn delta_frames_track_a_moving_eye_without_dense_solves() {
-        // every tracker here pins the f32 backend even under ambient
-        // EYECOD_GAZE_BACKEND: int8 calibration would feed the delta and
-        // dense twins different warm-up batches
-        let mut t = tracker();
-        t.config.gaze_backend = GazeBackend::F32;
-        t.config.delta = true;
+        // every tracker here runs f32: int8 calibration would feed the
+        // delta and dense twins different warm-up batches
+        let mut t = tracker_in(GazeBackend::F32, true);
         t.config.delta_threshold = 0; // gate off: every change runs sparse
         let mut gen = EyeMotionGenerator::with_seed(31);
         let stats = t.run_sequence(&mut gen, 25);
@@ -1787,23 +1776,23 @@ mod tests {
             "delta tracking off the rails: {} deg",
             stats.mean_error_deg()
         );
-        // a dense-mode twin of the same sequence agrees on refresh frames
-        let mut td = tracker();
-        td.config.gaze_backend = GazeBackend::F32;
-        let (_, dense) = td.run_sequence_traced(&mut EyeMotionGenerator::with_seed(31), 25);
-        let mut te = tracker();
-        te.config.gaze_backend = GazeBackend::F32;
-        te.config.delta = true;
+        // a dense-mode twin of the same sequence agrees on refresh frames,
+        // and so does a twin whose motion gate is on
+        let mut te = tracker_in(GazeBackend::F32, true);
         te.config.delta_threshold = 0;
         let (_, delta) = te.run_sequence_traced(&mut EyeMotionGenerator::with_seed(31), 25);
-        for (d, e) in dense.iter().zip(&delta) {
-            if d.frame.is_multiple_of(10) {
-                assert_eq!(
-                    d.gaze.x.to_bits(),
-                    e.gaze.x.to_bits(),
-                    "refresh frame {} diverged",
-                    d.frame
-                );
+        for twin_delta in [false, true] {
+            let mut td = tracker_in(GazeBackend::F32, twin_delta);
+            let (_, twin) = td.run_sequence_traced(&mut EyeMotionGenerator::with_seed(31), 25);
+            for (d, e) in twin.iter().zip(&delta) {
+                if d.frame.is_multiple_of(10) {
+                    assert_eq!(
+                        d.gaze.x.to_bits(),
+                        e.gaze.x.to_bits(),
+                        "refresh frame {} diverged (twin delta {twin_delta})",
+                        d.frame
+                    );
+                }
             }
         }
     }
@@ -1831,38 +1820,22 @@ mod tests {
     }
 
     #[test]
-    fn gaze_backend_env_values_parse_or_reject_loudly() {
-        // empty / whitespace mirror an unset variable
-        assert_eq!(GazeBackend::from_env_value(""), GazeBackend::F32);
-        assert_eq!(GazeBackend::from_env_value("  "), GazeBackend::F32);
-        assert_eq!(GazeBackend::from_env_value("Int8"), GazeBackend::Int8);
-        assert_eq!(GazeBackend::from_env_value("latent"), GazeBackend::Latent);
-    }
-
-    #[test]
-    #[should_panic(expected = "unrecognised EYECOD_GAZE_BACKEND")]
-    fn gaze_backend_env_rejects_unknown_values_instead_of_falling_back() {
-        // regression: this used to silently fall back to f32, making CI
-        // backend jobs quietly test the wrong backend
-        GazeBackend::from_env_value("int4");
-    }
-
-    #[test]
     fn latent_backend_never_quantizes_and_tracks_reasonably() {
-        let mut t = tracker();
-        t.config.gaze_backend = GazeBackend::Latent;
-        let mut gen = EyeMotionGenerator::with_seed(21);
-        let stats = t.run_sequence(&mut gen, 25);
-        assert_eq!(stats.frames, 25);
-        assert!(
-            t.quantized_gaze().is_none(),
-            "latent path must not quantize"
-        );
-        assert!(
-            stats.mean_error_deg() < 25.0,
-            "latent tracking off the rails: {} deg",
-            stats.mean_error_deg()
-        );
+        for delta in [false, true] {
+            let mut t = tracker_in(GazeBackend::Latent, delta);
+            let mut gen = EyeMotionGenerator::with_seed(21);
+            let stats = t.run_sequence(&mut gen, 25);
+            assert_eq!(stats.frames, 25);
+            assert!(
+                t.quantized_gaze().is_none(),
+                "latent path must not quantize (delta {delta})"
+            );
+            assert!(
+                stats.mean_error_deg() < 25.0,
+                "latent tracking off the rails (delta {delta}): {} deg",
+                stats.mean_error_deg()
+            );
+        }
     }
 
     #[test]
@@ -1871,16 +1844,16 @@ mod tests {
         // recon-path gaze net even under the latent backend, so frame 0
         // (always due) must be byte-identical to the f32 backend's
         let s = render_eye(&EyeParams::centered(48), 48, 3);
-        let mut tf = tracker();
-        tf.config.gaze_backend = GazeBackend::F32;
-        let mut tl = tracker();
-        tl.config.gaze_backend = GazeBackend::Latent;
-        let of = tf.process_frame(&s.image, 4);
-        let ol = tl.process_frame(&s.image, 4);
-        assert_eq!(of.gaze.x.to_bits(), ol.gaze.x.to_bits());
-        assert_eq!(of.gaze.y.to_bits(), ol.gaze.y.to_bits());
-        assert_eq!(of.gaze.z.to_bits(), ol.gaze.z.to_bits());
-        assert_eq!(of.roi_refreshed, ol.roi_refreshed);
+        for delta in [false, true] {
+            let mut tf = tracker_in(GazeBackend::F32, delta);
+            let mut tl = tracker_in(GazeBackend::Latent, delta);
+            let of = tf.process_frame(&s.image, 4);
+            let ol = tl.process_frame(&s.image, 4);
+            assert_eq!(of.gaze.x.to_bits(), ol.gaze.x.to_bits(), "delta {delta}");
+            assert_eq!(of.gaze.y.to_bits(), ol.gaze.y.to_bits(), "delta {delta}");
+            assert_eq!(of.gaze.z.to_bits(), ol.gaze.z.to_bits(), "delta {delta}");
+            assert_eq!(of.roi_refreshed, ol.roi_refreshed, "delta {delta}");
+        }
     }
 
     #[test]
@@ -1894,77 +1867,88 @@ mod tests {
 
     #[test]
     fn int8_backend_switches_over_after_warmup() {
-        let mut t = tracker();
-        t.config.gaze_backend = GazeBackend::Int8;
-        t.config.calibration_frames = 4;
-        let mut gen = EyeMotionGenerator::with_seed(9);
-        for i in 0..3 {
+        for delta in [false, true] {
+            let mut t = tracker_in(GazeBackend::Int8, delta);
+            t.config.calibration_frames = 4;
+            let mut gen = EyeMotionGenerator::with_seed(9);
+            for i in 0..3 {
+                let params = gen.next_frame();
+                let s = render_eye(&params, 48, 100 + i);
+                t.process_frame(&s.image, 200 + i);
+                assert!(t.quantized_gaze().is_none(), "still warming up");
+            }
             let params = gen.next_frame();
-            let s = render_eye(&params, 48, 100 + i);
-            t.process_frame(&s.image, 200 + i);
-            assert!(t.quantized_gaze().is_none(), "still warming up");
+            let s = render_eye(&params, 48, 103);
+            t.process_frame(&s.image, 203);
+            let qnet = t.quantized_gaze().expect("calibrated after 4 frames");
+            assert!(qnet.input_scale() > 0.0);
+            // int8 frames keep tracking sensibly (not degenerate, sane
+            // error)
+            let params = gen.next_frame();
+            let s = render_eye(&params, 48, 104);
+            let out = t.process_frame(&s.image, 204);
+            assert!(!out.gaze_degenerate, "delta {delta}");
+            assert!(
+                out.gaze.angular_error_degrees(&s.gaze) < 20.0,
+                "delta {delta}"
+            );
         }
-        let params = gen.next_frame();
-        let s = render_eye(&params, 48, 103);
-        t.process_frame(&s.image, 203);
-        let qnet = t.quantized_gaze().expect("calibrated after 4 frames");
-        assert!(qnet.input_scale() > 0.0);
-        // int8 frames keep tracking sensibly (not degenerate, sane error)
-        let params = gen.next_frame();
-        let s = render_eye(&params, 48, 104);
-        let out = t.process_frame(&s.image, 204);
-        assert!(!out.gaze_degenerate);
-        assert!(out.gaze.angular_error_degrees(&s.gaze) < 20.0);
     }
 
     #[test]
     fn f32_backend_never_quantizes() {
-        let mut t = tracker();
-        // pin the backend: tracker() inherits EYECOD_GAZE_BACKEND, and this
-        // test is specifically about the f32 path
-        t.config.gaze_backend = GazeBackend::F32;
-        let mut gen = EyeMotionGenerator::with_seed(12);
-        t.run_sequence(&mut gen, 12);
-        assert!(t.quantized_gaze().is_none());
+        for delta in [false, true] {
+            let mut t = tracker_in(GazeBackend::F32, delta);
+            let mut gen = EyeMotionGenerator::with_seed(12);
+            t.run_sequence(&mut gen, 12);
+            assert!(t.quantized_gaze().is_none(), "delta {delta}");
+        }
     }
 
     #[test]
     fn healthy_frames_are_not_flagged_degenerate() {
-        let mut t = tracker();
         let sample = render_eye(&EyeParams::centered(48), 48, 3);
-        let out = t.process_frame(&sample.image, 4);
-        assert!(!out.gaze_degenerate);
-        let mut gen = EyeMotionGenerator::with_seed(5);
-        assert_eq!(t.run_sequence(&mut gen, 10).degenerate_frames, 0);
+        for (backend, delta) in cells() {
+            let mut t = tracker_in(backend, delta);
+            let out = t.process_frame(&sample.image, 4);
+            assert!(!out.gaze_degenerate);
+            let mut gen = EyeMotionGenerator::with_seed(5);
+            assert_eq!(t.run_sequence(&mut gen, 10).degenerate_frames, 0);
+        }
     }
 
     #[test]
     fn clean_plan_grades_every_frame_ok() {
-        let mut t = tracker().with_faults(FaultPlan::none());
-        let (stats, trace) = t.run_sequence_traced(&mut EyeMotionGenerator::with_seed(5), 10);
-        assert_eq!(stats.frames_ok, 10);
-        assert_eq!(stats.frames_degraded + stats.frames_lost, 0);
-        assert_eq!(t.fault_stats(), FaultStats::default());
-        assert!(trace
-            .iter()
-            .all(|f| f.quality == FrameQuality::Ok && f.faults.is_clean()));
+        for (backend, delta) in cells() {
+            let mut t = tracker_in(backend, delta).with_faults(FaultPlan::none());
+            let (stats, trace) = t.run_sequence_traced(&mut EyeMotionGenerator::with_seed(5), 10);
+            assert_eq!(stats.frames_ok, 10);
+            assert_eq!(stats.frames_degraded + stats.frames_lost, 0);
+            assert_eq!(t.fault_stats(), FaultStats::default());
+            assert!(trace
+                .iter()
+                .all(|f| f.quality == FrameQuality::Ok && f.faults.is_clean()));
+        }
     }
 
     #[test]
     fn heavy_plan_run_is_deterministic_and_survives() {
         let plan = FaultPlan::heavy(0xEC0D);
-        let run = || {
-            let mut t = tracker().with_faults(plan.clone());
-            t.run_sequence_traced(&mut EyeMotionGenerator::with_seed(7), 30)
-        };
-        let (s1, t1) = run();
-        let (s2, t2) = run();
-        assert_eq!(s1, s2, "stats must replay identically");
-        let codes = |tr: &[TrackedFrame]| tr.iter().map(|f| f.quality.code()).collect::<String>();
-        assert_eq!(codes(&t1), codes(&t2), "quality trace must replay");
-        assert_eq!(s1.frames, 30);
-        assert!(s1.faults.injected > 0, "heavy plan must inject faults");
-        assert!(s1.faults.recovered > 0, "recovery must engage");
+        for (backend, delta) in cells() {
+            let run = || {
+                let mut t = tracker_in(backend, delta).with_faults(plan.clone());
+                t.run_sequence_traced(&mut EyeMotionGenerator::with_seed(7), 30)
+            };
+            let (s1, t1) = run();
+            let (s2, t2) = run();
+            assert_eq!(s1, s2, "stats must replay identically");
+            let codes =
+                |tr: &[TrackedFrame]| tr.iter().map(|f| f.quality.code()).collect::<String>();
+            assert_eq!(codes(&t1), codes(&t2), "quality trace must replay");
+            assert_eq!(s1.frames, 30);
+            assert!(s1.faults.injected > 0, "heavy plan must inject faults");
+            assert!(s1.faults.recovered > 0, "recovery must engage");
+        }
     }
 
     #[test]
@@ -1972,108 +1956,120 @@ mod tests {
         let mut plan = FaultPlan::none();
         plan.seed = 3;
         plan.stage.seg_truncated_labels_ppm = 1_000_000; // every refresh
-        let mut t = tracker().with_faults(plan.clone());
-        let before = t.current_roi();
         let s = render_eye(&EyeParams::centered(48), 48, 3);
-        // frame 0 is a scheduled refresh, but its labels come back short
-        let out = t.process_frame(&s.image, 4);
-        assert!(
-            !out.roi_refreshed,
-            "rejected labels must not count as a refresh"
-        );
-        assert!(t.last_labels().is_none(), "short labels must not be kept");
-        assert_eq!(out.quality, FrameQuality::Degraded);
-        assert_eq!((out.faults.injected, out.faults.recovered), (1, 1));
-        let r = t.current_roi();
-        assert_eq!(
-            (r.y0, r.x0, r.h, r.w),
-            (before.y0, before.x0, before.h, before.w),
-            "ROI must stay at the last-good anchor"
-        );
-
-        // after two clean refreshes (frames 0 and 10) a truncated one at
-        // frame 20 keeps the last-good labels, not the rejected buffer
-        let mut t = tracker();
-        for frame in 0..11u64 {
-            t.process_frame(&s.image, frame);
-        }
-        let good = t
-            .last_labels()
-            .expect("clean refreshes keep labels")
-            .to_vec();
-        let anchor = t.current_roi();
-        let mut t = t.with_faults(plan);
         let mut moved = EyeParams::centered(48);
         moved.yaw = 0.3;
         let moved = render_eye(&moved, 48, 5);
-        for frame in 11..21u64 {
-            let out = t.process_frame(&moved.image, frame);
-            assert!(!out.roi_refreshed, "frame {frame}");
+        for (backend, delta) in cells() {
+            let mut t = tracker_in(backend, delta).with_faults(plan.clone());
+            let before = t.current_roi();
+            // frame 0 is a scheduled refresh, but its labels come back
+            // short
+            let out = t.process_frame(&s.image, 4);
+            assert!(
+                !out.roi_refreshed,
+                "rejected labels must not count as a refresh"
+            );
+            assert!(t.last_labels().is_none(), "short labels must not be kept");
+            assert_eq!(out.quality, FrameQuality::Degraded);
+            assert_eq!((out.faults.injected, out.faults.recovered), (1, 1));
+            let r = t.current_roi();
+            assert_eq!(
+                (r.y0, r.x0, r.h, r.w),
+                (before.y0, before.x0, before.h, before.w),
+                "ROI must stay at the last-good anchor"
+            );
+
+            // after two clean refreshes (frames 0 and 10) a truncated one
+            // at frame 20 keeps the last-good labels, not the rejected
+            // buffer
+            let mut t = tracker_in(backend, delta);
+            for frame in 0..11u64 {
+                t.process_frame(&s.image, frame);
+            }
+            let good = t
+                .last_labels()
+                .expect("clean refreshes keep labels")
+                .to_vec();
+            let anchor = t.current_roi();
+            let mut t = t.with_faults(plan.clone());
+            for frame in 11..21u64 {
+                let out = t.process_frame(&moved.image, frame);
+                assert!(!out.roi_refreshed, "frame {frame}");
+            }
+            assert_eq!(t.last_labels(), Some(&good[..]));
+            let r = t.current_roi();
+            assert_eq!(
+                (r.y0, r.x0, r.h, r.w),
+                (anchor.y0, anchor.x0, anchor.h, anchor.w)
+            );
         }
-        assert_eq!(t.last_labels(), Some(&good[..]));
-        let r = t.current_roi();
-        assert_eq!(
-            (r.y0, r.x0, r.h, r.w),
-            (anchor.y0, anchor.x0, anchor.h, anchor.w)
-        );
     }
 
     #[test]
     fn injected_gaze_nan_falls_back_to_last_gaze() {
         let mut plan = FaultPlan::none();
         plan.stage.gaze_nan_ppm = 1_000_000;
-        let mut t = tracker().with_faults(plan);
         let s = render_eye(&EyeParams::centered(48), 48, 3);
-        let out = t.process_frame(&s.image, 4);
-        assert!(out.gaze_degenerate, "NaN output must be detected");
-        let ahead = GazeVector::from_angles(0.0, 0.0);
-        assert!(out.gaze.angular_error_degrees(&ahead) < 1e-3);
-        assert_eq!(out.quality, FrameQuality::Degraded);
-        assert_eq!((out.faults.injected, out.faults.recovered), (1, 1));
+        for (backend, delta) in cells() {
+            let mut t = tracker_in(backend, delta).with_faults(plan.clone());
+            let out = t.process_frame(&s.image, 4);
+            assert!(out.gaze_degenerate, "NaN output must be detected");
+            let ahead = GazeVector::from_angles(0.0, 0.0);
+            assert!(out.gaze.angular_error_degrees(&ahead) < 1e-3);
+            assert_eq!(out.quality, FrameQuality::Degraded);
+            assert_eq!((out.faults.injected, out.faults.recovered), (1, 1));
+        }
     }
 
     #[test]
     fn dropped_frames_grade_lost_then_degraded_once_a_fallback_exists() {
         let mut plan = FaultPlan::none();
         plan.sensor.frame_drop_ppm = 1_000_000;
-        let mut t = tracker().with_faults(plan.clone());
         let s = render_eye(&EyeParams::centered(48), 48, 3);
-        let out = t.process_frame(&s.image, 4);
-        assert_eq!(out.quality, FrameQuality::Lost, "no fallback on frame 0");
-        assert_eq!(out.faults.unrecovered, 1);
-        assert!(!out.roi_refreshed);
-        // a tracker that saw one good frame first degrades instead
-        let mut t2 = tracker();
-        t2.process_frame(&s.image, 4);
-        t2.faults = plan;
-        let out2 = t2.process_frame(&s.image, 5);
-        assert_eq!(out2.quality, FrameQuality::Degraded);
-        assert_eq!(out2.faults.recovered, 1);
-        // sustained drops exhaust the image staleness limit and grade Lost
-        let mut last = out2.quality;
-        for i in 0..6 {
-            last = t2.process_frame(&s.image, 6 + i).quality;
+        for (backend, delta) in cells() {
+            let mut t = tracker_in(backend, delta).with_faults(plan.clone());
+            let out = t.process_frame(&s.image, 4);
+            assert_eq!(out.quality, FrameQuality::Lost, "no fallback on frame 0");
+            assert_eq!(out.faults.unrecovered, 1);
+            assert!(!out.roi_refreshed);
+            // a tracker that saw one good frame first degrades instead
+            let mut t2 = tracker_in(backend, delta);
+            t2.process_frame(&s.image, 4);
+            t2.faults = plan.clone();
+            let out2 = t2.process_frame(&s.image, 5);
+            assert_eq!(out2.quality, FrameQuality::Degraded);
+            assert_eq!(out2.faults.recovered, 1);
+            // sustained drops exhaust the image staleness limit and grade
+            // Lost
+            let mut last = out2.quality;
+            for i in 0..6 {
+                last = t2.process_frame(&s.image, 6 + i).quality;
+            }
+            assert_eq!(last, FrameQuality::Lost);
         }
-        assert_eq!(last, FrameQuality::Lost);
     }
 
     #[test]
     fn worker_panic_is_recovered_and_results_match_sequential() {
-        let t = tracker();
-        let (config, models) = (t.config().clone(), t.models.clone_models());
         let mut plan = FaultPlan::light(3);
         plan.exec.worker_panic_jobs = vec![1];
         let policy = RecoveryPolicy::default();
         let seeds = [5u64, 6, 7];
-        let parallel =
-            EyeTracker::run_sequences_parallel_with(&config, &models, &seeds, 8, &plan, &policy);
-        assert_eq!(parallel.len(), seeds.len());
-        for (&seed, stats) in seeds.iter().zip(&parallel) {
-            let mut fresh = EyeTracker::new(config.clone(), models.clone_models())
-                .with_faults(plan.clone())
-                .with_recovery(policy);
-            let sequential = fresh.run_sequence(&mut EyeMotionGenerator::with_seed(seed), 8);
-            assert_eq!(stats, &sequential, "job results must be byte-identical");
+        for (backend, delta) in cells() {
+            let t = tracker_in(backend, delta);
+            let (config, models) = (t.config().clone(), t.models.clone_models());
+            let parallel = EyeTracker::run_sequences_parallel_with(
+                &config, &models, &seeds, 8, &plan, &policy,
+            );
+            assert_eq!(parallel.len(), seeds.len());
+            for (&seed, stats) in seeds.iter().zip(&parallel) {
+                let mut fresh = EyeTracker::new(config.clone(), models.clone_models())
+                    .with_faults(plan.clone())
+                    .with_recovery(policy);
+                let sequential = fresh.run_sequence(&mut EyeMotionGenerator::with_seed(seed), 8);
+                assert_eq!(stats, &sequential, "job results must be byte-identical");
+            }
         }
     }
 }

@@ -7,8 +7,9 @@
 //! calibration — `process_frame` is designed to perform **zero** transient
 //! heap allocations, mirroring the accelerator's fixed on-chip buffers.
 //! This test installs the counting global allocator and pins that
-//! property for all three gaze backends, on steady frames and on a
-//! scheduled refresh frame, segmentation included (the latent fast path
+//! property for all three gaze backends, dense and with the delta path
+//! switched on, on steady frames and on a scheduled refresh frame,
+//! segmentation included (the latent fast path
 //! senses, projects and regresses through its own pre-warmed buffers —
 //! skipping recon entirely must not cost a single allocation either); one
 //! stray per-frame `clone()` anywhere in the frame path fails it.
@@ -28,7 +29,6 @@ use eyecod_core::alloc_counter::{allocations, CountingAllocator};
 use eyecod_core::tracker::{EyeTracker, GazeBackend, TrackerConfig};
 use eyecod_core::training::{train_tracker_models, TrainingSetup};
 use eyecod_eyedata::render::{render_eye, EyeParams};
-use eyecod_faults::FaultPlan;
 use eyecod_optics::mat::Mat;
 use eyecod_optics::recon::ReconWorkspace;
 use eyecod_optics::{FlatCam, SensorModel, SeparableMask, TikhonovReconstructor};
@@ -43,13 +43,16 @@ fn steady_state_frames_do_not_allocate_on_any_backend() {
     // the scene is rendered once, outside the measured window
     let scene = render_eye(&EyeParams::centered(base.scene_size), base.scene_size, 0).image;
 
-    for backend in [GazeBackend::F32, GazeBackend::Int8, GazeBackend::Latent] {
+    for (backend, delta) in GazeBackend::ALL
+        .into_iter()
+        .flat_map(|b| [(b, false), (b, true)])
+    {
         let config = TrackerConfig {
             gaze_backend: backend,
+            delta,
             ..base.clone()
         };
-        let mut tracker =
-            EyeTracker::new(config, models.clone_models()).with_faults(FaultPlan::none());
+        let mut tracker = EyeTracker::new(config, models.clone_models());
 
         // warm-up: ROI refreshes fire at frames 0 and 10 (`roi_period` 10)
         // and size both label buffers, int8 calibration completes at frame
@@ -69,15 +72,15 @@ fn steady_state_frames_do_not_allocate_on_any_backend() {
         for frame in 12..22u64 {
             let before = allocations();
             let out = tracker.process_frame(&scene, frame);
-            let delta = allocations() - before;
+            let allocs = allocations() - before;
             assert_eq!(
                 out.roi_refreshed,
                 frame == 20,
                 "frame {frame} refresh schedule"
             );
             assert_eq!(
-                delta, 0,
-                "{backend:?} backend: frame {frame} (refresh={}) made {delta} heap allocations",
+                allocs, 0,
+                "{backend:?} backend (delta {delta}): frame {frame} (refresh={}) made {allocs} heap allocations",
                 out.roi_refreshed
             );
         }
@@ -90,7 +93,7 @@ fn steady_state_frames_do_not_allocate_on_any_backend() {
             eyecod_telemetry::global()
                 .snapshot()
                 .counter("tracker/steady_state_allocs"),
-            "{backend:?} backend: tracker/steady_state_allocs grew during steady state"
+            "{backend:?} backend (delta {delta}): tracker/steady_state_allocs grew during steady state"
         );
     }
 
@@ -110,15 +113,13 @@ fn steady_state_frames_do_not_allocate_on_any_backend() {
         render_eye(&p, base.scene_size, 1).image
     };
     let scenes = [&scene, &scene_b];
-    for backend in [GazeBackend::F32, GazeBackend::Int8, GazeBackend::Latent] {
+    for backend in GazeBackend::ALL {
         let config = TrackerConfig {
             gaze_backend: backend,
             delta: true,
-            delta_threshold: 16,
             ..base.clone()
         };
-        let mut tracker =
-            EyeTracker::new(config, models.clone_models()).with_faults(FaultPlan::none());
+        let mut tracker = EyeTracker::new(config, models.clone_models());
         for frame in 0..22u64 {
             tracker.process_frame(scenes[(frame as usize / 2) % 2], frame);
         }

@@ -13,8 +13,10 @@
 //!   fire at which rates. Every decision is a pure hash of
 //!   `(plan seed, fault site, frame, salt)`, so a plan replays
 //!   byte-identically across runs, thread counts and processes — every
-//!   fault scenario is a reproducible test fixture. Plans load from the
-//!   `EYECOD_FAULT_PLAN` environment variable (presets or inline JSON).
+//!   fault scenario is a reproducible test fixture. Plans are plain data:
+//!   a library constructor starts from [`FaultPlan::none`], a caller
+//!   passes a plan in (`with_faults`), and [`FaultPlan::parse`] reads the
+//!   presets or inline JSON that `eyecod track --faults` takes.
 //! * [`FaultSite`] — the closed set of injection points, grouped into
 //!   sensor, link, stage and execution planes. Disjoint groups can never
 //!   cross-fire: each site draws from its own hash stream and its own

@@ -306,25 +306,11 @@ impl FaultPlan {
         p
     }
 
-    /// Loads a plan from the `EYECOD_FAULT_PLAN` environment variable.
-    ///
-    /// Accepted values: unset / empty / `none` / `off` / `0` (no faults),
-    /// `light` or `heavy` (presets, optionally `light:<seed>`), or an
-    /// inline JSON plan (starts with `{`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value or malformed JSON — a silently
-    /// ignored plan would make the CI fault-matrix job test nothing.
-    pub fn from_env() -> Self {
-        match std::env::var("EYECOD_FAULT_PLAN") {
-            Err(_) => Self::none(),
-            Ok(v) => Self::parse(&v)
-                .unwrap_or_else(|| panic!("unrecognised EYECOD_FAULT_PLAN value: {v:?}")),
-        }
-    }
-
-    /// Parses the `EYECOD_FAULT_PLAN` syntax (see [`FaultPlan::from_env`]).
+    /// Parses a plan spelled the way `eyecod track --faults` takes it:
+    /// `none` / `off` / `0` / empty (no faults), `light` or `heavy`
+    /// (presets, optionally `light:<seed>`), or an inline JSON plan
+    /// (starts with `{`, as [`FaultPlan::to_json`] writes it). `None` on
+    /// anything else, malformed JSON included.
     pub fn parse(value: &str) -> Option<Self> {
         let v = value.trim();
         if v.starts_with('{') {
@@ -578,7 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn env_syntax_parses_presets_and_json() {
+    fn cli_syntax_parses_presets_and_json() {
         assert!(FaultPlan::parse("none").unwrap().is_none());
         assert!(FaultPlan::parse("off").unwrap().is_none());
         assert_eq!(FaultPlan::parse("light:42").unwrap(), FaultPlan::light(42));

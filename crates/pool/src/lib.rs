@@ -516,11 +516,14 @@ static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
 /// (`available_parallelism - 1` workers, since callers participate);
 /// override with the `EYECOD_THREADS` environment variable (`1` means one
 /// worker, `0` forces fully sequential execution).
+///
+/// # Panics
+///
+/// Panics if `EYECOD_THREADS` is set to anything but a decimal count.
 pub fn global() -> &'static ThreadPool {
     GLOBAL.get_or_init(|| {
-        let workers = std::env::var("EYECOD_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
+        let workers = std::env::var_os("EYECOD_THREADS")
+            .and_then(|v| parse_threads("EYECOD_THREADS", &v.to_string_lossy()))
             .unwrap_or_else(|| {
                 thread::available_parallelism()
                     .map(|n| n.get())
@@ -530,6 +533,23 @@ pub fn global() -> &'static ThreadPool {
         static_counter!("pool/workers").set(workers as u64);
         ThreadPool::with_threads(workers)
     })
+}
+
+/// Parses an `EYECOD_THREADS` value: a decimal worker count, or `None`
+/// for an empty value, which counts as unset.
+///
+/// # Panics
+///
+/// Panics with the variable's name and value on anything else.
+fn parse_threads(name: &str, value: &str) -> Option<usize> {
+    let v = value.trim();
+    if v.is_empty() {
+        return None;
+    }
+    Some(
+        v.parse()
+            .unwrap_or_else(|_| panic!("bad {name} value {value:?} (want a decimal worker count)")),
+    )
 }
 
 /// [`ThreadPool::parallel_map`] on the [`global`] pool.
@@ -642,6 +662,26 @@ impl<'p> BatchRunner<'p> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn thread_counts_parse_and_empty_means_unset() {
+        assert_eq!(parse_threads("EYECOD_THREADS", "0"), Some(0));
+        assert_eq!(parse_threads("EYECOD_THREADS", " 3 "), Some(3));
+        assert_eq!(parse_threads("EYECOD_THREADS", ""), None);
+        assert_eq!(parse_threads("EYECOD_THREADS", "  "), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad EYECOD_THREADS value \"abc\"")]
+    fn malformed_thread_count_panics_with_the_variable_name() {
+        parse_threads("EYECOD_THREADS", "abc");
+    }
+
+    #[test]
+    #[should_panic(expected = "bad EYECOD_THREADS value \"-1\"")]
+    fn negative_thread_count_panics() {
+        parse_threads("EYECOD_THREADS", "-1");
+    }
 
     #[test]
     fn preserves_order() {

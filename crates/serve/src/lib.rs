@@ -30,7 +30,7 @@
 //!   [`TrackingStats::frames_shed`].
 //! * **Telemetry** — fleet counters (`serve/sessions_active`,
 //!   `serve/frames_ingested`, `serve/frames_shed`, `serve/batch_size`,
-//!   `serve/sched_panics_recovered`, `serve/steady_state_allocs`) and the
+//!   `serve/panics_recovered`, `serve/steady_state_allocs`) and the
 //!   `serve/tick_ns` / `serve/batch_ns` latency histograms flow into the
 //!   global name-keyed registry and merge with per-tracker metrics in
 //!   snapshots.

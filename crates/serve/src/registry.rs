@@ -19,9 +19,11 @@
 //! tick catches the unwind and re-runs the job inline at attempt 1 (which
 //! never re-fires). Because the injected panic happens at the entry point,
 //! the retry replays the job from clean state and the tick's output is
-//! byte-identical to an unfaulted run. (A *genuine* mid-job panic is also
-//! caught, but its retry re-executes the body as-is; a deterministic bug
-//! surfaces on the retry instead of being silently absorbed.)
+//! byte-identical to an unfaulted run. Each tick reports its re-runs in
+//! [`TickReport::panics_recovered`] (and the `serve/panics_recovered`
+//! counter). (A *genuine* mid-job panic is also caught, but its retry
+//! re-executes the body as-is; a deterministic bug surfaces on the retry
+//! instead of being silently absorbed.)
 
 use crate::store::{
     stamp_stage_row, QueuedFrame, Route, SendPtr, SessionStore, STAGES, STAGE_CAPTURE, STAGE_CROP,
@@ -106,6 +108,9 @@ pub struct TickReport {
     /// Gaze forwards routed through the recon-free latent network
     /// (latent sessions on steady-state frames).
     pub latent_forwards: usize,
+    /// Front-half jobs that panicked (the fault plan's execution plane)
+    /// and were re-run inline.
+    pub panics_recovered: usize,
 }
 
 enum PoolHandle {
@@ -166,7 +171,7 @@ pub struct ServeRegistry {
 impl ServeRegistry {
     /// Builds a registry from a configuration and trained models.
     ///
-    /// The fault plan defaults to [`FaultPlan::from_env`] and the recovery
+    /// The fault plan defaults to [`FaultPlan::none`] and the recovery
     /// policy to [`RecoveryPolicy::default`]; override with
     /// [`ServeRegistry::with_faults`] / [`ServeRegistry::with_recovery`]
     /// before creating sessions.
@@ -185,7 +190,7 @@ impl ServeRegistry {
             config,
             models,
             acquisition,
-            faults: FaultPlan::from_env(),
+            faults: FaultPlan::none(),
             recovery: RecoveryPolicy::default(),
             pool,
             store: SessionStore::new(),
@@ -436,7 +441,7 @@ impl ServeRegistry {
             });
         let allocs_before = eyecod_core::alloc_counter::allocations();
 
-        self.run_front_half();
+        let panics_recovered = self.run_front_half();
 
         // route serially in work order: warming int8 sessions contribute
         // their calibration crops deterministically
@@ -528,14 +533,16 @@ impl ServeRegistry {
             f32_forwards,
             int8_forwards,
             latent_forwards,
+            panics_recovered,
         }
     }
 
     /// The front half of every staged frame, one pool job per session:
     /// [`EyeTracker::front_stages`] over the session's columns, stamping the
     /// capture/recon/crop epochs. Jobs listed in the fault plan's execution
-    /// plane panic at entry and are re-run inline (see the module docs).
-    fn run_front_half(&mut self) {
+    /// plane panic at entry and are re-run inline (see the module docs);
+    /// returns how many were.
+    fn run_front_half(&mut self) -> usize {
         let ServeRegistry {
             faults,
             pool,
@@ -594,7 +601,7 @@ impl ServeRegistry {
         });
         // deterministic inline retry: attempt 1 never re-fires an injected
         // panic, and the panic happened before any column write
-        let mut recovered = 0u64;
+        let mut recovered = 0;
         for (w, &flag) in failed.iter().enumerate() {
             if flag != 0 {
                 job(w);
@@ -602,8 +609,9 @@ impl ServeRegistry {
             }
         }
         if recovered > 0 {
-            static_counter!("serve/sched_panics_recovered").add(recovered);
+            static_counter!("serve/panics_recovered").add(recovered as u64);
         }
+        recovered
     }
 
     /// Routes row `row`'s staged gaze input: picks the forward path,
@@ -751,19 +759,14 @@ mod tests {
     fn registry(mut mutate: impl FnMut(&mut ServeConfig)) -> ServeRegistry {
         static MODELS: OnceLock<(TrackerConfig, TrackerModels)> = OnceLock::new();
         let (cfg, models) = MODELS.get_or_init(|| {
-            let mut cfg = TrackerConfig::small();
-            // these unit tests pin exact per-tick forward counts, which
-            // assume every staged frame reaches its gaze batch — run the
-            // dense path even under ambient EYECOD_DELTA=1 (the delta
-            // serve semantics have their own differential suite)
-            cfg.delta = false;
+            let cfg = TrackerConfig::small();
             let models = train_tracker_models(&TrainingSetup::quick(), &cfg);
             (cfg, models)
         });
         let mut sc = ServeConfig::new(cfg.clone());
         sc.threads = Some(0); // sequential: unit tests stay deterministic & cheap
         mutate(&mut sc);
-        ServeRegistry::new(sc, models.clone_models()).with_faults(FaultPlan::none())
+        ServeRegistry::new(sc, models.clone_models())
     }
 
     fn scene(seed: u64) -> Tensor {
@@ -774,42 +777,51 @@ mod tests {
 
     #[test]
     fn lifecycle_ids_are_generational() {
-        let mut reg = registry(|_| {});
-        let a = reg.create().unwrap();
-        let b = reg.create().unwrap();
-        assert_eq!(reg.sessions_active(), 2);
-        assert!(reg.contains(a) && reg.contains(b));
-        assert_ne!(a, b);
+        for backend in GazeBackend::ALL {
+            let mut reg = registry(|c| c.tracker.gaze_backend = backend);
+            let a = reg.create().unwrap();
+            let b = reg.create().unwrap();
+            assert_eq!(reg.sessions_active(), 2);
+            assert!(reg.contains(a) && reg.contains(b));
+            assert_ne!(a, b);
 
-        let snap = reg.evict(a).unwrap();
-        assert_eq!(snap.id, a);
-        assert_eq!(reg.sessions_active(), 1);
-        assert!(!reg.contains(a));
-        assert_eq!(reg.snapshot(a).unwrap_err(), ServeError::StaleSession(a));
-        assert_eq!(reg.evict(a).unwrap_err(), ServeError::StaleSession(a));
+            let snap = reg.evict(a).unwrap();
+            assert_eq!(snap.id, a);
+            assert_eq!(snap.backend, backend);
+            assert_eq!(reg.sessions_active(), 1);
+            assert!(!reg.contains(a));
+            assert_eq!(reg.snapshot(a).unwrap_err(), ServeError::StaleSession(a));
+            assert_eq!(reg.evict(a).unwrap_err(), ServeError::StaleSession(a));
 
-        // the freed row is reused under a fresh generation: the old id
-        // still cannot resolve
-        let c = reg.create().unwrap();
-        assert_eq!(c.index(), a.index());
-        assert_ne!(c.generation(), a.generation());
-        assert!(!reg.contains(a));
-        assert!(reg.contains(c));
+            // the freed row is reused under a fresh generation: the old id
+            // still cannot resolve
+            let c = reg.create().unwrap();
+            assert_eq!(c.index(), a.index());
+            assert_ne!(c.generation(), a.generation());
+            assert!(!reg.contains(a));
+            assert!(reg.contains(c));
+        }
     }
 
     #[test]
     fn capacity_and_shape_are_enforced() {
-        let mut reg = registry(|c| c.max_sessions = 1);
-        let id = reg.create().unwrap();
-        assert_eq!(reg.create().unwrap_err(), ServeError::AtCapacity(1));
-        let bad = Tensor::zeros(Shape::new(1, 1, 32, 32));
-        assert_eq!(
-            reg.feed(id, &bad, 0).unwrap_err(),
-            ServeError::SceneShape {
-                expected: 48,
-                got: (32, 32)
-            }
-        );
+        for backend in GazeBackend::ALL {
+            let mut reg = registry(|c| {
+                c.max_sessions = 1;
+                c.tracker.gaze_backend = backend;
+            });
+            let id = reg.create().unwrap();
+            assert_eq!(reg.create().unwrap_err(), ServeError::AtCapacity(1));
+            let bad = Tensor::zeros(Shape::new(1, 1, 32, 32));
+            assert_eq!(
+                reg.feed(id, &bad, 0).unwrap_err(),
+                ServeError::SceneShape {
+                    expected: 48,
+                    got: (32, 32)
+                },
+                "{backend:?}"
+            );
+        }
     }
 
     #[test]
@@ -856,9 +868,9 @@ mod tests {
 
     #[test]
     fn tick_completes_frames_and_frame_indices_stay_dense() {
-        // session `a` is f32 even under ambient EYECOD_GAZE_BACKEND: the
-        // forward counts below assume f32 + int8 sessions
-        let mut reg = registry(|c| c.tracker.gaze_backend = GazeBackend::F32);
+        // `create` takes `small()`'s f32 backend: the forward counts below
+        // assume f32 + int8 sessions
+        let mut reg = registry(|_| {});
         let a = reg.create().unwrap();
         let b = reg.create_with_backend(GazeBackend::Int8).unwrap();
         for i in 0..3u64 {

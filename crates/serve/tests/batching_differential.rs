@@ -49,10 +49,7 @@ const SEQUENCE_FRAMES: usize = 64;
 fn shared() -> &'static (TrackerConfig, TrackerModels, Vec<Tensor>) {
     static SHARED: OnceLock<(TrackerConfig, TrackerModels, Vec<Tensor>)> = OnceLock::new();
     SHARED.get_or_init(|| {
-        let mut cfg = TrackerConfig::small();
-        // every leg sets its own backend and delta flag
-        cfg.gaze_backend = GazeBackend::F32;
-        cfg.delta = false;
+        let cfg = TrackerConfig::small();
         let models = train_tracker_models(&TrainingSetup::quick(), &cfg);
         // one motion sequence with fixations and saccades, so the delta
         // legs see motion-gated, sparse and dense frames
@@ -91,9 +88,9 @@ fn plan(heavy: bool) -> FaultPlan {
 /// The three-backend rotation every fleet cycles through, phase-shifted so
 /// `first` lands on session 0.
 fn rotation(size: usize, first: GazeBackend) -> Vec<GazeBackend> {
-    const ORDER: [GazeBackend; 3] = [GazeBackend::F32, GazeBackend::Int8, GazeBackend::Latent];
-    let start = ORDER.iter().position(|b| *b == first).unwrap();
-    (0..size).map(|s| ORDER[(start + s) % 3]).collect()
+    let all = GazeBackend::ALL;
+    let start = all.iter().position(|b| *b == first).unwrap();
+    (0..size).map(|s| all[(start + s) % all.len()]).collect()
 }
 
 /// One comparable line per completed frame, bit-exact.

@@ -15,7 +15,11 @@
 //! * the entire scenario — faults, sheds, gaze outputs — replays
 //!   byte-identically under the same seed, on any worker count;
 //! * worker panics injected into the tick's front-half jobs are recovered
-//!   without a trace of them in the output.
+//!   without a trace of them in the output, and every one is counted.
+//!
+//! Half of each fleet takes the configured default backend through
+//! `create`; every test runs once per default — each backend on the dense
+//! path, plus f32 on the event-driven delta path.
 
 use std::sync::OnceLock;
 
@@ -50,6 +54,29 @@ fn shared() -> &'static (TrackerConfig, TrackerModels, Vec<Tensor>) {
     })
 }
 
+/// The `(backend, delta)` cells every scenario runs in. Each cell is
+/// printed as the loop reaches it, so a failing test's captured output
+/// names the cell.
+fn cells() -> impl Iterator<Item = (GazeBackend, bool)> {
+    GazeBackend::ALL
+        .into_iter()
+        .map(|b| (b, false))
+        .chain([(GazeBackend::F32, true)])
+        .inspect(|(backend, delta)| println!("cell: {backend:?}, delta {delta}"))
+}
+
+/// A `ServeConfig` over the shared tracker config in one cell.
+fn serve_config((backend, delta): (GazeBackend, bool), threads: usize) -> ServeConfig {
+    let (cfg, _, _) = shared();
+    let mut sc = ServeConfig::new(TrackerConfig {
+        gaze_backend: backend,
+        delta,
+        ..cfg.clone()
+    });
+    sc.threads = Some(threads);
+    sc
+}
+
 /// One comparable line per observed event, for the replay digest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct RunDigest {
@@ -58,16 +85,14 @@ struct RunDigest {
     fleet: String,
 }
 
-/// Runs the full chaos scenario once and returns its digest, asserting
-/// the graceful-degradation invariants along the way.
-fn run_chaos(threads: usize) -> RunDigest {
-    let (cfg, models, scenes) = shared();
-    let mut sc = ServeConfig::new(cfg.clone());
+/// Runs the full chaos scenario once in `cell` and returns its digest,
+/// asserting the graceful-degradation invariants along the way.
+fn run_chaos(cell: (GazeBackend, bool), threads: usize) -> RunDigest {
+    let (_, models, scenes) = shared();
+    let mut sc = serve_config(cell, threads);
     sc.queue_capacity = QUEUE;
-    sc.threads = Some(threads);
     let mut reg = ServeRegistry::new(sc, models.clone_models()).with_faults(FaultPlan::heavy(SEED));
-    // half the fleet takes the configured default backend (CI runs this
-    // suite under both `EYECOD_GAZE_BACKEND` values), the other half is
+    // half the fleet takes the cell's default backend, the other half is
     // pinned int8 so fleet-shared calibration is always under load
     let ids: Vec<_> = (0..SESSIONS)
         .map(|s| {
@@ -190,18 +215,20 @@ fn run_chaos(threads: usize) -> RunDigest {
 
 #[test]
 fn overloaded_fleet_degrades_gracefully_and_replays_exactly() {
-    let first = run_chaos(0);
-    assert!(
-        !first.shed_events.is_empty(),
-        "the overload schedule must actually shed frames"
-    );
-    assert_eq!(first.frames.len(), SESSIONS * CHAOS_TICKS);
-    // byte-identical replay: same seed, same fleet, same everything
-    let second = run_chaos(0);
-    assert_eq!(
-        first, second,
-        "chaos run is not reproducible under a fixed seed"
-    );
+    for cell in cells() {
+        let first = run_chaos(cell, 0);
+        assert!(
+            !first.shed_events.is_empty(),
+            "the overload schedule must actually shed frames"
+        );
+        assert_eq!(first.frames.len(), SESSIONS * CHAOS_TICKS);
+        // byte-identical replay: same seed, same fleet, same everything
+        let second = run_chaos(cell, 0);
+        assert_eq!(
+            first, second,
+            "chaos run is not reproducible under a fixed seed"
+        );
+    }
 }
 
 /// The pool leg of the overload matrix: the same 3× overload under
@@ -211,32 +238,28 @@ fn overloaded_fleet_degrades_gracefully_and_replays_exactly() {
 /// 0-worker run's.
 #[test]
 fn overloaded_fleet_digest_is_worker_count_invariant() {
-    let reference = run_chaos(0);
-    assert!(!reference.shed_events.is_empty());
-    for threads in [1, 3] {
-        assert_eq!(
-            reference,
-            run_chaos(threads),
-            "{threads}-worker chaos digest diverged from the 0-worker run"
-        );
+    for cell in cells() {
+        let reference = run_chaos(cell, 0);
+        assert!(!reference.shed_events.is_empty());
+        for threads in [1, 3] {
+            assert_eq!(
+                reference,
+                run_chaos(cell, threads),
+                "{threads}-worker chaos digest diverged from the 0-worker run"
+            );
+        }
     }
 }
 
 /// The serve-level mirror of the pool's `try_parallel_map` pin: a fault
 /// plan that kills front-half jobs at their entry points is recovered by
 /// the tick's inline retry, byte-identically to the same fleet run without
-/// the plan — and, in builds that carry telemetry, the recovery counter
-/// proves the retries happened.
+/// the plan — and the ticks' reports count every retry.
 #[test]
 fn injected_worker_panics_recover_byte_identically() {
-    // the counter proof needs recording on, whatever `EYECOD_TELEMETRY` says
-    #[cfg(feature = "telemetry")]
-    eyecod_telemetry::set_enabled(true);
-
-    let (cfg, models, scenes) = shared();
-    let run = |plan: &FaultPlan, threads: usize| {
-        let mut sc = ServeConfig::new(cfg.clone());
-        sc.threads = Some(threads);
+    let (_, models, scenes) = shared();
+    let run = |cell: (GazeBackend, bool), plan: &FaultPlan, threads: usize| {
+        let sc = serve_config(cell, threads);
         let mut reg = ServeRegistry::new(sc, models.clone_models()).with_faults(plan.clone());
         // mixed backends: the int8 warm-up and the calibrated int8 batch
         // both run under the injected panics
@@ -250,12 +273,14 @@ fn injected_worker_panics_recover_byte_identically() {
             })
             .collect();
         let mut out = Vec::new();
-        for step in 0..12u64 {
+        let mut recovered = 0;
+        for step in 0..TICKS {
             for (s, id) in ids.iter().enumerate() {
                 reg.feed(*id, &scenes[(step as usize + s) % scenes.len()], step)
                     .unwrap();
             }
-            let (_, trace) = reg.tick_traced();
+            let (report, trace) = reg.tick_traced();
+            recovered += report.panics_recovered;
             for (id, f) in trace {
                 out.push(format!(
                     "{} f{} {:08x}/{:08x}/{:08x} {:?} {:?}",
@@ -269,31 +294,26 @@ fn injected_worker_panics_recover_byte_identically() {
                 ));
             }
         }
-        out
+        (out, recovered)
     };
-    let reference = run(&FaultPlan::none(), 0);
+    const TICKS: u64 = 12;
     // kill the first, an interior and the last front-half job of every tick
     let mut plan = FaultPlan::none();
     plan.exec.worker_panic_jobs = vec![0, 3, 7];
-    // without telemetry compiled in there is no counter to read
-    #[cfg(feature = "telemetry")]
-    let before = eyecod_telemetry::static_counter!("serve/sched_panics_recovered").get();
-    for threads in [0usize, 3] {
-        assert_eq!(
-            reference,
-            run(&plan, threads),
-            "{threads}-worker run with injected worker panics diverged"
-        );
-    }
-    #[cfg(feature = "telemetry")]
-    {
-        let recovered =
-            eyecod_telemetry::static_counter!("serve/sched_panics_recovered").get() - before;
-        // 3 killed jobs per tick × 12 ticks × 2 runs; sibling tests under
-        // `FaultPlan::heavy` may add theirs concurrently
-        assert!(
-            recovered >= 72,
-            "only {recovered} of 72 injected worker panics were recovered"
-        );
+    for cell in cells() {
+        let (reference, none_recovered) = run(cell, &FaultPlan::none(), 0);
+        assert_eq!(none_recovered, 0, "nothing to recover without the plan");
+        for threads in [0usize, 3] {
+            let (faulted, recovered) = run(cell, &plan, threads);
+            assert_eq!(
+                reference, faulted,
+                "{threads}-worker run with injected worker panics diverged"
+            );
+            assert_eq!(
+                recovered,
+                3 * TICKS as usize,
+                "{threads}-worker run recovered {recovered} of 3 × {TICKS} injected worker panics"
+            );
+        }
     }
 }

@@ -12,7 +12,8 @@
 //! built, int8 calibrated, the latent batch arena grown, every static
 //! counter materialised — feeding and ticking 16 sessions (mixed
 //! f32/int8/latent) performs **zero** transient heap allocations on
-//! non-refresh frames.
+//! non-refresh frames, on the dense path and on the event-driven delta
+//! path alike.
 //!
 //! Kept as a single `#[test]` so no concurrent test pollutes the process-
 //! wide allocation counter while a round is being measured.
@@ -21,7 +22,6 @@ use eyecod_core::alloc_counter::{allocations, CountingAllocator};
 use eyecod_core::tracker::{GazeBackend, TrackerConfig};
 use eyecod_core::training::{train_tracker_models, TrainingSetup};
 use eyecod_eyedata::render::{render_eye, EyeParams};
-use eyecod_faults::FaultPlan;
 use eyecod_serve::{ServeConfig, ServeRegistry};
 use eyecod_telemetry::static_counter;
 
@@ -34,57 +34,60 @@ fn steady_state_serve_ticks_do_not_allocate() {
     let models = train_tracker_models(&TrainingSetup::quick(), &cfg);
     // rendered once, outside the measured window
     let scene = render_eye(&EyeParams::centered(cfg.scene_size), cfg.scene_size, 0).image;
-    let mut sc = ServeConfig::new(cfg.clone());
-    // the sequential inline pool: parallel dispatch would hand jobs to
-    // worker threads whose own bookkeeping is outside this test's scope
-    sc.threads = Some(0);
-    let mut reg = ServeRegistry::new(sc, models.clone_models()).with_faults(FaultPlan::none());
-    let ids: Vec<_> = (0..16)
-        .map(|s| {
-            let backend = match s % 3 {
-                0 => GazeBackend::F32,
-                1 => GazeBackend::Int8,
-                _ => GazeBackend::Latent,
-            };
-            reg.create_with_backend(backend).unwrap()
-        })
-        .collect();
+    for delta in [false, true] {
+        let mut sc = ServeConfig::new(TrackerConfig {
+            delta,
+            ..cfg.clone()
+        });
+        // the sequential inline pool: parallel dispatch would hand jobs to
+        // worker threads whose own bookkeeping is outside this test's scope
+        sc.threads = Some(0);
+        let mut reg = ServeRegistry::new(sc, models.clone_models());
+        let ids: Vec<_> = (0..16)
+            .map(|s| {
+                reg.create_with_backend(GazeBackend::ALL[s % GazeBackend::ALL.len()])
+                    .unwrap()
+            })
+            .collect();
 
-    // warm-up: per-session trackers see frames 0..12, covering both ROI
-    // refreshes (`roi_period` 10), the fleet int8 calibration (the warming
-    // int8 sessions fill the 8-crop window within two ticks), spare-buffer
-    // and arena growth, column growth, and every telemetry static
-    for round in 0..12u64 {
-        for id in &ids {
-            reg.feed(*id, &scene, round).unwrap();
+        // warm-up: per-session trackers see frames 0..12, covering both ROI
+        // refreshes (`roi_period` 10), the fleet int8 calibration (the
+        // warming int8 sessions fill the 8-crop window within two ticks),
+        // spare-buffer and arena growth, column growth, and every telemetry
+        // static
+        for round in 0..12u64 {
+            for id in &ids {
+                reg.feed(*id, &scene, round).unwrap();
+            }
+            reg.tick();
         }
-        reg.tick();
-    }
-    assert!(
-        reg.int8_calibrated(),
-        "fleet calibration must finish in warm-up"
-    );
+        assert!(
+            reg.int8_calibrated(),
+            "fleet calibration must finish in warm-up (delta {delta})"
+        );
 
-    // frames 12..18 per session: no ROI refresh falls in the window (next
-    // is frame 20), so every feed+tick round must be allocation-free
-    let steady_before = static_counter!("serve/steady_state_allocs").get();
-    for round in 12..18u64 {
-        let before = allocations();
-        for id in &ids {
-            reg.feed(*id, &scene, round).unwrap();
+        // frames 12..18 per session: no ROI refresh falls in the window
+        // (next is frame 20), so every feed+tick round must be
+        // allocation-free
+        let steady_before = static_counter!("serve/steady_state_allocs").get();
+        for round in 12..18u64 {
+            let before = allocations();
+            for id in &ids {
+                reg.feed(*id, &scene, round).unwrap();
+            }
+            let report = reg.tick();
+            let allocs = allocations() - before;
+            assert_eq!(report.staged, 16);
+            assert_eq!(
+                allocs, 0,
+                "steady-state serve round {round} (delta {delta}) made {allocs} heap allocations"
+            );
         }
-        let report = reg.tick();
-        let delta = allocations() - before;
-        assert_eq!(report.staged, 16);
+        // the tick's own telemetry must agree with the external proof
+        let steady = static_counter!("serve/steady_state_allocs").get() - steady_before;
         assert_eq!(
-            delta, 0,
-            "steady-state serve round {round} made {delta} heap allocations"
+            steady, 0,
+            "serve/steady_state_allocs recorded {steady} allocations in warm ticks (delta {delta})"
         );
     }
-    // the tick's own telemetry must agree with the external proof
-    let steady = static_counter!("serve/steady_state_allocs").get() - steady_before;
-    assert_eq!(
-        steady, 0,
-        "serve/steady_state_allocs recorded {steady} allocations in warm ticks"
-    );
 }

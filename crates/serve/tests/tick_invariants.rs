@@ -6,7 +6,8 @@
 //! 1 and 3 pool workers — each worker count partitions the front-half jobs
 //! and the gaze batches differently — and shed/ingest accounting is exact.
 //! (What each session serves is pinned against a standalone tracker in
-//! `batching_differential.rs`.) On top of the trace pin, the per-session
+//! `batching_differential.rs`.) Every check runs on the dense path and on
+//! the event-driven delta path. On top of the trace pin, the per-session
 //! stage epochs are checked directly: after every tick each staged
 //! session's capture/recon/crop stamps carry the frame index just
 //! completed — no stage ever consumed a previous stage's output from a
@@ -18,7 +19,6 @@ use std::sync::OnceLock;
 use eyecod_core::tracker::{GazeBackend, TrackedFrame, TrackerConfig};
 use eyecod_core::training::{train_tracker_models, TrackerModels, TrainingSetup};
 use eyecod_eyedata::render::{render_eye, EyeParams};
-use eyecod_faults::FaultPlan;
 use eyecod_serve::{ServeConfig, ServeRegistry, SessionId};
 use eyecod_tensor::Tensor;
 use proptest::prelude::*;
@@ -90,21 +90,30 @@ struct RunResult {
     accounting: Vec<(u64, u64, usize)>,
 }
 
-/// Executes `schedule` on a `threads`-worker pool.
-fn run_schedule(schedule: &Schedule, threads: usize) -> RunResult {
-    let (cfg, models, scenes) = shared();
-    let mut sc = ServeConfig::new(cfg.clone());
-    sc.queue_capacity = schedule.queue;
+/// A serve config on a `threads`-worker pool, dense or on the delta path.
+fn serve_config(delta: bool, threads: usize) -> ServeConfig {
+    let (cfg, _, _) = shared();
+    let mut sc = ServeConfig::new(TrackerConfig {
+        delta,
+        ..cfg.clone()
+    });
     sc.threads = Some(threads);
-    let mut reg = ServeRegistry::new(sc, models.clone_models()).with_faults(FaultPlan::none());
-    // three-backend rotation: the tick must hold its invariants with
-    // latent rows (a third gaze batch partition with its own arena)
-    // interleaved among f32 and int8 rows
-    let backend = |s: usize| match s % 3 {
-        0 => GazeBackend::F32,
-        1 => GazeBackend::Int8,
-        _ => GazeBackend::Latent,
-    };
+    sc
+}
+
+/// Three-backend rotation: the tick must hold its invariants with latent
+/// rows (a third gaze batch partition with its own arena) interleaved
+/// among f32 and int8 rows.
+fn backend(slot: usize) -> GazeBackend {
+    GazeBackend::ALL[slot % GazeBackend::ALL.len()]
+}
+
+/// Executes `schedule` on a `threads`-worker pool.
+fn run_schedule(schedule: &Schedule, delta: bool, threads: usize) -> RunResult {
+    let (_, models, scenes) = shared();
+    let mut sc = serve_config(delta, threads);
+    sc.queue_capacity = schedule.queue;
+    let mut reg = ServeRegistry::new(sc, models.clone_models());
     let mut ids: Vec<_> = (0..schedule.size)
         .map(|s| reg.create_with_backend(backend(s)).unwrap())
         .collect();
@@ -169,23 +178,26 @@ proptest! {
         churn in proptest::collection::vec((0u64..14, 0usize..8), 0..3),
     ) {
         let schedule = Schedule { size, queue, seed, steps: 14, churn };
-        let reference = run_schedule(&schedule, 0);
-        prop_assert!(!reference.frames.is_empty());
-        // conservation: every fed frame was completed, shed at ingress, or
-        // is still parked in a surviving queue (frames parked in *evicted*
-        // sessions' queues are the only ones allowed to leave the books)
-        let parked: u64 = reference.accounting.iter().map(|(_, _, d)| *d as u64).sum();
-        prop_assert!(
-            reference.fed >= reference.frames.len() as u64 + reference.shed_at_feed + parked,
-            "frame conservation violated: fed {} < completed {} + shed {} + parked {}",
-            reference.fed, reference.frames.len(), reference.shed_at_feed, parked
-        );
-        for threads in [1usize, 3] {
-            let got = run_schedule(&schedule, threads);
-            prop_assert_eq!(
-                &reference, &got,
-                "{}-worker run diverged from the 0-worker run", threads
+        for delta in [false, true] {
+            let reference = run_schedule(&schedule, delta, 0);
+            prop_assert!(!reference.frames.is_empty());
+            // conservation: every fed frame was completed, shed at ingress,
+            // or is still parked in a surviving queue (frames parked in
+            // *evicted* sessions' queues are the only ones allowed to leave
+            // the books)
+            let parked: u64 = reference.accounting.iter().map(|(_, _, d)| *d as u64).sum();
+            prop_assert!(
+                reference.fed >= reference.frames.len() as u64 + reference.shed_at_feed + parked,
+                "frame conservation violated (delta {}): fed {} < completed {} + shed {} + parked {}",
+                delta, reference.fed, reference.frames.len(), reference.shed_at_feed, parked
             );
+            for threads in [1usize, 3] {
+                let got = run_schedule(&schedule, delta, threads);
+                prop_assert_eq!(
+                    &reference, &got,
+                    "{}-worker run (delta {}) diverged from the 0-worker run", threads, delta
+                );
+            }
         }
     }
 }
@@ -202,19 +214,24 @@ fn shed_and_ingest_accounting_is_exact() {
         steps: 16,
         churn: vec![(9, 2)],
     };
-    let reference = run_schedule(&schedule, 0);
-    for threads in [1usize, 3] {
-        let got = run_schedule(&schedule, threads);
-        // conservation: fed = completed + shed + still parked (evicted
-        // sessions' parked/served frames leave `accounting`, so compare
-        // against the 0-worker run rather than re-deriving)
-        assert_eq!(reference, got, "{threads}-worker accounting diverged");
-        assert!(got.shed_at_feed > 0, "queue=1 under 0..2 feeds must shed");
-        let parked: u64 = got.accounting.iter().map(|(_, _, d)| *d as u64).sum();
-        let ingested: u64 = got.accounting.iter().map(|(i, _, _)| *i).sum();
-        let shed: u64 = got.accounting.iter().map(|(_, s, _)| *s).sum();
-        assert!(parked <= got.accounting.len() as u64, "queue bound");
-        assert!(shed <= ingested, "shed frames are a subset of ingested");
+    for delta in [false, true] {
+        let reference = run_schedule(&schedule, delta, 0);
+        for threads in [1usize, 3] {
+            let got = run_schedule(&schedule, delta, threads);
+            // conservation: fed = completed + shed + still parked (evicted
+            // sessions' parked/served frames leave `accounting`, so
+            // compare against the 0-worker run rather than re-deriving)
+            assert_eq!(
+                reference, got,
+                "{threads}-worker accounting (delta {delta}) diverged"
+            );
+            assert!(got.shed_at_feed > 0, "queue=1 under 0..2 feeds must shed");
+            let parked: u64 = got.accounting.iter().map(|(_, _, d)| *d as u64).sum();
+            let ingested: u64 = got.accounting.iter().map(|(i, _, _)| *i).sum();
+            let shed: u64 = got.accounting.iter().map(|(_, s, _)| *s).sum();
+            assert!(parked <= got.accounting.len() as u64, "queue bound");
+            assert!(shed <= ingested, "shed frames are a subset of ingested");
+        }
     }
 }
 
@@ -226,42 +243,40 @@ fn shed_and_ingest_accounting_is_exact() {
 /// stamps actually advance in lockstep with the frame counter.
 #[test]
 fn stage_epochs_track_frame_indices_exactly() {
-    let (cfg, models, scenes) = shared();
-    let mut sc = ServeConfig::new(cfg.clone());
-    sc.threads = Some(3);
-    let mut reg = ServeRegistry::new(sc, models.clone_models()).with_faults(FaultPlan::none());
-    let ids: Vec<_> = (0..4)
-        .map(|s| {
-            let b = match s % 3 {
-                0 => GazeBackend::F32,
-                1 => GazeBackend::Int8,
-                _ => GazeBackend::Latent,
-            };
-            reg.create_with_backend(b).unwrap()
-        })
-        .collect();
-    for step in 0..9u64 {
-        for (s, id) in ids.iter().enumerate() {
-            reg.feed(*id, &scenes[(step as usize + s) % scenes.len()], step)
-                .unwrap();
-        }
-        let (_, trace) = reg.tick_traced();
-        assert_eq!(trace.len(), ids.len());
-        for (id, f) in &trace {
-            let epochs = reg.stage_epochs(*id).unwrap();
-            // stamps are frame + 1 so that 0 means "never ran"
-            for (stage, &e) in epochs.iter().take(3).enumerate() {
+    let (_, models, scenes) = shared();
+    for delta in [false, true] {
+        let sc = serve_config(delta, 3);
+        let mut reg = ServeRegistry::new(sc, models.clone_models());
+        let ids: Vec<_> = (0..4)
+            .map(|s| reg.create_with_backend(backend(s)).unwrap())
+            .collect();
+        for step in 0..9u64 {
+            for (s, id) in ids.iter().enumerate() {
+                reg.feed(*id, &scenes[(step as usize + s) % scenes.len()], step)
+                    .unwrap();
+            }
+            let (_, trace) = reg.tick_traced();
+            assert_eq!(trace.len(), ids.len());
+            for (id, f) in &trace {
+                let epochs = reg.stage_epochs(*id).unwrap();
+                // stamps are frame + 1 so that 0 means "never ran"
+                for (stage, &e) in epochs.iter().take(3).enumerate() {
+                    assert_eq!(
+                        e,
+                        f.frame + 1,
+                        "stage {stage} of {id:?} (delta {delta}) stamped frame {} after completing frame {}",
+                        e.wrapping_sub(1),
+                        f.frame
+                    );
+                }
+                // clean plan: every frame has a gaze input, so the gaze
+                // gather stamp must match too
                 assert_eq!(
-                    e,
+                    epochs[3],
                     f.frame + 1,
-                    "stage {stage} of {id:?} stamped frame {} after completing frame {}",
-                    e.wrapping_sub(1),
-                    f.frame
+                    "gaze stamp of {id:?} (delta {delta})"
                 );
             }
-            // clean plan: every frame has a gaze input, so the gaze gather
-            // stamp must match too
-            assert_eq!(epochs[3], f.frame + 1, "gaze stamp of {id:?}");
         }
     }
 }

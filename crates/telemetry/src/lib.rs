@@ -19,9 +19,11 @@
 //! * **Compile time** — building with `--no-default-features` (dropping the
 //!   `enabled` cargo feature) turns every record path into a constant no-op
 //!   that the optimiser deletes entirely.
-//! * **Run time** — setting `EYECOD_TELEMETRY=0` (or `false`/`off`) in the
-//!   environment short-circuits recording behind one relaxed atomic load.
-//!   [`set_enabled`] flips the same switch programmatically.
+//! * **Run time** — setting `EYECOD_TELEMETRY=0` (or `off`/`false`/`no`,
+//!   case-insensitive) in the environment short-circuits recording behind
+//!   one relaxed atomic load; `1`/`on`/`true`/`yes` or an empty value keep
+//!   it on, and any other value panics. [`set_enabled`] flips the same
+//!   switch programmatically.
 //!
 //! ## Usage
 //!
@@ -59,12 +61,28 @@ static RUNTIME_ENABLED: AtomicU8 = AtomicU8::new(0);
 #[cfg(feature = "enabled")]
 #[cold]
 fn init_runtime_enabled() -> bool {
-    let on = match std::env::var("EYECOD_TELEMETRY") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
-    };
+    let on = std::env::var_os("EYECOD_TELEMETRY")
+        .and_then(|v| parse_switch("EYECOD_TELEMETRY", &v.to_string_lossy()))
+        .unwrap_or(true);
     RUNTIME_ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
     on
+}
+
+/// Parses an on/off switch value: `1`/`on`/`true`/`yes` or
+/// `0`/`off`/`false`/`no`, case-insensitive, or `None` for an empty value,
+/// which counts as unset.
+///
+/// # Panics
+///
+/// Panics with the variable's name and value on any other spelling.
+#[cfg(feature = "enabled")]
+fn parse_switch(name: &str, value: &str) -> Option<bool> {
+    match value.trim().to_ascii_lowercase().as_str() {
+        "" => None,
+        "1" | "on" | "true" | "yes" => Some(true),
+        "0" | "off" | "false" | "no" => Some(false),
+        _ => panic!("bad {name} value {value:?} (want 1|on|true|yes or 0|off|false|no)"),
+    }
 }
 
 /// Whether recording is live. Constant `false` when the crate is built
@@ -112,4 +130,26 @@ macro_rules! static_histogram {
             ::std::sync::OnceLock::new();
         ::std::sync::Arc::as_ref(CELL.get_or_init(|| $crate::histogram($name)))
     }};
+}
+
+#[cfg(all(test, feature = "enabled"))]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn switch_spellings_parse_case_insensitively_and_empty_means_unset() {
+        for v in ["1", "on", "TRUE", "Yes"] {
+            assert_eq!(parse_switch("EYECOD_TELEMETRY", v), Some(true), "{v}");
+        }
+        for v in ["0", "off", "FALSE", "No"] {
+            assert_eq!(parse_switch("EYECOD_TELEMETRY", v), Some(false), "{v}");
+        }
+        assert_eq!(parse_switch("EYECOD_TELEMETRY", ""), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad EYECOD_TELEMETRY value \"disable\"")]
+    fn malformed_switch_panics_with_the_variable_name() {
+        parse_switch("EYECOD_TELEMETRY", "disable");
+    }
 }

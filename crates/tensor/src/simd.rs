@@ -54,11 +54,36 @@ pub fn avx2_supported() -> bool {
     }
 }
 
-/// True when the `EYECOD_NO_SIMD=1` kill switch is set (any value other
-/// than `0` or empty counts), read once per process.
+/// True when the `EYECOD_NO_SIMD` kill switch is on, read once per
+/// process.
+///
+/// # Panics
+///
+/// Panics if the variable is set to anything but an on/off spelling
+/// (`1`/`on`/`true`/`yes`, `0`/`off`/`false`/`no`).
 pub fn simd_killed() -> bool {
     static KILLED: OnceLock<bool> = OnceLock::new();
-    *KILLED.get_or_init(|| std::env::var("EYECOD_NO_SIMD").is_ok_and(|v| !v.is_empty() && v != "0"))
+    *KILLED.get_or_init(|| {
+        std::env::var_os("EYECOD_NO_SIMD")
+            .and_then(|v| parse_switch("EYECOD_NO_SIMD", &v.to_string_lossy()))
+            .unwrap_or(false)
+    })
+}
+
+/// Parses an on/off switch value: `1`/`on`/`true`/`yes` or
+/// `0`/`off`/`false`/`no`, case-insensitive, or `None` for an empty value,
+/// which counts as unset.
+///
+/// # Panics
+///
+/// Panics with the variable's name and value on any other spelling.
+fn parse_switch(name: &str, value: &str) -> Option<bool> {
+    match value.trim().to_ascii_lowercase().as_str() {
+        "" => None,
+        "1" | "on" | "true" | "yes" => Some(true),
+        "0" | "off" | "false" | "no" => Some(false),
+        _ => panic!("bad {name} value {value:?} (want 1|on|true|yes or 0|off|false|no)"),
+    }
 }
 
 /// The single capability probe every SIMD dispatch site consults: AVX2 is
@@ -284,6 +309,24 @@ fn qaxpy_i8_avx2(row: &mut [i32], x: &[i8], w: i32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn switch_spellings_parse_case_insensitively_and_empty_means_unset() {
+        for v in ["1", "on", "TRUE", "Yes"] {
+            assert_eq!(parse_switch("EYECOD_NO_SIMD", v), Some(true), "{v}");
+        }
+        for v in ["0", "off", "False", "NO"] {
+            assert_eq!(parse_switch("EYECOD_NO_SIMD", v), Some(false), "{v}");
+        }
+        assert_eq!(parse_switch("EYECOD_NO_SIMD", ""), None);
+        assert_eq!(parse_switch("EYECOD_NO_SIMD", " "), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad EYECOD_NO_SIMD value \"enable\"")]
+    fn malformed_switch_panics_with_the_variable_name() {
+        parse_switch("EYECOD_NO_SIMD", "enable");
+    }
 
     fn pattern(len: usize, seed: i32) -> Vec<i8> {
         (0..len)

@@ -4,18 +4,25 @@
 //!
 //! ```text
 //! eyecod track     [--frames N] [--lens] [--period N] [--seed S] [--adaptive-roi]
+//!                  [--backend f32|int8|latent] [--delta] [--faults PLAN]
 //! eyecod simulate  [--orchestration tm|cc|pm] [--no-swpr] [--no-reuse] [--lanes N] [--lens]
 //! eyecod compare
 //! eyecod model     <ritnet|fbnet|resnet|mobilenet|unet> [--size N] [--full]
 //! eyecod mask      [--scene N] [--sensor N] [--seed K] [--raw]
 //! ```
+//!
+//! Configuration comes from flags only. The environment holds just the
+//! three process switches that act before any configuration exists
+//! (`EYECOD_NO_SIMD`, `EYECOD_THREADS`, `EYECOD_TELEMETRY`); any other
+//! `EYECOD_*` variable is rejected.
 
 use eyecod::accel::config::AcceleratorConfig;
 use eyecod::accel::schedule::{Orchestration, WindowSimulator};
 use eyecod::accel::workload::EyeCodWorkload;
-use eyecod::core::tracker::{EyeTracker, RoiSizing, TrackerConfig};
+use eyecod::core::tracker::{EyeTracker, GazeBackend, RoiSizing, TrackerConfig};
 use eyecod::core::training::{train_tracker_models, TrainingSetup};
 use eyecod::eyedata::EyeMotionGenerator;
+use eyecod::faults::FaultPlan;
 use eyecod::models::summary::{layer_table, ModelSummary};
 use eyecod::optics::calibrate::tune_epsilon;
 use eyecod::optics::imaging::FlatCam;
@@ -70,6 +77,15 @@ impl Args {
             .unwrap_or(default)
     }
 
+    /// The value of `--name`, or `None` when the flag is absent; a flag
+    /// given without a value is an error naming what it `expects`.
+    fn value(&self, name: &str, expects: &str) -> Option<&str> {
+        self.has(name).then(|| {
+            self.get(name)
+                .unwrap_or_else(|| die(&format!("--{name} expects {expects}")))
+        })
+    }
+
     fn get_u64(&self, name: &str, default: u64) -> u64 {
         self.get(name)
             .map(|v| {
@@ -91,6 +107,7 @@ fn usage() {
     println!("subcommands:");
     println!("  track     run the predict-then-focus tracker on a synthetic sequence");
     println!("            [--frames N=100] [--lens] [--period N=10] [--seed S=7] [--adaptive-roi]");
+    println!("            [--backend f32|int8|latent] [--delta] [--faults {FAULTS}]");
     println!("  simulate  run the cycle-level accelerator simulator on the EyeCoD workload");
     println!(
         "            [--orchestration tm|cc|pm] [--no-swpr] [--no-reuse] [--lanes N=128] [--lens]"
@@ -101,6 +118,9 @@ fn usage() {
     println!("  mask      analyse a coded mask design");
     println!("            [--scene N=48] [--sensor N=64] [--seed K=17] [--raw]");
 }
+
+/// The `--faults` syntax, as [`FaultPlan::parse`] reads it.
+const FAULTS: &str = "none|light[:seed]|heavy[:seed]|{json}";
 
 fn cmd_track(args: &Args) {
     let frames = args.get_usize("frames", 100);
@@ -114,12 +134,23 @@ fn cmd_track(args: &Args) {
     if args.has("adaptive-roi") {
         config.roi_sizing = RoiSizing::ScleraAdaptive;
     }
+    if let Some(name) = args.value("backend", "f32|int8|latent") {
+        config.gaze_backend = GazeBackend::parse(name)
+            .unwrap_or_else(|| die(&format!("unknown backend '{name}' (f32|int8|latent)")));
+    }
+    config.delta = args.has("delta");
+    let faults = args
+        .value("faults", FAULTS)
+        .map_or_else(FaultPlan::none, |spec| {
+            FaultPlan::parse(spec)
+                .unwrap_or_else(|| die(&format!("unknown fault plan '{spec}' ({FAULTS})")))
+        });
     println!(
         "training proxy models ({} camera)...",
         if config.flatcam { "FlatCam" } else { "lens" }
     );
     let models = train_tracker_models(&TrainingSetup::quick(), &config);
-    let mut tracker = EyeTracker::new(config, models);
+    let mut tracker = EyeTracker::new(config, models).with_faults(faults);
     let mut motion = EyeMotionGenerator::with_seed(seed);
     let stats = tracker.run_sequence(&mut motion, frames);
     println!("frames:        {}", stats.frames);
@@ -237,7 +268,33 @@ fn cmd_mask(args: &Args) {
     println!("chart PSNR:  {psnr:.1} dB");
 }
 
+/// The process switches the libraries read themselves.
+const SWITCHES: [&str; 3] = ["EYECOD_NO_SIMD", "EYECOD_THREADS", "EYECOD_TELEMETRY"];
+
+/// Rejects every set `EYECOD_*` variable but the [`SWITCHES`], naming the
+/// flag that replaced it where one did.
+fn reject_stale_env() {
+    for (name, value) in std::env::vars_os() {
+        let name = name.to_string_lossy();
+        if !name.starts_with("EYECOD_") || SWITCHES.contains(&&*name) || value.is_empty() {
+            continue;
+        }
+        let instead = match &*name {
+            "EYECOD_GAZE_BACKEND" => "use `eyecod track --backend`",
+            "EYECOD_DELTA" => "use `eyecod track --delta`",
+            "EYECOD_FAULT_PLAN" => "use `eyecod track --faults`",
+            "EYECOD_DELTA_THRESHOLD" => "the motion gate is fixed at the config default",
+            _ => "unknown variable",
+        };
+        die(&format!(
+            "{name} is not read ({instead}); only {} are",
+            SWITCHES.join(", ")
+        ));
+    }
+}
+
 fn main() -> ExitCode {
+    reject_stale_env();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = raw.first().cloned() else {
         usage();

@@ -65,9 +65,7 @@ fn frame_lock() -> MutexGuard<'static, ()> {
 fn shared() -> &'static (TrackerConfig, TrackerModels) {
     static SHARED: OnceLock<(TrackerConfig, TrackerModels)> = OnceLock::new();
     SHARED.get_or_init(|| {
-        let mut cfg = TrackerConfig::small();
-        cfg.gaze_backend = GazeBackend::F32;
-        cfg.delta = false;
+        let cfg = TrackerConfig::small();
         let models = train_tracker_models(&TrainingSetup::quick(), &cfg);
         (cfg, models)
     })
@@ -317,10 +315,9 @@ fn run_fleet(threads: usize, ragged: u64) -> (Vec<String>, Vec<usize>) {
     let (cfg, models) = shared();
     let mut tracker_cfg = cfg.clone();
     tracker_cfg.delta = true;
-    tracker_cfg.delta_threshold = 16;
     let mut sc = ServeConfig::new(tracker_cfg);
     sc.threads = Some(threads);
-    let mut reg = ServeRegistry::new(sc, models.clone_models()).with_faults(FaultPlan::none());
+    let mut reg = ServeRegistry::new(sc, models.clone_models());
     let backends = [
         GazeBackend::F32,
         GazeBackend::Int8,
@@ -365,10 +362,9 @@ fn gated_sessions_stay_out_of_gaze_batches() {
     for threads in [0, 3] {
         let mut tracker_cfg = cfg.clone();
         tracker_cfg.delta = true;
-        tracker_cfg.delta_threshold = 16;
         let mut sc = ServeConfig::new(tracker_cfg);
         sc.threads = Some(threads);
-        let mut reg = ServeRegistry::new(sc, models.clone_models()).with_faults(FaultPlan::none());
+        let mut reg = ServeRegistry::new(sc, models.clone_models());
         let ids: Vec<SessionId> = (0..3).map(|_| reg.create().unwrap()).collect();
         for step in 0..12u64 {
             for id in &ids {

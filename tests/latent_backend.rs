@@ -73,13 +73,10 @@ fn stage_counts() -> Vec<(&'static str, u64)> {
 fn latent_backend_tracks_the_f32_path_with_identical_structure_and_no_steady_solves() {
     const FRAMES: usize = 50;
 
-    let mut config = TrackerConfig::small();
-    config.gaze_backend = GazeBackend::F32;
-    // this is a dense-path differential: the per-frame solve counts and
-    // stage-structure pins below assume every frame reconstructs, so the
-    // event-driven delta path is pinned off (ambient EYECOD_DELTA=1 runs
-    // cover it with their own differential suite)
-    config.delta = false;
+    // a dense-path differential (`small()` runs dense): the per-frame
+    // solve counts and stage-structure pins below assume every frame
+    // reconstructs
+    let config = TrackerConfig::small();
     let models = train_tracker_models(&TrainingSetup::quick(), &config);
 
     // refresh frames by the tracker's internal counter (frame 0 is due)
