@@ -114,6 +114,10 @@ struct BackendRow {
 struct SimdInfo {
     avx2_supported: bool,
     simd_enabled: bool,
+    /// The SIMD tier the dispatched kernels ran at.
+    tier: &'static str,
+    /// The SIMD tiers the host supports, narrowest first.
+    host_tiers: Vec<&'static str>,
     threads: usize,
     note: String,
 }
@@ -306,6 +310,8 @@ fn write_e2e_artifact() {
         simd: SimdInfo {
             avx2_supported: simd::avx2_supported(),
             simd_enabled: simd::avx2_enabled(),
+            tier: simd::level().name(),
+            host_tiers: simd::supported_levels().iter().map(|l| l.name()).collect(),
             threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
             note,
         },

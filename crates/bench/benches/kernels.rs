@@ -20,8 +20,12 @@
 //!   calibration; the capture
 //!   stage's sensor-noise kernel and `Φ_Rᵀ` product at the working and
 //!   paper-scale sensors; and the training run's `conv2d_backward` at the
-//!   same convolution shapes. Each row's `note` records the host facts
-//!   (CPUs, SIMD dispatch) and the sample count.
+//!   same convolution shapes. On a host with AVX-512, tier rows then time
+//!   the f64 GEMM, the noise kernel and both f32 convolution tiles through
+//!   their AVX2 (`naive_ns`) and AVX-512 (`blocked_ns`) instantiations
+//!   side by side. Every row records the SIMD tier each side ran at
+//!   (`baseline_tier`, `tier`) and the tiers the host supports
+//!   (`host_tiers`); its `note` records the CPUs and the sample count.
 
 use criterion::{criterion_group, Criterion};
 use eyecod_models::infer::{GazeInferWorkspace, SegInferWorkspace};
@@ -30,13 +34,14 @@ use eyecod_models::quantized::QuantizedGazeNet;
 use eyecod_optics::mat::Mat;
 use eyecod_optics::sensor::SensorModel;
 use eyecod_tensor::ops::{
-    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_into, conv2d_naive,
-    conv2d_packed_into, PackedConvWeights,
+    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_into, conv2d_into_at, conv2d_naive,
+    conv2d_packed_into, conv2d_packed_into_at, PackedConvWeights,
 };
 use eyecod_tensor::quant::{
     qconv2d_requant, qconv2d_requant_reference, qlinear, qlinear_reference, QTensor,
 };
-use eyecod_tensor::{simd, Layer, Shape, Tensor};
+use eyecod_tensor::simd::{self, Level};
+use eyecod_tensor::{Layer, Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -144,6 +149,13 @@ struct KernelRow {
     blocked_mad_ns: u64,
     /// `naive_ns / blocked_ns`.
     speedup: f64,
+    /// The SIMD tier the baseline side ran at (`scalar` for the portable
+    /// oracles).
+    baseline_tier: &'static str,
+    /// The SIMD tier the optimised side ran at.
+    tier: &'static str,
+    /// The SIMD tiers this host supports, narrowest first.
+    host_tiers: Vec<&'static str>,
     /// Logical CPUs visible to this run — kernel timings on a shared or
     /// single-core host are not comparable to a dedicated many-core box.
     host_parallelism: usize,
@@ -161,6 +173,9 @@ impl KernelRow {
             blocked_ns: blocked.median_ns,
             blocked_mad_ns: blocked.mad_ns,
             speedup: naive.median_ns as f64 / blocked.median_ns as f64,
+            baseline_tier: naive.tier.name(),
+            tier: blocked.tier.name(),
+            host_tiers: simd::supported_levels().iter().map(|l| l.name()).collect(),
             host_parallelism: host_parallelism(),
             note: host_note(),
         }
@@ -170,11 +185,13 @@ impl KernelRow {
 /// Timed samples per side of a row, after one warm-up call.
 const SAMPLES: usize = 21;
 
-/// The median and median absolute deviation of one side's samples.
+/// The median and median absolute deviation of one side's samples, and
+/// the SIMD tier that side ran at.
 #[derive(Clone, Copy)]
 struct Timing {
     median_ns: u64,
     mad_ns: u64,
+    tier: Level,
 }
 
 fn median(xs: &mut [u64]) -> u64 {
@@ -182,9 +199,9 @@ fn median(xs: &mut [u64]) -> u64 {
     xs[xs.len() / 2]
 }
 
-/// Times `f` over [`SAMPLES`] calls after one warm-up call (which warms
-/// caches and sizes any workspace buffers).
-fn time<R>(mut f: impl FnMut() -> R) -> Timing {
+/// Times `f`, which runs at SIMD tier `tier`, over [`SAMPLES`] calls after
+/// one warm-up call (which warms caches and sizes any workspace buffers).
+fn time<R>(tier: Level, mut f: impl FnMut() -> R) -> Timing {
     f();
     let mut ns: Vec<u64> = (0..SAMPLES)
         .map(|_| {
@@ -198,6 +215,7 @@ fn time<R>(mut f: impl FnMut() -> R) -> Timing {
     Timing {
         median_ns,
         mad_ns: median(&mut dev),
+        tier,
     }
 }
 
@@ -205,16 +223,20 @@ fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
+/// The tier the int8 kernels and `conv2d_backward` run at: they have no
+/// AVX-512 instantiation, so they stop at AVX2.
+fn avx2_capped() -> Level {
+    simd::level().min(Level::Avx2)
+}
+
 /// The host facts recorded with every row. On a host without AVX2 (or with
 /// `EYECOD_NO_SIMD` set) the dispatched kernels are the scalar ones, so a
 /// speedup near 1 is the honest result there.
 fn host_note() -> String {
-    let dispatch = if !simd::avx2_supported() {
-        "no AVX2: dispatched kernels are scalar"
-    } else if !simd::avx2_enabled() {
-        "AVX2 supported but EYECOD_NO_SIMD set: dispatched kernels are scalar"
+    let dispatch = if simd::simd_killed() {
+        "EYECOD_NO_SIMD set: dispatched kernels are scalar".to_string()
     } else {
-        "AVX2 dispatch"
+        format!("dispatched tier {}", simd::level().name())
     };
     format!(
         "{} logical CPUs, {dispatch}, {} target, median of {SAMPLES}",
@@ -265,8 +287,8 @@ fn write_kernel_artifact() {
     ] {
         let a = mat(m, k, 1);
         let b = mat(k, n, 2);
-        let naive_ns = time(|| a.matmul_naive(&b));
-        let blocked_ns = time(|| a.matmul(&b));
+        let naive_ns = time(Level::Scalar, || a.matmul_naive(&b));
+        let blocked_ns = time(simd::level(), || a.matmul(&b));
         rows.push(KernelRow::new(
             "f64 gemm",
             format!("{m}x{k} * {k}x{n} ({tag})"),
@@ -298,9 +320,12 @@ fn write_kernel_artifact() {
         let x = tensor(Shape::new(1, ci, h, w_), 20 + i as u64);
         let w = tensor(Shape::new(co, ci, k, k), 30 + i as u64);
         let packed = PackedConvWeights::pack(&w);
-        let position_ns = time(|| conv2d_into(&x, &w, None, stride, pad, 1, &mut planes, &mut out));
-        let channel_ns =
-            time(|| conv2d_packed_into(&x, &packed, None, stride, pad, &mut planes, &mut out));
+        let position_ns = time(simd::level(), || {
+            conv2d_into(&x, &w, None, stride, pad, 1, &mut planes, &mut out)
+        });
+        let channel_ns = time(simd::level(), || {
+            conv2d_packed_into(&x, &packed, None, stride, pad, &mut planes, &mut out)
+        });
         rows.push(KernelRow::new(
             "f32 conv (position tile vs channel tile)",
             format!("(1,{ci},{h},{w_}) * ({co},{ci},{k},{k}) s{stride} p{pad} ({tag})"),
@@ -322,8 +347,10 @@ fn write_kernel_artifact() {
     ] {
         let mut gaze = ProxyGazeNet::new(family, &mut rng);
         let x = tensor(Shape::new(n, 1, 24, 32), 164 + n as u64);
-        let layer_ns = time(|| gaze.forward(&x, false));
-        let infer_ns = time(|| gaze.forward_infer(&x, &mut gaze_ws, &mut pred));
+        let layer_ns = time(simd::level(), || gaze.forward(&x, false));
+        let infer_ns = time(simd::level(), || {
+            gaze.forward_infer(&x, &mut gaze_ws, &mut pred)
+        });
         rows.push(KernelRow::new(
             "f32 gaze forward (Layer::forward vs workspace forward_infer)",
             format!("{tag}, {n} crop(s) of 24x32"),
@@ -338,8 +365,12 @@ fn write_kernel_artifact() {
     let qx = QTensor::quantize(&tensor(Shape::new(1, 16, 48, 64), 165));
     let qw = QTensor::quantize(&tensor(Shape::new(16, 1, 1, 1), 166));
     let qb: Vec<f32> = (0..16).map(|c| (c as f32 - 8.0) / 16.0).collect();
-    let scalar_ns = time(|| qconv2d_requant_reference(&qx, &qw, Some(&qb), 1, 0, 16, true, 0.05));
-    let dispatch_ns = time(|| qconv2d_requant(&qx, &qw, Some(&qb), 1, 0, 16, true, 0.05));
+    let scalar_ns = time(Level::Scalar, || {
+        qconv2d_requant_reference(&qx, &qw, Some(&qb), 1, 0, 16, true, 0.05)
+    });
+    let dispatch_ns = time(avx2_capped(), || {
+        qconv2d_requant(&qx, &qw, Some(&qb), 1, 0, 16, true, 0.05)
+    });
     rows.push(KernelRow::new(
         "int8 requant epilogue, depth-wise 1x1 (scalar vs dispatched)",
         "(1,16,48,64) * (16,1,1,1) g=16, 49152 outputs".into(),
@@ -353,9 +384,12 @@ fn write_kernel_artifact() {
         let qx = QTensor::quantize(&tensor(Shape::new(1, ci, h, w_), 40 + i as u64));
         let qw = QTensor::quantize(&tensor(Shape::new(co, ci, 3, 3), 50 + i as u64));
         let bias: Vec<f32> = (0..co).map(|c| (c as f32 - 8.0) / 16.0).collect();
-        let scalar_ns =
-            time(|| qconv2d_requant_reference(&qx, &qw, Some(&bias), stride, 1, 1, true, 0.05));
-        let dispatch_ns = time(|| qconv2d_requant(&qx, &qw, Some(&bias), stride, 1, 1, true, 0.05));
+        let scalar_ns = time(Level::Scalar, || {
+            qconv2d_requant_reference(&qx, &qw, Some(&bias), stride, 1, 1, true, 0.05)
+        });
+        let dispatch_ns = time(avx2_capped(), || {
+            qconv2d_requant(&qx, &qw, Some(&bias), stride, 1, 1, true, 0.05)
+        });
         rows.push(KernelRow::new(
             "int8 gaze qconv_requant 3x3 (scalar vs dispatched)",
             format!("(1,{ci},{h},{w_}) * ({co},{ci},3,3) s{stride} (ResNet-like layer {i})"),
@@ -370,8 +404,8 @@ fn write_kernel_artifact() {
         let x = tensor(Shape::new(1, ci, h, w_), 60 + i as u64);
         let w = tensor(Shape::new(co, ci, k, k), 70 + i as u64);
         let b: Vec<f32> = (0..co).map(|c| (c as f32 - 4.0) / 8.0).collect();
-        let naive_ns = time(|| conv2d_naive(&x, &w, Some(&b), 1, pad, 1));
-        let direct_ns = time(|| conv2d(&x, &w, Some(&b), 1, pad, 1));
+        let naive_ns = time(Level::Scalar, || conv2d_naive(&x, &w, Some(&b), 1, pad, 1));
+        let direct_ns = time(simd::level(), || conv2d(&x, &w, Some(&b), 1, pad, 1));
         rows.push(KernelRow::new(
             "f32 seg conv2d (per-element oracle vs register-tiled)",
             format!("(1,{ci},{h},{w_}) * ({co},{ci},{k},{k}) (seg layer {i})"),
@@ -385,8 +419,8 @@ fn write_kernel_artifact() {
     for (i, &(ci, co, h, w_, stride)) in GAZE_CONVS.iter().enumerate() {
         let x = tensor(Shape::new(1, ci, h, w_), 140 + i as u64);
         let w = tensor(Shape::new(co, ci, 3, 3), 150 + i as u64);
-        let naive_ns = time(|| conv2d_naive(&x, &w, None, stride, 1, 1));
-        let direct_ns = time(|| conv2d(&x, &w, None, stride, 1, 1));
+        let naive_ns = time(Level::Scalar, || conv2d_naive(&x, &w, None, stride, 1, 1));
+        let direct_ns = time(simd::level(), || conv2d(&x, &w, None, stride, 1, 1));
         rows.push(KernelRow::new(
             "f32 gaze conv2d, training forward (per-element oracle vs register-tiled)",
             format!("(1,{ci},{h},{w_}) * ({co},{ci},3,3) s{stride} (ResNet-like layer {i})"),
@@ -400,10 +434,12 @@ fn write_kernel_artifact() {
     let mut rng = StdRng::seed_from_u64(160);
     let mut seg = ProxySegNet::new(8, &mut rng);
     let x = tensor(Shape::new(1, 1, 24, 24), 161);
-    let layer_ns = time(|| seg.forward(&x, false));
+    let layer_ns = time(simd::level(), || seg.forward(&x, false));
     let mut seg_ws = SegInferWorkspace::new();
     let mut labels = Vec::new();
-    let ws_ns = time(|| seg.forward_infer(&x, &mut seg_ws, &mut labels));
+    let ws_ns = time(simd::level(), || {
+        seg.forward_infer(&x, &mut seg_ws, &mut labels)
+    });
     rows.push(KernelRow::new(
         "f32 segmentation forward (Layer::forward vs workspace forward_infer)",
         "(1,1,24,24) -> (1,4,24,24), width 8".into(),
@@ -418,12 +454,14 @@ fn write_kernel_artifact() {
     let crops: Vec<Tensor> = (0..8).map(|i| calib.batch_item(i)).collect();
     let mut gaze_ws = GazeInferWorkspace::new();
     let mut pred = Tensor::zeros(Shape::new(1, 1, 1, 1));
-    let frames_ns = time(|| {
+    let frames_ns = time(simd::level(), || {
         for crop in &crops {
             gaze.forward_infer(crop, &mut gaze_ws, &mut pred);
         }
     });
-    let calib_ns = time(|| QuantizedGazeNet::from_calibrated(&gaze, &calib));
+    let calib_ns = time(simd::level(), || {
+        QuantizedGazeNet::from_calibrated(&gaze, &calib)
+    });
     rows.push(KernelRow::new(
         "int8 warm-up calibration (8 single-crop f32 forwards vs from_calibrated on their 8 crops)",
         "ResNet-like, 8 crops of 24x32".into(),
@@ -445,8 +483,12 @@ fn write_kernel_artifact() {
         let x = tensor(Shape::new(1, ci, h, w_), 80 + i as u64);
         let w = tensor(Shape::new(co, ci, k, k), 100 + i as u64);
         let go = tensor(x.shape().conv_output(co, k, pad, stride), 120 + i as u64);
-        let oracle_ns = time(|| conv2d_backward_reference(&x, &w, &go, stride, pad, 1));
-        let hoisted_ns = time(|| conv2d_backward(&x, &w, &go, stride, pad, 1));
+        let oracle_ns = time(Level::Scalar, || {
+            conv2d_backward_reference(&x, &w, &go, stride, pad, 1)
+        });
+        let hoisted_ns = time(avx2_capped(), || {
+            conv2d_backward(&x, &w, &go, stride, pad, 1)
+        });
         rows.push(KernelRow::new(
             "f32 conv2d_backward (per-element oracle vs span-hoisted)",
             format!("(1,{ci},{h},{w_}) * ({co},{ci},{k},{k}) s{stride} p{pad} ({net})"),
@@ -462,11 +504,11 @@ fn write_kernel_artifact() {
         let model = SensorModel::nir_eye_tracking();
         let clean = mat(sensor, sensor, 11);
         let mut y = Mat::zeros(1, 1);
-        let libm_ns = time(|| {
+        let libm_ns = time(Level::Scalar, || {
             y.copy_from(&clean);
             model.apply_inplace_reference(&mut y, 5);
         });
-        let poly_ns = time(|| {
+        let poly_ns = time(simd::level(), || {
             y.copy_from(&clean);
             model.apply_inplace(&mut y, 5);
         });
@@ -481,8 +523,10 @@ fn write_kernel_artifact() {
         let tmp = mat(sensor, scene, 12);
         let phi_r = mat(sensor, scene, 13);
         let phi_r_t = phi_r.transpose();
-        let transposed_b_ns = time(|| tmp.matmul_transposed_b_into(&phi_r, &mut y));
-        let pretransposed_ns = time(|| tmp.matmul_into(&phi_r_t, &mut y));
+        let transposed_b_ns = time(Level::Scalar, || {
+            tmp.matmul_transposed_b_into(&phi_r, &mut y)
+        });
+        let pretransposed_ns = time(simd::level(), || tmp.matmul_into(&phi_r_t, &mut y));
         rows.push(KernelRow::new(
             "f64 capture gemm (transposed-B vs pre-transposed Phi_R^T)",
             format!("{sensor}x{scene} * ({sensor}x{scene})^T (scene {scene}, sensor {sensor})"),
@@ -494,8 +538,12 @@ fn write_kernel_artifact() {
     // int8 kernels at the synthetic geometries: scalar reference (naive_ns)
     // vs runtime-dispatched (blocked_ns)
     let (qx, qw, qbias) = int8_conv_operands();
-    let scalar_ns = time(|| qconv2d_requant_reference(&qx, &qw, Some(&qbias), 1, 1, 1, true, 0.05));
-    let dispatch_ns = time(|| qconv2d_requant(&qx, &qw, Some(&qbias), 1, 1, 1, true, 0.05));
+    let scalar_ns = time(Level::Scalar, || {
+        qconv2d_requant_reference(&qx, &qw, Some(&qbias), 1, 1, 1, true, 0.05)
+    });
+    let dispatch_ns = time(avx2_capped(), || {
+        qconv2d_requant(&qx, &qw, Some(&qbias), 1, 1, 1, true, 0.05)
+    });
     rows.push(KernelRow::new(
         "int8 qconv_requant 3x3 (scalar vs dispatched)",
         "(1,16,48,64) * (16,16,3,3)".into(),
@@ -504,9 +552,12 @@ fn write_kernel_artifact() {
     ));
 
     let (dx, dw, dbias) = int8_depthwise_operands();
-    let scalar_ns =
-        time(|| qconv2d_requant_reference(&dx, &dw, Some(&dbias), 1, 1, 32, true, 0.05));
-    let dispatch_ns = time(|| qconv2d_requant(&dx, &dw, Some(&dbias), 1, 1, 32, true, 0.05));
+    let scalar_ns = time(Level::Scalar, || {
+        qconv2d_requant_reference(&dx, &dw, Some(&dbias), 1, 1, 32, true, 0.05)
+    });
+    let dispatch_ns = time(avx2_capped(), || {
+        qconv2d_requant(&dx, &dw, Some(&dbias), 1, 1, 32, true, 0.05)
+    });
     rows.push(KernelRow::new(
         "int8 qconv_requant depthwise 3x3 (scalar vs dispatched)",
         "(1,32,48,64) * (32,1,3,3) g=32".into(),
@@ -515,14 +566,20 @@ fn write_kernel_artifact() {
     ));
 
     let (lx, lw, lbias) = int8_linear_operands();
-    let scalar_ns = time(|| qlinear_reference(&lx, &lw, Some(&lbias)));
-    let dispatch_ns = time(|| qlinear(&lx, &lw, Some(&lbias)));
+    let scalar_ns = time(Level::Scalar, || qlinear_reference(&lx, &lw, Some(&lbias)));
+    let dispatch_ns = time(avx2_capped(), || qlinear(&lx, &lw, Some(&lbias)));
     rows.push(KernelRow::new(
         "int8 qlinear (scalar vs dispatched)",
         "(4,1024) * (64,1024)".into(),
         scalar_ns,
         dispatch_ns,
     ));
+
+    if Level::Avx512.supported() {
+        tier_rows(&mut rows);
+    } else {
+        println!("host without AVX-512: no tier rows");
+    }
 
     let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     eyecod_bench::reporting::write_json(root, "BENCH_kernels", &rows);
@@ -531,6 +588,96 @@ fn write_kernel_artifact() {
             "{:<60} {:>10} ±{:>8} ns -> {:>10} ±{:>8} ns   {:.2}x",
             r.shape, r.naive_ns, r.naive_mad_ns, r.blocked_ns, r.blocked_mad_ns, r.speedup
         );
+    }
+}
+
+/// Times `f` at AVX2 (`naive_ns`) and then at AVX-512 (`blocked_ns`).
+fn tier_pair(mut f: impl FnMut(Level)) -> (Timing, Timing) {
+    let avx2 = time(Level::Avx2, || f(Level::Avx2));
+    let avx512 = time(Level::Avx512, || f(Level::Avx512));
+    (avx2, avx512)
+}
+
+/// The kernels with an AVX-512 instantiation, through their AVX2 and
+/// AVX-512 instantiations side by side, each called by name: the f64 GEMM
+/// at the working and paper-scale capture and solve shapes, the sensor
+/// noise at both sensors, the position tile on the segmentation layers and
+/// the channel tile on the ResNet-like gaze layers, both tiles on the
+/// paper ROI layer. Needs a host with AVX-512.
+fn tier_rows(rows: &mut Vec<KernelRow>) {
+    let mut y = Mat::zeros(1, 1);
+    for (m, k, n, tag) in [
+        (48, 64, 64, "solve, working scale"),
+        (64, 48, 64, "capture, working scale"),
+        (256, 320, 320, "solve, paper scale"),
+        (320, 256, 320, "capture, paper scale"),
+    ] {
+        let (a, b) = (mat(m, k, 1), mat(k, n, 2));
+        let (avx2, avx512) = tier_pair(|level| a.matmul_into_at(&b, &mut y, level));
+        let shape = format!("{m}x{k} * {k}x{n} ({tag})");
+        rows.push(KernelRow::new(
+            "f64 gemm tile (avx2 vs avx512)",
+            shape,
+            avx2,
+            avx512,
+        ));
+    }
+    for sensor in [64, 320] {
+        let model = SensorModel::nir_eye_tracking();
+        let clean = mat(sensor, sensor, 11);
+        let (avx2, avx512) = tier_pair(|level| {
+            y.copy_from(&clean);
+            model.apply_inplace_at(&mut y, 5, level);
+        });
+        rows.push(KernelRow::new(
+            "f64 sensor noise, nir_eye_tracking (avx2 vs avx512)",
+            format!("{sensor}x{sensor} measurement"),
+            avx2,
+            avx512,
+        ));
+    }
+    let roi = (16, 16, 96, 160, 3, 1, 1, "paper ROI".to_string());
+    let seg = SEG_CONVS
+        .iter()
+        .enumerate()
+        .map(|(i, &(ci, co, h, w_, k, pad))| (ci, co, h, w_, k, 1, pad, format!("seg layer {i}")));
+    let gaze = GAZE_CONVS
+        .iter()
+        .enumerate()
+        .map(|(i, &(ci, co, h, w_, stride))| {
+            (
+                ci,
+                co,
+                h,
+                w_,
+                3,
+                stride,
+                1,
+                format!("ResNet-like layer {i}"),
+            )
+        });
+    let (mut planes, mut out) = (Vec::new(), Tensor::zeros(Shape::new(1, 1, 1, 1)));
+    let position = std::iter::once(roi.clone()).chain(seg).map(|s| (false, s));
+    let channel = std::iter::once(roi).chain(gaze).map(|s| (true, s));
+    for (i, (packed_tile, (ci, co, h, w_, k, stride, pad, tag))) in
+        position.chain(channel).enumerate()
+    {
+        let x = tensor(Shape::new(1, ci, h, w_), 170 + i as u64);
+        let w = tensor(Shape::new(co, ci, k, k), 190 + i as u64);
+        let packed = PackedConvWeights::pack(&w);
+        let (kernel, (avx2, avx512)) = if packed_tile {
+            let pair = tier_pair(|level| {
+                conv2d_packed_into_at(&x, &packed, None, stride, pad, &mut planes, &mut out, level)
+            });
+            ("f32 conv channel tile (avx2 vs avx512)", pair)
+        } else {
+            let pair = tier_pair(|level| {
+                conv2d_into_at(&x, &w, None, stride, pad, 1, &mut planes, &mut out, level)
+            });
+            ("f32 conv position tile (avx2 vs avx512)", pair)
+        };
+        let shape = format!("(1,{ci},{h},{w_}) * ({co},{ci},{k},{k}) s{stride} p{pad} ({tag})");
+        rows.push(KernelRow::new(kernel, shape, avx2, avx512));
     }
 }
 

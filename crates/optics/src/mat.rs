@@ -2,6 +2,7 @@
 //! rows/columns), plus conversions to the `f32` NCHW tensors used by the
 //! neural pipeline.
 
+use eyecod_tensor::simd::{self, Level};
 use eyecod_tensor::{Shape, Tensor};
 use std::fmt;
 
@@ -25,19 +26,25 @@ pub struct Mat {
 /// Register-tile height of the blocked GEMM microkernel (output rows per
 /// tile). A 4×4 f64 accumulator tile fits the 16 baseline x86-64 (SSE2)
 /// vector registers with room for the `B` panel and the broadcast `A`
-/// value, so the tile never spills even without AVX.
+/// value, so the tile never spills even without AVX. The wider tiers keep
+/// the height and widen the tile instead: under AVX-512 a 6-, 8- or 12-row
+/// tile of this loop nest ran at about a tenth of the 4-row tile's speed,
+/// and an 8-row variant that indexed `A` by stride was no faster than 4
+/// rows.
 const MR: usize = 4;
 /// Register-tile width of the blocked GEMM microkernel (output columns)
-/// in the portable instantiation; the AVX2 instantiation widens to 8.
+/// in the portable instantiation; the AVX2 instantiation widens to 8 and
+/// the AVX-512 one to 16.
 const NR: usize = 4;
 
 /// One blocked GEMM pass over output rows `rows` of `A · B` (see
 /// [`Mat::matmul`] for the accumulation-order contract). Generic over the
-/// register-tile width `NRT` so the AVX2 instantiation can use the full
-/// 16-ymm budget (4×8 tile) while the baseline build stays within SSE2's
-/// registers (4×4). The per-element math is the identical ascending-`l`
-/// IEEE mul-then-add sequence for every `NRT`, so all instantiations
-/// produce bit-identical results.
+/// register-tile width `NRT` so each tier's instantiation fills its
+/// register file: 4×4 within SSE2's 16 xmm registers, 4×8 within AVX2's
+/// 16 ymm, and 4×16 (two zmm per row) within AVX-512's 32 zmm. The
+/// per-element math is the identical ascending-`l` IEEE mul-then-add
+/// sequence for every `NRT`, so all instantiations produce bit-identical
+/// results.
 #[inline(always)]
 fn gemm_rows_body<const NRT: usize>(
     a: &[f64],
@@ -117,6 +124,23 @@ fn gemm_rows_avx2(
     out: &mut [f64],
 ) {
     gemm_rows_body::<8>(a, b, k, n, rows, out)
+}
+
+/// [`gemm_rows_body`] compiled for AVX-512 (512-bit lanes, 32 zmm
+/// registers): a 4×16 f64 tile, two zmm per row, so each `l` step is two
+/// `B` loads, four broadcasts and eight multiplies and adds. Bit-identical
+/// to the other instantiations for the same reason.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_rows_avx512(
+    a: &[f64],
+    b: &[f64],
+    k: usize,
+    n: usize,
+    rows: std::ops::Range<usize>,
+    out: &mut [f64],
+) {
+    gemm_rows_body::<16>(a, b, k, n, rows, out)
 }
 
 impl Mat {
@@ -255,7 +279,7 @@ impl Mat {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Mat::zeros(self.rows, other.cols);
-        self.matmul_rows(other, 0..self.rows, &mut out.data);
+        self.matmul_rows(other, 0..self.rows, &mut out.data, simd::level());
         out
     }
 
@@ -266,13 +290,27 @@ impl Mat {
     ///
     /// Panics if inner dimensions disagree or `out` aliases an operand.
     pub fn matmul_into(&self, other: &Mat, out: &mut Mat) {
+        self.matmul_into_at(other, out, simd::level());
+    }
+
+    /// [`Mat::matmul_into`] on one named SIMD tier instead of the
+    /// dispatched one — how the tests and benchmarks hold every tier the
+    /// host supports against the others. Every tier produces the same
+    /// bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if inner dimensions disagree or the host does not support
+    /// `level`.
+    pub fn matmul_into_at(&self, other: &Mat, out: &mut Mat, level: Level) {
         assert_eq!(
             self.cols, other.rows,
             "matmul dimension mismatch: {}x{} · {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
+        level.assert_supported();
         out.reset(self.rows, other.cols);
-        self.matmul_rows(other, 0..self.rows, &mut out.data);
+        self.matmul_rows(other, 0..self.rows, &mut out.data, level);
     }
 
     /// Matrix product `self · bᵀ` where `b` is handed over in its natural
@@ -349,7 +387,8 @@ impl Mat {
 
     /// Computes output rows `rows` of `self · other` into `out`
     /// (row-major, `rows.len() * other.cols` long) with the cache-blocked
-    /// register-tiled kernel.
+    /// register-tiled kernel of tier `level`, which the caller has checked
+    /// the host supports.
     ///
     /// Each `MR × NR` output tile is accumulated in registers across the
     /// *full* `k` loop in ascending order, so every output element sees
@@ -359,19 +398,27 @@ impl Mat {
     /// cannot observe). Tiling only reorders *which elements* are worked
     /// on, never the per-element accumulation order — while the `B` panel
     /// is streamed once per `MR` output rows instead of once per row.
-    fn matmul_rows(&self, other: &Mat, rows: std::ops::Range<usize>, out: &mut [f64]) {
+    fn matmul_rows(
+        &self,
+        other: &Mat,
+        rows: std::ops::Range<usize>,
+        out: &mut [f64],
+        level: Level,
+    ) {
         let (k, n) = (self.cols, other.cols);
         debug_assert_eq!(out.len(), rows.len() * n);
-        #[cfg(target_arch = "x86_64")]
-        if eyecod_tensor::simd::avx2_enabled() {
-            // SAFETY: avx2_enabled() returns true only when the host
-            // supports AVX2 (and the EYECOD_NO_SIMD kill-switch is not
-            // set); the probe result is cached, so after the first call
-            // this is a single predictable load.
-            unsafe { gemm_rows_avx2(&self.data, &other.data, k, n, rows, out) };
-            return;
+        debug_assert!(level.supported());
+        let (a, b) = (&self.data[..], &other.data[..]);
+        match level {
+            // SAFETY (both arms): every caller passes `simd::level()`,
+            // which only returns tiers the host supports, or a tier it
+            // checked with `Level::assert_supported`.
+            #[cfg(target_arch = "x86_64")]
+            Level::Avx512 => unsafe { gemm_rows_avx512(a, b, k, n, rows, out) },
+            #[cfg(target_arch = "x86_64")]
+            Level::Avx2 => unsafe { gemm_rows_avx2(a, b, k, n, rows, out) },
+            _ => gemm_rows_body::<NR>(a, b, k, n, rows, out),
         }
-        gemm_rows_body::<NR>(&self.data, &other.data, k, n, rows, out)
     }
 
     /// Matrix product `self · other`, computed over row tiles on the
@@ -415,13 +462,14 @@ impl Mat {
 
         // a few tiles per participant so stealing can rebalance
         let tile = (self.rows / (participants * 4)).max(1);
+        let level = simd::level();
         eyecod_pool::parallel_for_chunked(self.rows.div_ceil(tile), 1, |t| {
             let r0 = t * tile;
             let r1 = ((t + 1) * tile).min(self.rows);
             let slice = unsafe {
                 std::slice::from_raw_parts_mut(out.get().add(r0 * cols), (r1 - r0) * cols)
             };
-            self.matmul_rows(other, r0..r1, slice);
+            self.matmul_rows(other, r0..r1, slice, level);
         });
         Mat {
             rows: self.rows,
@@ -588,24 +636,37 @@ mod tests {
 
     #[test]
     fn blocked_matmul_is_bit_identical_to_naive() {
-        // edge sizes straddling the 4x8 register tile, plus tile multiples
+        // edge sizes straddling the 4x4, 4x8 and 4x16 register tiles, plus
+        // tile multiples and the working-scale solve shapes
         for (m, k, n) in [
             (1usize, 1usize, 1usize),
             (3, 5, 7),
             (4, 8, 8),
             (5, 9, 17),
+            (6, 4, 16),
+            (7, 3, 33),
             (48, 64, 48),
+            (64, 48, 64),
             (13, 1, 9),
         ] {
             let a = Mat::from_fn(m, k, |r, c| ((r * 31 + c * 7) % 13) as f64 / 3.0 - 2.0);
             let b = Mat::from_fn(k, n, |r, c| ((r * 17 + c * 3) % 11) as f64 / 5.0 - 1.0);
-            let blocked = a.matmul(&b);
             let naive = a.matmul_naive(&b);
             assert_eq!(
-                blocked.as_slice(),
+                a.matmul(&b).as_slice(),
                 naive.as_slice(),
-                "blocked != naive at {m}x{k}x{n}"
+                "dispatched != naive at {m}x{k}x{n}"
             );
+            let mut out = Mat::zeros(1, 1);
+            for level in simd::supported_levels() {
+                a.matmul_into_at(&b, &mut out, level);
+                assert_eq!(
+                    out.as_slice(),
+                    naive.as_slice(),
+                    "{} tile != naive at {m}x{k}x{n}",
+                    level.name()
+                );
+            }
         }
     }
 

@@ -6,6 +6,7 @@
 //! and full-well saturation.
 
 use crate::mat::Mat;
+use eyecod_tensor::simd::{self, Level};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -103,10 +104,10 @@ impl SensorModel {
     /// polynomial [`ln_poly`] / [`cos_poly`] instead of libm. The uniforms
     /// of a block of pixels are staged in a stack buffer first, so the
     /// transcendental pass runs branch-free over the block; the kernel is
-    /// instantiated plain and under `#[target_feature(enable = "avx2")]`
-    /// and dispatched by [`eyecod_tensor::simd::avx2_enabled`], and Rust
-    /// never contracts `a * b + c` into an FMA, so both produce the same
-    /// bits.
+    /// instantiated plain, under `#[target_feature(enable = "avx2")]` and
+    /// under `avx512f`, and dispatched by [`eyecod_tensor::simd::level`].
+    /// Rust never contracts `a * b + c` into an FMA and every step is
+    /// lane-wise, so all three produce the same bits.
     ///
     /// Both polynomials are within about 1 ulp of libm, so a noisy value
     /// can differ from the reference's by an ulp or so. With an ADC
@@ -116,6 +117,19 @@ impl SensorModel {
     /// in practice (pinned over millions of pixels by the tests); without
     /// one, the two agree to about 1e-15 relative.
     pub fn apply_inplace(&self, out: &mut Mat, seed: u64) {
+        self.apply_inplace_at(out, seed, simd::level());
+    }
+
+    /// [`SensorModel::apply_inplace`] on one named SIMD tier instead of the
+    /// dispatched one — how the tests and benchmarks hold every tier the
+    /// host supports against the others. Every tier produces the same
+    /// bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host does not support `level`.
+    pub fn apply_inplace_at(&self, out: &mut Mat, seed: u64, level: Level) {
+        level.assert_supported();
         let shot = self.full_scale_electrons > 0.0;
         let read = self.read_noise_std > 0.0;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -135,14 +149,14 @@ impl SensorModel {
                     *r2 = rng.gen_range(0.0..1.0);
                 }
             }
-            #[cfg(target_arch = "x86_64")]
-            if eyecod_tensor::simd::avx2_enabled() {
-                // SAFETY: avx2_enabled() returns true only on hosts with
-                // AVX2.
-                unsafe { noise_block_avx2(self, &mut u, block) };
-                continue;
+            match level {
+                // SAFETY (both arms): `level` passed the support check above.
+                #[cfg(target_arch = "x86_64")]
+                Level::Avx512 => unsafe { noise_block_avx512(self, &mut u, block) },
+                #[cfg(target_arch = "x86_64")]
+                Level::Avx2 => unsafe { noise_block_avx2(self, &mut u, block) },
+                _ => noise_block(self, &mut u, block),
             }
-            noise_block(self, &mut u, block);
         }
     }
 
@@ -253,11 +267,24 @@ fn noise_block(s: &SensorModel, u: &mut [[f64; NOISE_BLOCK]; 4], px: &mut [f64])
 ///
 /// # Safety
 ///
-/// The host must support AVX2, which [`SensorModel::apply_inplace`] checks
-/// via [`eyecod_tensor::simd::avx2_enabled`] before calling.
+/// The host must support AVX2, which [`SensorModel::apply_inplace_at`]
+/// checks before calling.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn noise_block_avx2(s: &SensorModel, u: &mut [[f64; NOISE_BLOCK]; 4], px: &mut [f64]) {
+    noise_block(s, u, px);
+}
+
+/// [`noise_block`] compiled for AVX-512, where both passes run eight pixels
+/// per instruction; same bits as the other instantiations.
+///
+/// # Safety
+///
+/// The host must support AVX-512F, which [`SensorModel::apply_inplace_at`]
+/// checks before calling.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn noise_block_avx512(s: &SensorModel, u: &mut [[f64; NOISE_BLOCK]; 4], px: &mut [f64]) {
     noise_block(s, u, px);
 }
 
@@ -463,11 +490,23 @@ mod tests {
             SensorModel::noiseless(),
         ] {
             for seed in 0..20u64 {
-                let (mut fast, mut oracle) = (m.clone(), m.clone());
-                s.apply_inplace(&mut fast, seed);
-                s.apply_inplace_reference(&mut oracle, seed);
                 let bits = |x: &Mat| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let mut oracle = m.clone();
+                s.apply_inplace_reference(&mut oracle, seed);
+                let mut fast = m.clone();
+                s.apply_inplace(&mut fast, seed);
                 assert_eq!(bits(&fast), bits(&oracle), "{s:?} seed {seed}");
+                // every tier's instantiation, not only the dispatched one
+                for level in simd::supported_levels() {
+                    let mut tier = m.clone();
+                    s.apply_inplace_at(&mut tier, seed, level);
+                    assert_eq!(
+                        bits(&tier),
+                        bits(&oracle),
+                        "{} {s:?} seed {seed}",
+                        level.name()
+                    );
+                }
             }
         }
     }
@@ -497,6 +536,20 @@ mod tests {
                 s.apply_inplace_reference(&mut oracle, seed);
                 for (&a, &b) in fast.as_slice().iter().zip(oracle.as_slice()) {
                     assert!((a - b).abs() <= 1e-12 * b.abs(), "{a} vs {b} ({s:?})");
+                }
+                // without an ADC the ulp differences show, so the tiers
+                // must agree with each other bit for bit
+                for level in simd::supported_levels() {
+                    let mut tier = m.clone();
+                    s.apply_inplace_at(&mut tier, seed, level);
+                    let bits =
+                        |x: &Mat| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&tier),
+                        bits(&fast),
+                        "{} {s:?} seed {seed}",
+                        level.name()
+                    );
                 }
             }
         }

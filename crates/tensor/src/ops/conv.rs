@@ -1,6 +1,7 @@
 //! 2-D convolution (generic, point-wise and depth-wise via `groups`).
 
 use crate::shape::Shape;
+use crate::simd::{self, Level};
 use crate::tensor::Tensor;
 
 /// Validates convolution arguments and returns `(c_in_per_group,
@@ -67,11 +68,22 @@ pub(crate) fn tap_span(
     (lo.min(hi), hi)
 }
 
-/// Output channels per register tile of [`conv2d`].
+/// Output channels per register tile of [`conv2d`]'s portable and AVX2
+/// instantiations, and of every instantiation's remainder tiles.
 const MR: usize = 4;
-/// Output positions per register tile of [`conv2d`] — two AVX2 vectors of
-/// f32.
+/// Output positions per register tile of [`conv2d`]'s portable and AVX2
+/// instantiations — two AVX2 vectors of f32.
 const NR: usize = 16;
+/// Output channels per register tile of [`conv2d`]'s AVX-512
+/// instantiation: with [`NR_AVX512`], 16 zmm accumulators, half the
+/// register file.
+const MR_AVX512: usize = 8;
+/// Output positions per register tile of [`conv2d`]'s AVX-512
+/// instantiation — two zmm of f32.
+const NR_AVX512: usize = 32;
+/// The widest position tile of any instantiation: the zero slack after
+/// each phase plane that keeps the last tile's loads in bounds.
+const NR_MAX: usize = if NR > NR_AVX512 { NR } else { NR_AVX512 };
 
 /// 2-D convolution with square kernels, symmetric zero padding and groups.
 ///
@@ -95,15 +107,16 @@ const NR: usize = 16;
 ///
 /// The kernel is a register-tiled direct convolution: each input channel of
 /// a group is copied once into a zero-padded plane — split into `stride²`
-/// phase planes at stride > 1 — so every tap of a tile of 16 consecutive
+/// phase planes at stride > 1 — so every tap of a tile of consecutive
 /// output positions (laid out at the padded plane's width) is one
-/// contiguous load at a fixed offset, and an `M × 16` accumulator tile
-/// (`M` = 4 output channels of one group, narrower for the remainder and
-/// for depth-wise layers) stays in registers across all taps. The loops are
-/// instantiated twice, plain and under `#[target_feature(enable =
-/// "avx2")]`, and dispatched by [`crate::simd::avx2_enabled`]; Rust never
-/// contracts `a * b + c` into an FMA, so both instantiations produce the
-/// same bits.
+/// contiguous load at a fixed offset, and an `M × N` accumulator tile
+/// stays in registers across all taps. The loops are instantiated once per
+/// SIMD tier and dispatched by [`crate::simd::level`]: plain and under
+/// `#[target_feature(enable = "avx2")]` the tile is `M` = 4 output
+/// channels of one group by `N` = 16 positions, under `avx512f` 8 by 32;
+/// the channels left over, and depth-wise layers, take tiles of 4 or
+/// fewer. Rust never contracts `a * b + c` into an FMA, so every
+/// instantiation produces the same bits.
 ///
 /// # Panics
 ///
@@ -166,25 +179,64 @@ pub fn conv2d_into(
     scratch: &mut Vec<f32>,
     out: &mut Tensor,
 ) {
+    conv2d_into_at(
+        input,
+        weight,
+        bias,
+        stride,
+        pad,
+        groups,
+        scratch,
+        out,
+        simd::level(),
+    );
+}
+
+/// [`conv2d_into`] on one named SIMD tier instead of the dispatched one —
+/// how the tests and benchmarks hold every tier the host supports against
+/// the others. Every tier produces the same bits.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`conv2d`], or if the host does not
+/// support `level`.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_into_at(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&[f32]>,
+    stride: usize,
+    pad: usize,
+    groups: usize,
+    scratch: &mut Vec<f32>,
+    out: &mut Tensor,
+    level: Level,
+) {
     let wshape = weight.shape();
     check_conv_args(input.shape(), wshape, bias, groups);
+    level.assert_supported();
     out.reset(input.shape().conv_output(wshape.n, wshape.h, pad, stride));
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2_enabled() {
-        // SAFETY: avx2_enabled() returns true only on hosts with AVX2.
-        unsafe { conv2d_avx2(input, weight, bias, stride, pad, groups, scratch, out) };
-        return;
+    match level {
+        // SAFETY (both arms): `level` passed the support check above.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => unsafe {
+            conv2d_avx512(input, weight, bias, stride, pad, groups, scratch, out)
+        },
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => unsafe {
+            conv2d_avx2(input, weight, bias, stride, pad, groups, scratch, out)
+        },
+        _ => conv2d_body::<MR, NR>(input, weight, bias, stride, pad, groups, scratch, out),
     }
-    conv2d_body(input, weight, bias, stride, pad, groups, scratch, out);
 }
 
 /// The phase-plane geometry of one convolution: the padded input `(H + 2p)
 /// × (W + 2p)` split by stride `s` into `s²` planes of `ph × pw` (phase
 /// `(a, b)` holds padded rows `a, a + s, …` and columns `b, b + s, …`),
-/// each followed by [`NR`] zeros of slack so the last tile's loads stay in
-/// bounds. Output position `(oy, ox)` lives at `q = oy · pw + ox`, and tap
-/// `(kh, kw)` reads phase `(kh mod s, kw mod s)` at `q + (kh / s) · pw +
-/// kw / s`. The channel tile (`super::packed`) uses the stride-1 layout,
+/// each followed by [`NR_MAX`] zeros of slack so the last tile's loads
+/// stay in bounds. Output position `(oy, ox)` lives at `q = oy · pw + ox`,
+/// and tap `(kh, kw)` reads phase `(kh mod s, kw mod s)` at `q + (kh / s) ·
+/// pw + kw / s`. The channel tile (`super::packed`) uses the stride-1 layout,
 /// one zero-padded plane per channel, and applies the stride to its
 /// position offsets instead.
 #[derive(Clone, Copy)]
@@ -203,7 +255,7 @@ impl PhaseGeom {
             stride,
             pad,
             pw,
-            plane: ph * pw + NR,
+            plane: ph * pw + NR_MAX,
         }
     }
 
@@ -272,40 +324,48 @@ struct GroupConv<'a> {
 impl GroupConv<'_> {
     /// Every tile of the group, position tiles outermost: one tile's taps
     /// stay in L1 while every output channel of the group consumes them.
-    /// `S` is the stride when it is 1 or 2 — the strides the networks
-    /// run, whose tap offsets then fold to shifts — and 0 otherwise.
+    /// A tile is `MRT` output channels by `NRT` positions; the channels
+    /// left over take tiles of [`MR`] or fewer. `S` is the stride when it
+    /// is 1 or 2 — the strides the networks run, whose tap offsets then
+    /// fold to shifts — and 0 otherwise.
     #[inline(always)]
-    fn run<const S: usize>(self, out: &mut [f32]) {
+    fn run<const MRT: usize, const NRT: usize, const S: usize>(self, out: &mut [f32]) {
         let cout = self.w.len() / (self.cin * self.k * self.k);
         let positions = (self.oh - 1) * self.geom.pw + self.ow;
-        for q0 in (0..positions).step_by(NR) {
+        for q0 in (0..positions).step_by(NRT) {
             let mut oc = 0;
             while oc < cout {
-                let mr = MR.min(cout - oc);
+                let mr = if cout - oc >= MRT {
+                    MRT
+                } else {
+                    MR.min(cout - oc)
+                };
                 match (mr, self.k) {
-                    (4, 3) => self.tile::<4, S, 3>(oc, q0, out),
-                    (3, 3) => self.tile::<3, S, 3>(oc, q0, out),
-                    (2, 3) => self.tile::<2, S, 3>(oc, q0, out),
-                    (_, 3) => self.tile::<1, S, 3>(oc, q0, out),
-                    (4, _) => self.tile::<4, S, 0>(oc, q0, out),
-                    (3, _) => self.tile::<3, S, 0>(oc, q0, out),
-                    (2, _) => self.tile::<2, S, 0>(oc, q0, out),
-                    _ => self.tile::<1, S, 0>(oc, q0, out),
+                    (m, 3) if m == MRT => self.tile::<MRT, NRT, S, 3>(oc, q0, out),
+                    (m, _) if m == MRT => self.tile::<MRT, NRT, S, 0>(oc, q0, out),
+                    (4, 3) => self.tile::<4, NRT, S, 3>(oc, q0, out),
+                    (3, 3) => self.tile::<3, NRT, S, 3>(oc, q0, out),
+                    (2, 3) => self.tile::<2, NRT, S, 3>(oc, q0, out),
+                    (_, 3) => self.tile::<1, NRT, S, 3>(oc, q0, out),
+                    (4, _) => self.tile::<4, NRT, S, 0>(oc, q0, out),
+                    (3, _) => self.tile::<3, NRT, S, 0>(oc, q0, out),
+                    (2, _) => self.tile::<2, NRT, S, 0>(oc, q0, out),
+                    _ => self.tile::<1, NRT, S, 0>(oc, q0, out),
                 }
                 oc += mr;
             }
         }
     }
 
-    /// One `M × NR` register tile: output channels `oc..oc + M` at the
-    /// [`NR`] phase-width positions from `q0`. Accumulators start at `+0.0`
+    /// One `M × NRT` register tile: output channels `oc..oc + M` at the
+    /// `NRT` phase-width positions from `q0`. Accumulators start at `+0.0`
     /// and add one `w · x` product per tap in ascending `(c, kh, kw)` order;
     /// the bias follows when non-zero. Only positions inside the output
     /// plane are stored; the others ran on padding or slack.
     // indexed fixed-trip loops are the form LLVM unrolls into the tile
     #[allow(clippy::needless_range_loop)]
     #[inline(always)]
-    fn tile<const M: usize, const S: usize, const K: usize>(
+    fn tile<const M: usize, const NRT: usize, const S: usize, const K: usize>(
         self,
         oc: usize,
         q0: usize,
@@ -326,8 +386,8 @@ impl GroupConv<'_> {
         // tap column `kw` sits in phase plane `kw mod s` at column `kw / s`
         // of its row; one row's taps span this many floats
         let col = |kw: usize| (kw % s) * plane + kw / s;
-        let span = (s.min(k) - 1) * plane + (k - 1) / s + NR;
-        let mut acc = [[0.0f32; NR]; M];
+        let span = (s.min(k) - 1) * plane + (k - 1) / s + NRT;
+        let mut acc = [[0.0f32; NRT]; M];
         for c in 0..self.cin {
             let chan = q0 + c * geom.channel_len();
             for kh in 0..k {
@@ -335,12 +395,12 @@ impl GroupConv<'_> {
                 let wk: [&[f32]; M] = std::array::from_fn(|i| &w[i][(c * k + kh) * k..][..k]);
                 for kw in 0..k {
                     let off = col(kw);
-                    let x: [f32; NR] = xs[off..off + NR].try_into().expect("NR-wide slice");
+                    let x: [f32; NRT] = xs[off..off + NRT].try_into().expect("NRT-wide slice");
                     // fixed-trip indexed loops over the tile: one
                     // broadcast, one vector mul and one vector add per row
                     for i in 0..M {
                         let wv = wk[i][kw];
-                        for j in 0..NR {
+                        for j in 0..NRT {
                             acc[i][j] += wv * x[j];
                         }
                     }
@@ -358,8 +418,8 @@ impl GroupConv<'_> {
             }
         }
         // scatter the tile's in-plane positions, one output-row run at a
-        // time (a 16-wide tile spans at most a few rows)
-        let end = (q0 + NR).min((oh - 1) * pw + ow);
+        // time (a tile spans at most a few rows)
+        let end = (q0 + NRT).min((oh - 1) * pw + ow);
         let (mut q, mut oy, mut ox) = (q0, q0 / pw, q0 % pw);
         while q < end {
             let run = (pw - ox).min(end - q);
@@ -367,7 +427,7 @@ impl GroupConv<'_> {
                 let len = run.min(ow - ox);
                 let j = q - q0;
                 for (i, acc_row) in acc.iter().enumerate() {
-                    let row: [f32; NR] = *acc_row;
+                    let row: [f32; NRT] = *acc_row;
                     out[(oc + i) * oh * ow + oy * ow + ox..][..len]
                         .copy_from_slice(&row[j..j + len]);
                 }
@@ -379,12 +439,12 @@ impl GroupConv<'_> {
     }
 }
 
-/// The tiled convolution loop nest shared by both instantiations; `out`
-/// arrives zeroed with the output shape. See [`conv2d`] for the
-/// accumulation order it keeps.
+/// The tiled convolution loop nest shared by every instantiation, with
+/// `MRT × NRT` register tiles; `out` arrives zeroed with the output shape.
+/// See [`conv2d`] for the accumulation order it keeps.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn conv2d_body(
+fn conv2d_body<const MRT: usize, const NRT: usize>(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&[f32]>,
@@ -418,22 +478,22 @@ fn conv2d_body(
             };
             let out_g = &mut out_data[(n * oshape.c + g * cout_g) * oh * ow..][..cout_g * oh * ow];
             match stride {
-                1 => conv.run::<1>(out_g),
-                2 => conv.run::<2>(out_g),
-                _ => conv.run::<0>(out_g),
+                1 => conv.run::<MRT, NRT, 1>(out_g),
+                2 => conv.run::<MRT, NRT, 2>(out_g),
+                _ => conv.run::<MRT, NRT, 0>(out_g),
             }
         }
     }
 }
 
 /// AVX2 instantiation of [`conv2d_body`], where each accumulator row of the
-/// register tile is two YMM registers (see [`conv2d`] for the bit-identity
-/// argument).
+/// 4 × 16 register tile is two YMM registers (see [`conv2d`] for the
+/// bit-identity argument).
 ///
 /// # Safety
 ///
-/// The host must support AVX2, which [`conv2d_into`] checks via
-/// [`crate::simd::avx2_enabled`] before calling.
+/// The host must support AVX2, which [`conv2d_into_at`] checks before
+/// calling.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2")]
@@ -447,7 +507,32 @@ unsafe fn conv2d_avx2(
     scratch: &mut Vec<f32>,
     out: &mut Tensor,
 ) {
-    conv2d_body(input, weight, bias, stride, pad, groups, scratch, out);
+    conv2d_body::<MR, NR>(input, weight, bias, stride, pad, groups, scratch, out);
+}
+
+/// AVX-512 instantiation of [`conv2d_body`], where each accumulator row of
+/// the 8 × 32 register tile is two ZMM registers, so a tap is two loads,
+/// eight broadcasts and 16 multiplies and adds (see [`conv2d`] for the
+/// bit-identity argument).
+///
+/// # Safety
+///
+/// The host must support AVX-512F, which [`conv2d_into_at`] checks before
+/// calling.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx512f")]
+unsafe fn conv2d_avx512(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&[f32]>,
+    stride: usize,
+    pad: usize,
+    groups: usize,
+    scratch: &mut Vec<f32>,
+    out: &mut Tensor,
+) {
+    conv2d_body::<MR_AVX512, NR_AVX512>(input, weight, bias, stride, pad, groups, scratch, out);
 }
 
 /// The per-element oracle [`conv2d`] is pinned against bit for bit: one
@@ -523,8 +608,8 @@ pub struct Conv2dGrads {
 /// rows and columns are resolved once ([`tap_span`]), so at stride 1 a tap
 /// row is a contiguous dot product (weight gradient) plus a contiguous
 /// axpy (input gradient); the loops are instantiated plain and under
-/// `#[target_feature(enable = "avx2")]`, dispatched by
-/// [`crate::simd::avx2_enabled`], with the same bits.
+/// `#[target_feature(enable = "avx2")]`, the AVX2 one taken whenever
+/// [`crate::simd::level`] is at least [`Level::Avx2`], with the same bits.
 ///
 /// # Panics
 ///
@@ -547,8 +632,8 @@ pub fn conv2d_backward(
         bias: vec![0.0f32; wshape.n],
     };
     #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2_enabled() {
-        // SAFETY: avx2_enabled() returns true only on hosts with AVX2.
+    if simd::level() >= Level::Avx2 {
+        // SAFETY: the probe returns only tiers the host supports.
         unsafe { conv2d_backward_avx2(input, weight, grad_out, stride, pad, groups, &mut grads) };
         return grads;
     }
@@ -643,7 +728,7 @@ fn conv2d_backward_body(
 /// # Safety
 ///
 /// The host must support AVX2, which [`conv2d_backward`] checks via
-/// [`crate::simd::avx2_enabled`] before calling.
+/// [`crate::simd::level`] before calling.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn conv2d_backward_avx2(

@@ -7,10 +7,12 @@
 //!
 //! The f32 forward convolution has two register-tiled kernels with the same
 //! per-element sequence, so they agree bit for bit: the position tile
-//! [`conv2d`] / [`conv2d_into`] (4 output channels × 16 positions, for
-//! narrow layers, depth-wise layers and training) and the channel tile
-//! [`conv2d_packed_into`] (6 positions × 16 output channels over
-//! [`PackedConvWeights`], for layers of 16, 32, … output channels).
+//! [`conv2d`] / [`conv2d_into`] (4 output channels × 16 positions, 8 × 32
+//! under AVX-512, for narrow layers, depth-wise layers and training) and
+//! the channel tile [`conv2d_packed_into`] (6 positions × 16 output
+//! channels, 12 × 16 under AVX-512, over [`PackedConvWeights`], for layers
+//! of 16, 32, … output channels). Each has an `_at` twin that runs one
+//! named [`crate::simd::Level`] instead of the dispatched one.
 //! `Conv2d::forward_into` in [`crate::layer`] picks one per layer shape;
 //! [`conv2d_naive`] is the per-element oracle both are pinned to.
 
@@ -29,13 +31,14 @@ pub use activation::{
 };
 pub(crate) use conv::{check_conv_args, tap_span};
 pub use conv::{
-    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_into, conv2d_naive, Conv2dGrads,
+    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_into, conv2d_into_at, conv2d_naive,
+    Conv2dGrads,
 };
 pub use linear::{linear, linear_backward, linear_into, matmul, LinearGrads};
 pub use norm::{
     batch_norm, batch_norm_backward, batch_norm_infer_inplace, BatchNormCache, BatchNormGrads,
 };
-pub use packed::{conv2d_packed_into, PackedConvWeights};
+pub use packed::{conv2d_packed_into, conv2d_packed_into_at, PackedConvWeights};
 pub use pool::{
     avg_pool2d, avg_pool2d_backward, global_avg_pool, global_avg_pool_backward,
     global_avg_pool_into, max_pool2d, max_pool2d_backward, max_pool2d_into, MaxPoolCache,

@@ -9,20 +9,25 @@
 //! weights are packed once per layer tap-major, `panel[((c · k + kh) · k +
 //! kw) · C_pad + oc]` with `C_out` zero-padded to a multiple of 16
 //! ([`PackedConvWeights`]), each input channel is copied once into a
-//! zero-padded plane, and a `6 × 16` accumulator tile — 6 output positions
-//! by 16 output channels (two 8-lane vectors) — stays in registers across
-//! every tap: one 16-wide panel load, 6 broadcasts, and 12 vector
-//! multiplies and as many vector adds.
+//! zero-padded plane, and a `P × 16` accumulator tile — `P` output
+//! positions by 16 output channels — stays in registers across every tap:
+//! one 16-wide panel load, `P` broadcasts, and `P` rows of vector
+//! multiplies and adds. Plain and under AVX2 a row is two 8-lane ymm
+//! vectors and `P` = 6 (12 accumulators of the 16 ymm); under AVX-512 a
+//! row is one zmm and `P` = 12 (12 of the 32 zmm), for 3×3 kernels only
+//! (other sizes keep the AVX2 tile, see [`packed_avx512`]).
 //!
 //! Every output keeps [`super::conv2d`]'s sequence: from `+0.0`, all taps
 //! in ascending `(c, kh, kw)` order, padding included, one multiply then
 //! one add (Rust never contracts them into an FMA), the bias added last
 //! when non-zero. So the result is bitwise equal to [`super::conv2d`], and
 //! for finite operands to [`super::conv2d_naive`]. The loops are
-//! instantiated plain and under `#[target_feature(enable = "avx2")]`,
-//! dispatched by [`crate::simd::avx2_enabled`], with the same bits.
+//! instantiated plain, under `#[target_feature(enable = "avx2")]` and
+//! under `avx512f`, dispatched by [`crate::simd::level`], with the same
+//! bits.
 
 use crate::shape::Shape;
+use crate::simd::{self, Level};
 use crate::tensor::Tensor;
 
 use super::conv::{check_conv_args, PhaseGeom};
@@ -30,10 +35,13 @@ use super::conv::{check_conv_args, PhaseGeom};
 /// Output channels per register tile; the panel pads `C_out` to a multiple
 /// of it.
 const LANES: usize = 16;
-/// Output positions per register tile: 12 (6 × 2) accumulator registers.
-/// At 8 or 12 positions LLVM vectorises the tile across positions with
-/// gathers instead.
+/// Output positions per register tile of the portable and AVX2
+/// instantiations: 12 (6 × 2) ymm accumulators. At 8 or 12 positions LLVM
+/// vectorises the AVX2 tile across positions with gathers instead.
 const POSITIONS: usize = 6;
+/// Output positions per register tile of the AVX-512 instantiation, where
+/// each position's 16 channels are one zmm accumulator.
+const POSITIONS_AVX512: usize = 12;
 
 /// The weights of one `groups == 1` convolution packed for
 /// [`conv2d_packed_into`]: tap-major, `panel[tap · C_pad + oc]` with `tap =
@@ -105,16 +113,45 @@ pub fn conv2d_packed_into(
     planes: &mut Vec<f32>,
     out: &mut Tensor,
 ) {
+    conv2d_packed_into_at(input, packed, bias, stride, pad, planes, out, simd::level());
+}
+
+/// [`conv2d_packed_into`] on one named SIMD tier instead of the dispatched
+/// one — how the tests and benchmarks hold every tier the host supports
+/// against the others. Every tier produces the same bits.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`conv2d_packed_into`], or if the
+/// host does not support `level`.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_packed_into_at(
+    input: &Tensor,
+    packed: &PackedConvWeights,
+    bias: Option<&[f32]>,
+    stride: usize,
+    pad: usize,
+    planes: &mut Vec<f32>,
+    out: &mut Tensor,
+    level: Level,
+) {
     let wshape = packed.weight_shape();
     check_conv_args(input.shape(), wshape, bias, 1);
+    level.assert_supported();
     out.reset(input.shape().conv_output(wshape.n, wshape.h, pad, stride));
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2_enabled() {
-        // SAFETY: avx2_enabled() returns true only on hosts with AVX2.
-        unsafe { packed_avx2(input, packed, bias, stride, pad, planes, out) };
-        return;
+    match level {
+        // SAFETY (both arms): `level` passed the support check above, and
+        // `Level::Avx512` is supported only where AVX2 is.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 if packed.k == 3 => unsafe {
+            packed_avx512(input, packed, bias, stride, pad, planes, out)
+        },
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 | Level::Avx2 => unsafe {
+            packed_avx2(input, packed, bias, stride, pad, planes, out)
+        },
+        _ => packed_body::<POSITIONS>(input, packed, bias, stride, pad, planes, out),
     }
-    packed_body(input, packed, bias, stride, pad, planes, out);
 }
 
 /// The operands of one batch item's channel-tiled convolution.
@@ -133,7 +170,7 @@ impl ChannelConv<'_> {
     /// Every tile of the item, channel tiles outermost: one tile's panel
     /// columns stay in L1 while every position consumes them.
     #[inline(always)]
-    fn run<const K: usize>(self, out: &mut [f32]) {
+    fn run<const P: usize, const K: usize>(self, out: &mut [f32]) {
         let positions = self.oh * self.ow;
         let cpad = self.packed.cpad();
         let (cin, k, pw) = (self.packed.cin, self.packed.k, self.geom.pw);
@@ -158,21 +195,21 @@ impl ChannelConv<'_> {
             "channel tile operands out of bounds"
         );
         for oc in (0..cpad).step_by(LANES) {
-            for q0 in (0..positions).step_by(POSITIONS) {
-                self.tile::<K>(oc, q0, out);
+            for q0 in (0..positions).step_by(P) {
+                self.tile::<P, K>(oc, q0, out);
             }
         }
     }
 
     /// One register tile: output channels `oc..oc + LANES` at output
-    /// positions `q0..q0 + POSITIONS` (positions past the plane repeat the
+    /// positions `q0..q0 + P` (positions past the plane repeat the
     /// last one, channels past `C_out` are padding; neither is stored).
     /// Accumulators start at `+0.0` and add one `w · x` product per tap in
     /// ascending `(c, kh, kw)` order; the bias follows when non-zero.
     // indexed fixed-trip loops are the form LLVM unrolls into the tile
     #[allow(clippy::needless_range_loop)]
     #[inline(always)]
-    fn tile<const K: usize>(self, oc: usize, q0: usize, out: &mut [f32]) {
+    fn tile<const P: usize, const K: usize>(self, oc: usize, q0: usize, out: &mut [f32]) {
         let ChannelConv {
             planes,
             packed,
@@ -187,7 +224,7 @@ impl ChannelConv<'_> {
         // each position's top-left tap, stepping `(oy, ox)` instead of
         // dividing per position
         let (mut q, mut oy, mut ox) = (q0, q0 / ow, q0 % ow);
-        let xs: [*const f32; POSITIONS] = std::array::from_fn(|_| {
+        let xs: [*const f32; P] = std::array::from_fn(|_| {
             // SAFETY: `run` asserted that every position's base plus the
             // largest tap offset lies inside `planes`, and that every panel
             // row holds `cpad >= oc + LANES` floats.
@@ -201,7 +238,7 @@ impl ChannelConv<'_> {
             }
             x
         });
-        let mut acc = [[0.0f32; LANES]; POSITIONS];
+        let mut acc = [[0.0f32; LANES]; P];
         let mut wrow = oc;
         for c in 0..packed.cin {
             for kh in 0..k {
@@ -210,7 +247,7 @@ impl ChannelConv<'_> {
                     // SAFETY: as above.
                     let w: [f32; LANES] =
                         unsafe { *packed.panel.as_ptr().add(wrow).cast::<[f32; LANES]>() };
-                    for p in 0..POSITIONS {
+                    for p in 0..P {
                         // SAFETY: as above.
                         let x = unsafe { *xs[p].add(row + kw) };
                         for j in 0..LANES {
@@ -234,7 +271,7 @@ impl ChannelConv<'_> {
                 }
             }
         }
-        let np = POSITIONS.min(positions - q0);
+        let np = P.min(positions - q0);
         for j in 0..lanes {
             let dst = &mut out[(oc + j) * positions + q0..][..np];
             for (d, acc_p) in dst.iter_mut().zip(&tile) {
@@ -244,10 +281,11 @@ impl ChannelConv<'_> {
     }
 }
 
-/// The channel-tiled loop nest shared by both instantiations; `out`
-/// arrives zeroed with the output shape.
+/// The channel-tiled loop nest shared by every instantiation, with `P`
+/// output positions per register tile; `out` arrives zeroed with the
+/// output shape.
 #[inline(always)]
-fn packed_body(
+fn packed_body<const P: usize>(
     input: &Tensor,
     packed: &PackedConvWeights,
     bias: Option<&[f32]>,
@@ -273,8 +311,8 @@ fn packed_body(
             ow: oshape.w,
         };
         match packed.k {
-            3 => conv.run::<3>(out_n),
-            _ => conv.run::<0>(out_n),
+            3 => conv.run::<P, 3>(out_n),
+            _ => conv.run::<P, 0>(out_n),
         }
     }
 }
@@ -285,8 +323,8 @@ fn packed_body(
 ///
 /// # Safety
 ///
-/// The host must support AVX2, which [`conv2d_packed_into`] checks via
-/// [`crate::simd::avx2_enabled`] before calling.
+/// The host must support AVX2, which [`conv2d_packed_into_at`] checks
+/// before calling.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn packed_avx2(
@@ -298,5 +336,34 @@ unsafe fn packed_avx2(
     planes: &mut Vec<f32>,
     out: &mut Tensor,
 ) {
-    packed_body(input, packed, bias, stride, pad, planes, out);
+    packed_body::<POSITIONS>(input, packed, bias, stride, pad, planes, out);
+}
+
+/// AVX-512 instantiation of [`packed_body`]: one ZMM register holds a
+/// position's 16 output channels, so a tile of [`POSITIONS_AVX512`]
+/// positions keeps that many accumulators resident in the 32-register file
+/// (see the module docs for the bit-identity argument).
+///
+/// Only 3×3 kernels take it. For other kernel sizes LLVM vectorises this
+/// instantiation across positions, with gathers and scatters on the
+/// accumulators, and it ran 5–20× slower than [`packed_avx2`] on the 1×1
+/// and 5×5 layers it was timed on, so [`conv2d_packed_into_at`] sends
+/// those to [`packed_avx2`] on an AVX-512 host too.
+///
+/// # Safety
+///
+/// The host must support AVX-512F, which [`conv2d_packed_into_at`] checks
+/// before calling.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn packed_avx512(
+    input: &Tensor,
+    packed: &PackedConvWeights,
+    bias: Option<&[f32]>,
+    stride: usize,
+    pad: usize,
+    planes: &mut Vec<f32>,
+    out: &mut Tensor,
+) {
+    packed_body::<POSITIONS_AVX512>(input, packed, bias, stride, pad, planes, out);
 }

@@ -1,14 +1,38 @@
 //! Runtime SIMD capability probe and the int8 building-block kernels.
 //!
 //! Every SIMD-dispatched kernel in the workspace (the int8 `quant` ops, the
-//! f32 convolution tiles in [`crate::ops`], and the f64 GEMM tile in
-//! `eyecod-optics`) routes through the single probe here: AVX2 is used iff
-//! the host supports it **and** the `EYECOD_NO_SIMD=1` kill switch is not
-//! set. That gives every test suite a one-variable way to run both dispatch
-//! paths, and every kernel keeps its scalar implementation as the retained
-//! differential baseline.
+//! f32 convolution tiles in [`crate::ops`], and the f64 GEMM tile and the
+//! sensor-noise kernel in `eyecod-optics`) routes through the single probe
+//! here, [`level`], which returns one of three tiers ([`Level`]):
 //!
-//! # Exactness contract
+//! * [`Level::Avx512`] — the host supports AVX-512 Foundation
+//!   (`avx512f`): 512-bit zmm registers, 32 of them. The f64 GEMM, the
+//!   noise kernel and both f32 convolution tiles have an instantiation
+//!   here; the int8 kernels have none yet and take their AVX2 bodies.
+//! * [`Level::Avx2`] — the host supports AVX2: 256-bit ymm registers, 16
+//!   of them. Every kernel has an instantiation here.
+//! * [`Level::Scalar`] — neither, or the `EYECOD_NO_SIMD=1` kill switch is
+//!   set: the plain (baseline x86-64) instantiation of every kernel.
+//!
+//! That gives every test suite a one-variable way to run the scalar and
+//! the widest path, and every kernel keeps its scalar implementation as
+//! the retained differential baseline. Each kernel that has more than two
+//! tiers also exposes an `*_at(…, level)` entry that runs one named tier,
+//! so a test or a benchmark can hold every tier the host supports against
+//! the oracle in one process.
+//!
+//! # Why the floating-point tiers cannot change a bit
+//!
+//! The f32 and f64 kernels are one generic loop nest instantiated per tier
+//! with `#[target_feature]`; only the register-tile shape (and so which
+//! output elements share a vector) differs between tiers. Every output
+//! element keeps the same sequence of IEEE operations: from `+0.0`, one
+//! multiply then one add per term in ascending order. Rust never contracts
+//! `a * b + c` into an FMA, and lane-wise vector multiplies and adds round
+//! exactly like their scalar forms, so every tier produces the bits of the
+//! scalar oracle.
+//!
+//! # Exactness contract of the int8 kernels
 //!
 //! The int8 kernels accumulate i8×i8 products in `i32`. Integer addition is
 //! exactly associative, so the vector kernels are **bit-identical** to their
@@ -42,11 +66,81 @@ use std::sync::OnceLock;
 /// here re-check it with `debug_assert`s.
 pub const MAX_REDUCTION_DEPTH: usize = (i32::MAX / (127 * 127)) as usize;
 
+/// A vector tier a SIMD-dispatched kernel can run at, ordered from the
+/// narrowest to the widest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Level {
+    /// The plain instantiation: baseline x86-64 (SSE2) or any other target.
+    Scalar,
+    /// 256-bit AVX2.
+    Avx2,
+    /// 512-bit AVX-512 Foundation (`avx512f`).
+    Avx512,
+}
+
+impl Level {
+    /// True when the host CPU can run this tier, ignoring the kill switch.
+    pub fn supported(self) -> bool {
+        match self {
+            Level::Scalar => true,
+            Level::Avx2 => avx2_supported(),
+            Level::Avx512 => avx512_supported(),
+        }
+    }
+
+    /// The tier's short name: `scalar`, `avx2` or `avx512`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Level::Scalar => "scalar",
+            Level::Avx2 => "avx2",
+            Level::Avx512 => "avx512",
+        }
+    }
+
+    /// The guard of every explicit-tier kernel entry (`*_at`): a kernel may
+    /// run a tier's instantiation only on a host that supports it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host does not support this tier.
+    pub fn assert_supported(self) {
+        assert!(
+            self.supported(),
+            "SIMD tier {} is not supported by this host",
+            self.name()
+        );
+    }
+}
+
+/// The tiers this host supports, narrowest first (always starting with
+/// [`Level::Scalar`]), ignoring the kill switch.
+pub fn supported_levels() -> Vec<Level> {
+    [Level::Scalar, Level::Avx2, Level::Avx512]
+        .into_iter()
+        .filter(|l| l.supported())
+        .collect()
+}
+
 /// True when the host CPU supports AVX2, ignoring the kill switch.
 pub fn avx2_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// True when the host CPU (and OS) supports AVX-512 Foundation
+/// (`avx512f`), the one subset the [`Level::Avx512`] instantiations enable,
+/// and AVX2, which the kernels without an AVX-512 instantiation fall back
+/// to; ignores the kill switch.
+fn avx512_supported() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        avx2_supported() && std::arch::is_x86_feature_detected!("avx512f")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -86,12 +180,28 @@ fn parse_switch(name: &str, value: &str) -> Option<bool> {
     }
 }
 
-/// The single capability probe every SIMD dispatch site consults: AVX2 is
-/// supported *and* not disabled via `EYECOD_NO_SIMD=1`. Cached, so after the
-/// first call this is one predictable load.
+/// The single capability probe every SIMD dispatch site consults: the
+/// widest tier the host supports, or [`Level::Scalar`] when
+/// `EYECOD_NO_SIMD=1`. Cached, so after the first call this is one
+/// predictable load.
+pub fn level() -> Level {
+    static LEVEL: OnceLock<Level> = OnceLock::new();
+    *LEVEL.get_or_init(|| {
+        if simd_killed() {
+            Level::Scalar
+        } else {
+            *supported_levels()
+                .last()
+                .expect("the scalar tier is always supported")
+        }
+    })
+}
+
+/// True when the dispatched tier is at least AVX2: the host supports AVX2
+/// *and* `EYECOD_NO_SIMD=1` is not set. The int8 kernels, which have no
+/// AVX-512 instantiation, dispatch on this.
 pub fn avx2_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| avx2_supported() && !simd_killed())
+    level() >= Level::Avx2
 }
 
 /// In debug builds, checks the ±127 operand invariant the `maddubs`
@@ -387,13 +497,16 @@ mod tests {
 
     #[test]
     fn probe_is_stable_and_consistent() {
-        let first = avx2_enabled();
-        assert_eq!(first, avx2_enabled());
-        if simd_killed() || !avx2_supported() {
-            assert!(!first);
+        let first = level();
+        assert_eq!(first, level());
+        assert!(first.supported());
+        assert_eq!(avx2_enabled(), first >= Level::Avx2);
+        if simd_killed() {
+            assert_eq!(first, Level::Scalar);
         } else {
-            assert!(first);
+            assert_eq!(Some(&first), supported_levels().last());
         }
+        assert_eq!(supported_levels()[0], Level::Scalar);
     }
 
     #[test]

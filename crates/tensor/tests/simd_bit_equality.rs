@@ -14,11 +14,14 @@
 //! CI runs this suite twice — with SIMD enabled and under
 //! `EYECOD_NO_SIMD=1` — so both sides of every dispatch point are covered
 //! even on hosts where one test process can only ever observe one probe
-//! result (the probe is cached per process).
+//! result (the probe is cached per process). The f32 convolutions, which
+//! have a third (AVX-512) tier, are also run through their `_at` entries
+//! at every tier the host supports, so an AVX-512 host pins its AVX2
+//! instantiation too.
 
 use eyecod_tensor::ops::{
-    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_naive, conv2d_packed_into,
-    PackedConvWeights,
+    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_into_at, conv2d_naive,
+    conv2d_packed_into, conv2d_packed_into_at, PackedConvWeights,
 };
 use eyecod_tensor::quant::{
     qconv2d, qconv2d_reference, qconv2d_requant, qconv2d_requant_reference, qlinear,
@@ -290,6 +293,10 @@ proptest! {
         let oracle = conv2d_naive(&x, &w, Some(&bias), stride, pad, groups);
         prop_assert_eq!(fast.shape(), oracle.shape());
         prop_assert_eq!(bits(&fast), bits(&oracle));
+        for level in simd::supported_levels() {
+            let tier = direct_at(&x, &w, Some(&bias), stride, pad, groups, level);
+            prop_assert_eq!(bits(&tier), bits(&oracle), "{}", level.name());
+        }
     }
 
     /// `conv2d_backward` equals its per-element oracle bit for bit in all
@@ -326,17 +333,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The register-tiled `conv2d` equals the per-element oracle bit for
-    /// bit across output widths 1–35, which straddle the 16-position tile
-    /// and (at stride > 1) the phase-plane edges: stride 1–3, pad 0–2, k
-    /// 1/3/5, generic, grouped and depth-wise wiring (6 output channels
-    /// leave a 2-channel remainder after the 4-channel tile, 3 per group a
-    /// 3-wide tile), a batch of one or two, exact zeros in the weights, and
-    /// no bias, an all-zero bias or a bias with zeros and non-zeros.
+    /// bit, at the dispatched tier and at every tier the host supports,
+    /// across output widths 1–35, which straddle the 16- and 32-position
+    /// tiles and (at stride > 1) the phase-plane edges: stride 1–3, pad
+    /// 0–2, k 1/3/5, generic, grouped and depth-wise wiring (6, 11 or 18
+    /// output channels leave remainders of 1–3 after the 4- and 8-channel
+    /// tiles, 3 or 9 per group likewise), a batch of one or two, exact
+    /// zeros in the weights, and no bias, an all-zero bias or a bias with
+    /// zeros and non-zeros.
     #[test]
     fn tiled_conv2d_matches_per_element_oracle_across_widths(
         xv in proptest::collection::vec(-2.0f32..2.0, 2 * 4 * 5 * 107),
-        wv in sparse_f32_strategy(6 * 4 * 5 * 5),
-        bv in sparse_f32_strategy(6),
+        wv in sparse_f32_strategy(18 * 4 * 5 * 5),
+        bv in sparse_f32_strategy(18),
         ow in 1usize..36,
         h in 1usize..6,
         n in 1usize..3,
@@ -344,13 +353,19 @@ proptest! {
         pad in 0usize..3,
         k in prop_oneof![Just(1usize), Just(3usize), Just(5usize)],
         groups in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
+        width in 0u8..3,
         bias_kind in 0u8..3,
     ) {
         // the input width that yields `ow` outputs (clamped to fit the
         // kernel, so the narrowest cases may land a little wider)
         let w = ((ow - 1) * stride + k).saturating_sub(2 * pad).max(1);
         let h = h.max(k.saturating_sub(2 * pad));
-        let cout = if groups == 4 { 4 } else { 6 };
+        let cout = match (groups, width) {
+            (4, _) => 4,
+            (_, 0) => 6,
+            (1, 1) => 11,
+            _ => 18,
+        };
         let cin_g = 4 / groups;
         let x = Tensor::from_vec(Shape::new(n, 4, h, w), xv[..n * 4 * h * w].to_vec());
         let wt = Tensor::from_vec(
@@ -367,6 +382,10 @@ proptest! {
         let oracle = conv2d_naive(&x, &wt, bias, stride, pad, groups);
         prop_assert_eq!(fast.shape(), oracle.shape());
         prop_assert_eq!(bits(&fast), bits(&oracle));
+        for level in simd::supported_levels() {
+            let tier = direct_at(&x, &wt, bias, stride, pad, groups, level);
+            prop_assert_eq!(bits(&tier), bits(&oracle), "{}", level.name());
+        }
     }
 }
 
@@ -416,7 +435,36 @@ proptest! {
         let oracle = conv2d_naive(&x, &wt, bias, stride, pad, 1);
         prop_assert_eq!(fast.shape(), oracle.shape());
         prop_assert_eq!(bits(&fast), bits(&oracle));
+        for level in simd::supported_levels() {
+            conv2d_packed_into_at(&x, &packed, bias, stride, pad, &mut planes, &mut fast, level);
+            prop_assert_eq!(bits(&fast), bits(&oracle), "{}", level.name());
+        }
     }
+}
+
+/// The direct convolution through [`conv2d_into_at`] on one named tier.
+fn direct_at(
+    x: &Tensor,
+    w: &Tensor,
+    bias: Option<&[f32]>,
+    stride: usize,
+    pad: usize,
+    groups: usize,
+    level: simd::Level,
+) -> Tensor {
+    let (mut planes, mut out) = (Vec::new(), Tensor::zeros(Shape::new(1, 1, 1, 1)));
+    conv2d_into_at(
+        x,
+        w,
+        bias,
+        stride,
+        pad,
+        groups,
+        &mut planes,
+        &mut out,
+        level,
+    );
+    out
 }
 
 /// Dispatched vs scalar-reference `qconv2d` and `qconv2d_requant` (fused
@@ -444,9 +492,10 @@ fn assert_qconv_bit_identical(
 /// observed — makes `cargo test` output self-describing in the CI matrix.
 #[test]
 fn report_dispatch_mode() {
+    let supported: Vec<&str> = simd::supported_levels().iter().map(|l| l.name()).collect();
     eprintln!(
-        "simd_bit_equality: avx2_supported={} simd_enabled={}",
-        simd::avx2_supported(),
-        simd::avx2_enabled()
+        "simd_bit_equality: dispatched tier {}, host supports {}",
+        simd::level().name(),
+        supported.join("/")
     );
 }

@@ -37,24 +37,45 @@ struct Args {
     flags: Vec<(String, Option<String>)>,
 }
 
+/// The flags that take no value. A token after one of them is an error,
+/// never its value: otherwise `--delta 5` would silently drop the `5`.
+const BOOLEAN_FLAGS: [&str; 7] = [
+    "lens",
+    "raw",
+    "delta",
+    "adaptive-roi",
+    "no-swpr",
+    "no-reuse",
+    "full",
+];
+
 impl Args {
-    fn parse(raw: &[String]) -> Args {
+    /// Splits `raw` into positional words and `--flag [value]` pairs; an
+    /// error names a boolean flag that was given a value.
+    fn parse(raw: &[String]) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut i = 0;
         while i < raw.len() {
             if let Some(name) = raw[i].strip_prefix("--") {
-                let value = raw.get(i + 1).filter(|v| !v.starts_with("--")).cloned();
-                if value.is_some() {
-                    i += 1;
-                }
+                let next = raw.get(i + 1).filter(|v| !v.starts_with("--"));
+                let value = match next {
+                    Some(v) if BOOLEAN_FLAGS.contains(&name) => {
+                        return Err(format!("--{name} takes no value, got {v:?}"));
+                    }
+                    Some(v) => {
+                        i += 1;
+                        Some(v.clone())
+                    }
+                    None => None,
+                };
                 flags.push((name.to_owned(), value));
             } else {
                 positional.push(raw[i].clone());
             }
             i += 1;
         }
-        Args { positional, flags }
+        Ok(Args { positional, flags })
     }
 
     fn has(&self, name: &str) -> bool {
@@ -300,7 +321,7 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::from(2);
     };
-    let args = Args::parse(&raw[1..]);
+    let args = Args::parse(&raw[1..]).unwrap_or_else(|e| die(&e));
     match cmd.as_str() {
         "track" => cmd_track(&args),
         "simulate" => cmd_simulate(&args),
