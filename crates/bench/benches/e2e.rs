@@ -151,7 +151,8 @@ struct E2eReport {
     simd: SimdInfo,
     backends: Vec<BackendRow>,
     /// Serve-tick fleet throughput: frames per second across a warm
-    /// 16-session fleet (mixed f32/int8/latent backends, batching on).
+    /// 16-session fleet (mixed f32/int8/latent backends, one
+    /// `process_frame` job per session).
     fleet_sessions: usize,
     fleet_tick_ns: u64,
     fleet_fps: f64,

@@ -1,5 +1,4 @@
-//! Serving-layer benchmarks: the serve tick, inline and pooled, and the
-//! cross-session gaze micro-batching payoff.
+//! Serving-layer benchmarks: the serve tick, inline and pooled.
 //!
 //! Two outputs:
 //!
@@ -9,19 +8,16 @@
 //!   fleet size {1, 16, 256} of mixed f32/int8/latent sessions: the median
 //!   and median absolute deviation of [`SAMPLES`] warm ticks on a registry
 //!   with no pool workers (`inline`) and with `available_parallelism() - 1`
-//!   workers (`pooled`), plus the gaze-forward time of one batched forward
-//!   against the same crops forwarded one session at a time. Every row
-//!   carries `host_parallelism` and a non-empty `note` saying what the
-//!   numbers mean on *this* host: on a 1-CPU host both ticks run inline,
-//!   and no parallel gain is claimed.
+//!   workers (`pooled`). Every row carries `host_parallelism` and a
+//!   non-empty `note` saying what the numbers mean on *this* host: on a
+//!   1-CPU host both ticks run inline, and no parallel gain is claimed.
 
 use criterion::{criterion_group, Criterion};
 use eyecod_core::tracker::{GazeBackend, TrackerConfig};
 use eyecod_core::training::{train_tracker_models, TrackerModels, TrainingSetup};
 use eyecod_eyedata::render::{render_eye, EyeParams};
-use eyecod_models::infer::GazeInferWorkspace;
 use eyecod_serve::{ServeConfig, ServeRegistry, SessionId};
-use eyecod_tensor::{Shape, Tensor};
+use eyecod_tensor::Tensor;
 use serde::Serialize;
 use std::path::Path;
 use std::sync::OnceLock;
@@ -150,19 +146,10 @@ struct ServeRow {
     /// calling thread and the workers fill the host.
     pool_workers: usize,
     /// Median tick on a registry with `pool_workers` workers: one
-    /// front-half job per session, one batched gaze forward per pool
-    /// participant.
+    /// `process_frame` job per session.
     pooled_tick_ns: u64,
     pooled_tick_mad_ns: u64,
     pooled_fps: f64,
-    /// Median of one batched f32 gaze forward over all `sessions` crops.
-    batched_gaze_ns: u64,
-    batched_gaze_mad_ns: u64,
-    /// Median of the same crops forwarded one at a time (the per-session
-    /// regime micro-batching replaces).
-    per_session_gaze_ns: u64,
-    per_session_gaze_mad_ns: u64,
-    gaze_speedup: f64,
     /// Timed samples behind every median.
     samples: usize,
     /// Logical CPUs visible to this run. The pooled tick scales with pool
@@ -174,36 +161,12 @@ struct ServeRow {
 }
 
 fn write_serve_artifact() {
-    let (cfg, models, _) = shared();
-    let (gh, gw) = cfg.gaze_input;
     let cores = host_parallelism();
     let pool_workers = cores - 1;
     let mut rows = Vec::new();
     for n in FLEETS {
         let inline = measure_tick(n, 0);
         let pooled = measure_tick(n, pool_workers);
-
-        // the gaze-forward payoff in isolation: one batched forward over
-        // the fleet's crops vs the same crops forwarded one at a time
-        let crops = Tensor::from_fn(Shape::new(n, 1, gh, gw), |i, _, h, w| {
-            (((i * 31 + h) * 37 + w) % 613) as f32 / 613.0 - 0.5
-        });
-        let mut ws = GazeInferWorkspace::new();
-        let mut out = Tensor::zeros(Shape::new(1, 1, 1, 1));
-        let batched = time(|| elapsed_ns(|| models.gaze.forward_infer(&crops, &mut ws, &mut out)));
-        let mut one = Tensor::zeros(Shape::new(1, 1, gh, gw));
-        let mut out1 = Tensor::zeros(Shape::new(1, 1, 1, 1));
-        let item = gh * gw;
-        let per_session = time(|| {
-            elapsed_ns(|| {
-                for i in 0..n {
-                    one.as_mut_slice()
-                        .copy_from_slice(&crops.as_slice()[i * item..(i + 1) * item]);
-                    models.gaze.forward_infer(&one, &mut ws, &mut out1);
-                }
-            })
-        });
-        let gaze_speedup = per_session.median_ns as f64 / batched.median_ns as f64;
         let note = if pool_workers == 0 {
             format!(
                 "{cores}-CPU host: both ticks run inline, so no parallel gain is measured; \
@@ -224,11 +187,6 @@ fn write_serve_artifact() {
             pooled_tick_ns: pooled.median_ns,
             pooled_tick_mad_ns: pooled.mad_ns,
             pooled_fps: n as f64 * 1e9 / pooled.median_ns as f64,
-            batched_gaze_ns: batched.median_ns,
-            batched_gaze_mad_ns: batched.mad_ns,
-            per_session_gaze_ns: per_session.median_ns,
-            per_session_gaze_mad_ns: per_session.mad_ns,
-            gaze_speedup,
             samples: SAMPLES,
             host_parallelism: cores,
             note,
@@ -239,7 +197,7 @@ fn write_serve_artifact() {
     eyecod_bench::reporting::write_json(root, "BENCH_serve", &rows);
     for r in &rows {
         println!(
-            "{:>4} sessions: inline {:>11} ± {:>9} ns ({:>8.1} fps)  pooled/{}w {:>11} ± {:>9} ns ({:>8.1} fps)  gaze batched {:.2}x",
+            "{:>4} sessions: inline {:>11} ± {:>9} ns ({:>8.1} fps)  pooled/{}w {:>11} ± {:>9} ns ({:>8.1} fps)",
             r.sessions,
             r.inline_tick_ns,
             r.inline_tick_mad_ns,
@@ -248,7 +206,6 @@ fn write_serve_artifact() {
             r.pooled_tick_ns,
             r.pooled_tick_mad_ns,
             r.pooled_fps,
-            r.gaze_speedup
         );
     }
 }

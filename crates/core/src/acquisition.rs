@@ -44,17 +44,9 @@ impl AcquireScratch {
     }
 
     /// Whether the delta caches hold a valid full capture to update
-    /// against (set by [`Acquisition::prime_delta`], cleared by
-    /// [`AcquireScratch::invalidate_delta`]).
+    /// against (set by [`Acquisition::prime_delta`]).
     pub fn delta_primed(&self) -> bool {
         self.delta.primed
-    }
-
-    /// Invalidates the delta caches, forcing the next frame through the
-    /// dense path (used after a lost frame leaves the caches out of sync
-    /// with the scene stream).
-    pub fn invalidate_delta(&mut self) {
-        self.delta.primed = false;
     }
 }
 

@@ -225,6 +225,7 @@ mod tests {
             gaze_skipped: false,
             quality,
             faults,
+            network: None,
         };
         let mut s = TrackingStats::new();
         s.record(&frame(FrameQuality::Ok, FrameFaults::default()), &truth);

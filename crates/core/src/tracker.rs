@@ -13,6 +13,7 @@ use eyecod_models::quantized::QuantizedGazeNet;
 use eyecod_telemetry::{static_counter, static_histogram};
 use eyecod_tensor::ops::{downsample_avg_into, resize_bilinear_into};
 use eyecod_tensor::{Shape, Tensor};
+use std::sync::Arc;
 
 /// Which numeric backend executes the per-frame gaze network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -231,6 +232,11 @@ pub struct TrackedFrame {
     pub quality: FrameQuality,
     /// Fault events injected into / recovered while producing this frame.
     pub faults: FrameFaults,
+    /// The network the frame's gaze forward ran through, `None` when no
+    /// forward ran (motion-gated, lost or shed frames). An int8 tracker's
+    /// calibration warm-up frames and a latent tracker's ROI-refresh frames
+    /// run the f32 network and report [`GazeBackend::F32`].
+    pub network: Option<GazeBackend>,
 }
 
 /// The EyeCoD eye tracker: acquisition → periodic segmentation + ROI →
@@ -238,7 +244,9 @@ pub struct TrackedFrame {
 pub struct EyeTracker {
     config: TrackerConfig,
     acquisition: Acquisition,
-    models: TrackerModels,
+    /// Shared read-only: every tracker built from the same `Arc` runs the
+    /// same weight set (and the packed panels memoised inside it).
+    models: Arc<TrackerModels>,
     current_roi: RoiRect,
     frame_counter: u64,
     last_labels: Option<Vec<u8>>,
@@ -247,13 +255,9 @@ pub struct EyeTracker {
     last_gaze: GazeVector,
     /// Gaze crops collected during int8 warm-up, pending calibration.
     calib_inputs: Vec<Tensor>,
-    /// The deployed int8 network, once calibrated.
+    /// The deployed int8 network, once calibrated. Until then an int8
+    /// tracker exempts its frames from the motion gate to feed calibration.
     quantized_gaze: Option<QuantizedGazeNet>,
-    /// Whether this session's int8 network exists — calibrated here
-    /// (`quantized_gaze`) or outside the tracker
-    /// ([`EyeTracker::mark_int8_calibrated`]). Until then an int8 tracker
-    /// exempts its frames from the motion gate to feed calibration.
-    int8_calibrated: bool,
     /// The active fault-injection plan ([`FaultPlan::none`] unless
     /// [`EyeTracker::with_faults`] sets one).
     faults: FaultPlan,
@@ -375,13 +379,12 @@ enum Signal {
 ///
 /// The cursor carries everything a frame accumulates between stages —
 /// fault plan, fault accounting, degradation flags, the ROI-refresh
-/// schedule decision — while the image/crop/prediction buffers themselves
-/// are borrowed from the caller at each stage. That inversion is what lets
-/// a serving layer keep those buffers in per-session columns and batch the
-/// gaze forward across sessions; [`EyeTracker::process_frame`] runs the
-/// same entry points over the tracker-owned [`FrameScratch`], so both
-/// layouts execute identical code and stay byte-identical by
-/// construction.
+/// schedule decision, the gaze network — while the image/crop/prediction
+/// buffers themselves are borrowed from the caller at each stage, so a
+/// caller can time every stage over its own buffers.
+/// [`EyeTracker::process_frame`] runs the same entry points over the
+/// tracker's own scratch buffers, so both execute identical code and stay
+/// byte-identical by construction.
 pub struct StageCursor {
     frame: u64,
     plan: FaultPlan,
@@ -390,6 +393,9 @@ pub struct StageCursor {
     capture: CaptureOutcome,
     has_image: bool,
     due: bool,
+    /// The network this frame's gaze forward runs through, decided at
+    /// [`EyeTracker::begin_frame`] (see [`EyeTracker::gaze_network`]).
+    network: GazeBackend,
     refreshed: bool,
     /// Motion gate verdict: the gaze forward is skipped and completion
     /// serves the last-good direction.
@@ -402,9 +408,7 @@ pub struct StageCursor {
 }
 
 impl StageCursor {
-    /// Frame index this cursor belongs to — the conformance key a serving
-    /// layer checks at every stage boundary (no stage may consume a
-    /// previous stage's output from a different frame index).
+    /// Frame index this cursor belongs to.
     pub fn frame(&self) -> u64 {
         self.frame
     }
@@ -438,12 +442,13 @@ impl StageCursor {
 }
 
 impl EyeTracker {
-    /// Assembles a tracker from a configuration and trained models.
+    /// Assembles a tracker from a configuration and trained models, owned
+    /// or shared through an `Arc` with other trackers.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
-    pub fn new(config: TrackerConfig, models: TrackerModels) -> Self {
+    pub fn new(config: TrackerConfig, models: impl Into<Arc<TrackerModels>>) -> Self {
         let acquisition = Self::build_acquisition(&config);
         Self::with_acquisition(config, models, acquisition)
     }
@@ -477,7 +482,7 @@ impl EyeTracker {
     /// Panics if the configuration is invalid.
     pub fn with_acquisition(
         config: TrackerConfig,
-        models: TrackerModels,
+        models: impl Into<Arc<TrackerModels>>,
         acquisition: Acquisition,
     ) -> Self {
         config.validate();
@@ -490,14 +495,13 @@ impl EyeTracker {
         EyeTracker {
             config,
             acquisition,
-            models,
+            models: models.into(),
             current_roi,
             frame_counter: 0,
             last_labels: None,
             last_gaze: GazeVector::from_angles(0.0, 0.0),
             calib_inputs: Vec::new(),
             quantized_gaze: None,
-            int8_calibrated: false,
             faults: FaultPlan::none(),
             recovery: RecoveryPolicy::default(),
             fault_stats: FaultStats::default(),
@@ -577,15 +581,6 @@ impl EyeTracker {
         self.quantized_gaze.as_ref()
     }
 
-    /// Tells an int8 tracker that its session's int8 network exists outside
-    /// it — a serving layer's fleet-shared calibration, which runs the gaze
-    /// forward on the tracker's behalf. This ends the calibration warm-up's
-    /// exemption from the motion gate exactly where the tracker's own
-    /// calibration would have; nothing else about the tracker changes.
-    pub fn mark_int8_calibrated(&mut self) {
-        self.int8_calibrated = true;
-    }
-
     /// Processes one frame: acquires the scene, refreshes the ROI if due,
     /// and estimates gaze from the ROI crop.
     ///
@@ -619,7 +614,8 @@ impl EyeTracker {
     ///
     /// # Panics
     ///
-    /// Panics if the scene resolution does not match the configuration.
+    /// Panics if the scene is not one `(1, 1, S, S)` plane of the
+    /// configured scene size `S`.
     pub fn process_frame(&mut self, scene: &Tensor, noise_seed: u64) -> TrackedFrame {
         let mut scratch = self
             .scratch
@@ -633,43 +629,6 @@ impl EyeTracker {
             pred,
             infer,
         } = &mut *scratch;
-        let cur = self.front_stages(scene, noise_seed, acquire, image, crop, gaze_in);
-        if cur.has_image {
-            let fast = self.latent_fast(&cur);
-            static_histogram!("tracker/gaze_forward_ns")
-                .time(|| self.gaze_forward_into(fast, gaze_in, infer, pred));
-        }
-        let out = self.complete_stage(cur, pred);
-        self.scratch = Some(scratch);
-        out
-    }
-
-    /// The front half of a frame over caller-owned buffers — everything up
-    /// to (but excluding) the gaze forward: [`EyeTracker::begin_frame`] →
-    /// [`EyeTracker::capture_stage`] → [`EyeTracker::recon_stage`] →
-    /// [`EyeTracker::roi_stage`] (when due) → [`EyeTracker::crop_stage`],
-    /// timed into `tracker/acquire_ns`, `tracker/segment_ns` and
-    /// `tracker/crop_resize_ns`. The returned cursor goes to exactly one of
-    /// [`EyeTracker::complete_stage`] (after the caller's own gaze forward
-    /// into its prediction buffer) or [`EyeTracker::complete_stage_with_pred`].
-    ///
-    /// [`EyeTracker::process_frame`] runs it over the tracker-owned scratch;
-    /// a serving layer runs it over per-session columns as one pool job per
-    /// session, then batches the gaze forwards across sessions. Both share
-    /// this one composition, so they cannot drift apart.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scene resolution does not match the configuration.
-    pub fn front_stages(
-        &mut self,
-        scene: &Tensor,
-        noise_seed: u64,
-        acquire: &mut AcquireScratch,
-        image: &mut Tensor,
-        crop: &mut Tensor,
-        gaze_in: &mut Tensor,
-    ) -> StageCursor {
         let mut cur = self.begin_frame(scene);
         static_histogram!("tracker/acquire_ns").time(|| {
             self.capture_stage(&mut cur, scene, noise_seed, acquire);
@@ -681,31 +640,35 @@ impl EyeTracker {
             }
             static_histogram!("tracker/crop_resize_ns")
                 .time(|| self.crop_stage(&cur, image, crop, gaze_in));
+            static_histogram!("tracker/gaze_forward_ns")
+                .time(|| self.gaze_forward_into(cur.network, gaze_in, infer, pred));
         }
-        cur
+        let out = self.complete_stage(cur, pred);
+        self.scratch = Some(scratch);
+        out
     }
 
     /// Opens a frame for per-stage processing: validates the scene shape,
-    /// accounts the frame, snapshots the fault plan and the ROI-refresh
-    /// schedule decision, and returns the [`StageCursor`] the remaining
-    /// stage entry points thread through. The first stage of
-    /// [`EyeTracker::front_stages`].
+    /// accounts the frame, snapshots the fault plan, the ROI-refresh
+    /// schedule decision and the gaze network, and returns the
+    /// [`StageCursor`] the remaining stage entry points thread through.
     ///
     /// # Panics
     ///
-    /// Panics if the scene resolution does not match the configuration.
+    /// Panics if the scene is not one `(1, 1, S, S)` plane of the
+    /// configured scene size `S`.
     pub fn begin_frame(&mut self, scene: &Tensor) -> StageCursor {
         let allocs_before = crate::alloc_counter::allocations();
         static_counter!("tracker/frames").inc();
         let started = std::time::Instant::now();
-        let s = scene.shape();
+        let size = self.config.scene_size;
         assert_eq!(
-            (s.h, s.w),
-            (self.config.scene_size, self.config.scene_size),
-            "scene must be {0}x{0}",
-            self.config.scene_size
+            scene.shape(),
+            Shape::new(1, 1, size, size),
+            "scene must be one {size}x{size} plane"
         );
         let frame = self.frame_counter;
+        let due = frame.is_multiple_of(self.config.roi_period as u64);
         StageCursor {
             frame,
             plan: self.faults.clone(),
@@ -713,7 +676,8 @@ impl EyeTracker {
             degraded: false,
             capture: CaptureOutcome::Pending,
             has_image: false,
-            due: frame.is_multiple_of(self.config.roi_period as u64),
+            due,
+            network: self.gaze_network(due),
             refreshed: false,
             skipped: false,
             changed_px: 0,
@@ -776,7 +740,7 @@ impl EyeTracker {
             // never reach the quantised chain), so those frames take the
             // sparse-update path instead of skipping
             let calibrating =
-                self.config.gaze_backend == GazeBackend::Int8 && !self.int8_calibrated;
+                self.config.gaze_backend == GazeBackend::Int8 && self.quantized_gaze.is_none();
             if changed < self.config.delta_threshold && !calibrating {
                 // motion gate: too few pixels moved to shift the gaze —
                 // skip acquisition, reconstruction and the gaze forward
@@ -826,7 +790,7 @@ impl EyeTracker {
         acquire: &mut AcquireScratch,
         image: &mut Tensor,
     ) {
-        let signal = if self.latent_fast(cur) {
+        let signal = if cur.network == GazeBackend::Latent {
             Signal::Measurement
         } else {
             Signal::Image
@@ -939,12 +903,18 @@ impl EyeTracker {
         }
     }
 
-    /// Whether this cursor's frame takes the recon-free latent fast path:
-    /// the latent backend is configured and the frame is *not* a scheduled
-    /// ROI-refresh frame (refresh frames still run the full recon +
-    /// segmentation pipeline to keep the ROI anchored).
-    fn latent_fast(&self, cur: &StageCursor) -> bool {
-        self.config.gaze_backend == GazeBackend::Latent && !cur.due
+    /// The network a gaze forward runs through on a frame: the configured
+    /// backend, except that an int8 tracker still collecting its
+    /// calibration crops runs the f32 network, and a latent tracker's
+    /// scheduled ROI-refresh frames (`due`) run the full recon +
+    /// segmentation pipeline and the recon-path f32 network to keep the ROI
+    /// anchored. Every other latent frame takes the recon-free fast path.
+    fn gaze_network(&self, due: bool) -> GazeBackend {
+        match self.config.gaze_backend {
+            GazeBackend::Int8 if self.quantized_gaze.is_none() => GazeBackend::F32,
+            GazeBackend::Latent if due => GazeBackend::F32,
+            backend => backend,
+        }
     }
 
     /// Turns the capture staged in `acquire` into `signal`: a Tikhonov
@@ -1036,7 +1006,7 @@ impl EyeTracker {
         if !cur.has_image {
             return;
         }
-        if self.latent_fast(cur) {
+        if cur.network == GazeBackend::Latent {
             self.models.latent.project_into(image, gaze_in);
             return;
         }
@@ -1057,7 +1027,9 @@ impl EyeTracker {
     ///
     /// `pred` holds this frame's raw 3-component network output (only
     /// read when [`StageCursor::has_gaze_input`] is true) and may be
-    /// mutated in place by stage-plane fault injection.
+    /// mutated in place by stage-plane fault injection. The output reports
+    /// the network [`EyeTracker::process_frame`] runs on the frame in
+    /// [`TrackedFrame::network`].
     pub fn complete_stage(&mut self, cur: StageCursor, pred: &mut Tensor) -> TrackedFrame {
         let StageCursor {
             frame,
@@ -1066,6 +1038,7 @@ impl EyeTracker {
             mut degraded,
             has_image,
             due,
+            network,
             refreshed,
             skipped,
             allocs_before,
@@ -1160,32 +1133,8 @@ impl EyeTracker {
             gaze_skipped: skipped,
             quality,
             faults: ff,
+            network: has_image.then_some(network),
         }
-    }
-
-    /// [`EyeTracker::complete_stage`] with an externally computed gaze
-    /// prediction (the raw 3-component network output) staged into the
-    /// borrowed `pred` buffer first — the hook a serving layer uses after
-    /// batching this frame's gaze forward with other sessions'. Fault
-    /// staging, degenerate-gaze fallback and quality grading all apply to
-    /// `pred_src` exactly as they would to a tracker-computed output, and
-    /// `pred_src` is ignored when the frame has no gaze input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pred_src` does not have exactly 3 components.
-    pub fn complete_stage_with_pred(
-        &mut self,
-        cur: StageCursor,
-        pred_src: &[f32],
-        pred: &mut Tensor,
-    ) -> TrackedFrame {
-        assert_eq!(pred_src.len(), 3, "gaze prediction must have 3 components");
-        if cur.has_image {
-            pred.reset(Shape::new(1, 3, 1, 1));
-            pred.as_mut_slice().copy_from_slice(pred_src);
-        }
-        self.complete_stage(cur, pred)
     }
 
     /// Accounts a frame that was *shed* before it entered the pipeline — a
@@ -1218,57 +1167,55 @@ impl EyeTracker {
             gaze_skipped: false,
             quality,
             faults: FrameFaults::default(),
+            network: None,
         }
     }
 
-    /// Runs the gaze network on one ROI crop through the configured
-    /// backend, writing the prediction into `pred` through the workspace
-    /// arena (allocation-free once the buffers are warm).
+    /// Runs the gaze network on one ROI crop through `network` (the frame's
+    /// [`EyeTracker::gaze_network`]), writing the prediction into `pred`
+    /// through the workspace arena (allocation-free once the buffers are
+    /// warm).
     ///
-    /// The f32 backend executes [`ProxyGazeNet::forward_infer`] (the
+    /// The f32 network executes [`ProxyGazeNet::forward_infer`] (the
     /// channel-tiled convolution over packed weights, the position tile for
     /// depth-wise layers, in-place norm/activation); the calibrated int8
-    /// backend executes [`QuantizedGazeNet::forward_into`], which is
-    /// bit-identical to the allocating int8 chain.
+    /// network executes [`QuantizedGazeNet::forward_into`], which is
+    /// bit-identical to the allocating int8 chain (`tracker/int8_frames`
+    /// counts these frames); the latent network executes
+    /// [`LatentGazeNet::forward_infer`] on the projected measurement
+    /// (`tracker/latent_frames`).
     ///
     /// Under [`GazeBackend::Int8`] the first `calibration_frames` frames
-    /// execute the f32 network while their crops are collected; when the
-    /// window fills, the network is folded, calibrated on the collected
-    /// batch and quantised (`tracker/int8_calibrations` counts this, and
-    /// `tracker/int8_frames` counts every frame served by the int8 chain).
-    /// The switch is deterministic in the frame sequence, so parallel and
-    /// sequential runs still agree bit-for-bit.
-    ///
-    /// Under [`GazeBackend::Latent`] the dispatch follows `latent_fast`:
-    /// steady-state frames run [`LatentGazeNet::forward_infer`] on the
-    /// projected measurement (`tracker/latent_frames` counts them), while
-    /// ROI-refresh frames run the recon-path f32 network on the staged
-    /// ROI crop — making refresh outputs byte-identical to the f32
-    /// backend's.
+    /// run the f32 network while their crops are collected; when the window
+    /// fills, the network is folded, calibrated on the collected batch and
+    /// quantised (`tracker/int8_calibrations` counts this). The switch is
+    /// deterministic in the frame sequence, so parallel and sequential runs
+    /// still agree bit-for-bit.
     ///
     /// [`ProxyGazeNet::forward_infer`]: eyecod_models::proxy::ProxyGazeNet::forward_infer
     /// [`LatentGazeNet::forward_infer`]: eyecod_models::latent::LatentGazeNet::forward_infer
     fn gaze_forward_into(
         &mut self,
-        latent_fast: bool,
+        network: GazeBackend,
         gaze_in: &Tensor,
         ws: &mut GazeInferWorkspace,
         pred: &mut Tensor,
     ) {
-        match self.config.gaze_backend {
-            GazeBackend::F32 => self.models.gaze.forward_infer(gaze_in, ws, pred),
-            GazeBackend::Latent => {
-                if latent_fast {
-                    static_counter!("tracker/latent_frames").inc();
-                    self.models.latent.forward_infer(gaze_in, ws, pred);
-                } else {
-                    self.models.gaze.forward_infer(gaze_in, ws, pred);
-                }
-            }
+        match network {
             GazeBackend::Int8 => {
-                if let Some(qnet) = &self.quantized_gaze {
-                    static_counter!("tracker/int8_frames").inc();
-                    qnet.forward_into(gaze_in, ws, pred);
+                static_counter!("tracker/int8_frames").inc();
+                self.quantized_gaze
+                    .as_ref()
+                    .expect("int8 frames run once calibrated")
+                    .forward_into(gaze_in, ws, pred);
+            }
+            GazeBackend::Latent => {
+                static_counter!("tracker/latent_frames").inc();
+                self.models.latent.forward_infer(gaze_in, ws, pred);
+            }
+            GazeBackend::F32 => {
+                self.models.gaze.forward_infer(gaze_in, ws, pred);
+                if self.config.gaze_backend != GazeBackend::Int8 {
                     return;
                 }
                 // never let a corrupted crop into the calibration batch —
@@ -1276,12 +1223,10 @@ impl EyeTracker {
                 if !gaze_in.has_non_finite() {
                     self.calib_inputs.push(gaze_in.clone());
                 }
-                self.models.gaze.forward_infer(gaze_in, ws, pred);
                 if self.calib_inputs.len() >= self.config.calibration_frames {
                     let calib = Tensor::stack(&self.calib_inputs);
                     self.quantized_gaze =
                         Some(QuantizedGazeNet::from_calibrated(&self.models.gaze, &calib));
-                    self.int8_calibrated = true;
                     self.calib_inputs = Vec::new();
                     static_counter!("tracker/int8_calibrations").inc();
                 }
@@ -1717,7 +1662,7 @@ mod tests {
         let mut t = tracker();
         // zero every gaze parameter: the network now emits an exact zero
         // vector for any input
-        for p in t.models.gaze.params_mut() {
+        for p in Arc::make_mut(&mut t.models).gaze.params_mut() {
             p.value = Tensor::zeros(p.value.shape());
         }
         let sample = render_eye(&EyeParams::centered(48), 48, 7);

@@ -79,86 +79,6 @@ impl GazeInferWorkspace {
     }
 }
 
-/// One slot of a [`WorkspaceArena`]: the staging input/output tensors plus
-/// the inference workspace one worker streams its share of a cross-session
-/// batch through.
-///
-/// `input` is gathered to `(k, 1, h, w)` (a contiguous sub-batch of `k`
-/// sessions' gaze crops), the forward writes `output` as `(k, 3, 1, 1)`,
-/// and each session's prediction is row `i` of `output`. All three reuse
-/// their allocations across ticks.
-pub struct BatchWorkspace {
-    /// Gathered sub-batch input.
-    pub input: Tensor,
-    /// Batched network output.
-    pub output: Tensor,
-    /// The per-worker inference arena (both backends).
-    pub ws: GazeInferWorkspace,
-}
-
-impl BatchWorkspace {
-    fn new() -> Self {
-        BatchWorkspace {
-            input: Tensor::zeros(Shape::new(1, 1, 1, 1)),
-            output: Tensor::zeros(Shape::new(1, 1, 1, 1)),
-            ws: GazeInferWorkspace::new(),
-        }
-    }
-}
-
-/// A pool of per-worker inference workspaces — the generalisation of one
-/// tracker's [`GazeInferWorkspace`] to a serving tick that splits a
-/// cross-session batch across pool workers. Slot `p` is owned exclusively
-/// by partition `p` for the duration of a batched forward, so the slots can
-/// be driven in parallel without sharing; the arena only ever grows and
-/// every buffer inside it reuses its allocation, keeping the steady-state
-/// serve tick allocation-free.
-#[derive(Default)]
-pub struct WorkspaceArena {
-    slots: Vec<BatchWorkspace>,
-}
-
-impl WorkspaceArena {
-    /// Creates an empty arena (slots are added by
-    /// [`WorkspaceArena::ensure`]).
-    pub fn new() -> Self {
-        WorkspaceArena { slots: Vec::new() }
-    }
-
-    /// Grows the arena to at least `n` slots (never shrinks).
-    pub fn ensure(&mut self, n: usize) {
-        while self.slots.len() < n {
-            self.slots.push(BatchWorkspace::new());
-        }
-    }
-
-    /// Number of slots currently allocated.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the arena has no slots yet.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Mutable access to one slot.
-    pub fn slot_mut(&mut self, i: usize) -> &mut BatchWorkspace {
-        &mut self.slots[i]
-    }
-
-    /// Shared access to one slot (for reading `output` after a forward).
-    pub fn slot(&self, i: usize) -> &BatchWorkspace {
-        &self.slots[i]
-    }
-
-    /// All slots, for callers that hand disjoint slots to parallel
-    /// workers.
-    pub fn slots_mut(&mut self) -> &mut [BatchWorkspace] {
-        &mut self.slots
-    }
-}
-
 impl ProxyGazeNet {
     /// Inference forward through the workspace arena: allocation-free once
     /// the workspace buffers are warm. Writes the gaze tensor `(N, 3, 1, 1)`
@@ -475,10 +395,9 @@ mod tests {
         }
     }
 
-    /// The serving layer's batching contract: a batched forward over `k`
-    /// stacked crops must reproduce `k` independent N=1 forwards bit for
-    /// bit, because every kernel runs batch items one at a time through
-    /// the same tiles.
+    /// A batched forward over `k` stacked crops reproduces `k` independent
+    /// N=1 forwards bit for bit, because every kernel runs batch items one
+    /// at a time through the same tiles.
     #[test]
     fn batched_f32_forward_matches_per_item_forwards_for_ragged_sizes() {
         let mut ws = GazeInferWorkspace::new();

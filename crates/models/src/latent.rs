@@ -16,8 +16,8 @@
 //! interpolation is separable, so the projection is the cheap stand-in for
 //! the learned separable down-projection of the latent-sensing papers —
 //! and because the projected input has exactly the recon path's gaze-input
-//! geometry, the latent net slots into every existing inference surface
-//! (workspace forwards, batched arena forwards) with no new shapes.
+//! geometry, the latent net slots into the existing workspace forwards
+//! with no new shapes.
 
 use crate::infer::GazeInferWorkspace;
 use crate::proxy::{train_gaze, GazeFamily, ProxyGazeNet, TrainConfig};

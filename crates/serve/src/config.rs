@@ -1,6 +1,6 @@
 //! Serving-layer configuration.
 
-use eyecod_core::tracker::TrackerConfig;
+use eyecod_core::tracker::{GazeBackend, TrackerConfig};
 
 /// Configuration of a [`ServeRegistry`](crate::ServeRegistry). Plain
 /// data: nothing here reads the environment.
@@ -32,14 +32,21 @@ impl ServeConfig {
         }
     }
 
-    /// Validates internal consistency (including the tracker config).
+    /// Validates internal consistency, including the tracker config under
+    /// every gaze backend, since any session may take any backend.
     ///
     /// # Panics
     ///
-    /// Panics on a zero session cap or zero queue depth, or an invalid
-    /// tracker configuration.
+    /// Panics on a zero session cap or zero queue depth, or a tracker
+    /// configuration that is invalid under some backend.
     pub fn validate(&self) {
-        self.tracker.validate();
+        for gaze_backend in GazeBackend::ALL {
+            TrackerConfig {
+                gaze_backend,
+                ..self.tracker.clone()
+            }
+            .validate();
+        }
         assert!(self.max_sessions > 0, "max_sessions must be non-zero");
         assert!(self.queue_capacity > 0, "queue_capacity must be non-zero");
     }
@@ -63,6 +70,17 @@ mod tests {
     fn zero_queue_depth_is_rejected() {
         let mut cfg = ServeConfig::new(TrackerConfig::small());
         cfg.queue_capacity = 0;
+        cfg.validate();
+    }
+
+    /// An f32 default with no int8 calibration frames would pass a
+    /// default-backend check, then panic at the first int8 create.
+    #[test]
+    #[should_panic(expected = "int8 backend needs at least one calibration frame")]
+    fn config_invalid_under_another_backend_is_rejected() {
+        let mut cfg = ServeConfig::new(TrackerConfig::small());
+        assert_eq!(cfg.tracker.gaze_backend, GazeBackend::F32);
+        cfg.tracker.calibration_frames = 0;
         cfg.validate();
     }
 

@@ -6,21 +6,17 @@
 //! * **Generational ids** — [`SessionId`] carries the slot's generation, so
 //!   an id kept across an evict can never resolve to the slot's next
 //!   occupant; every lookup is O(1).
-//! * **One tick** — each serve tick runs every staged frame's front half
-//!   (capture → recon → ROI refresh when due → crop/resize, the tracker's
-//!   own [`front_stages`] call) as one job per session on the shared
-//!   work-stealing pool (`eyecod-pool`), over per-session columns of a
-//!   columnar `SessionStore` (rows = sessions, per-stage state = columns).
-//!   Every stage stamps a per-session epoch, and each consumer asserts its
-//!   upstream stage ran for the *same* frame index.
-//! * **Cross-session micro-batching** — the tick gathers every staged
-//!   gaze input into per-worker [`WorkspaceArena`] slots and runs one
-//!   batched forward per worker instead of one per session: the paper's
-//!   time-multiplexing of two DNNs over one set of MAC lanes, lifted to a
-//!   fleet. Int8 sessions share a single fleet-calibrated
-//!   [`QuantizedGazeNet`]; until enough calibration crops have been
-//!   collected they ride the f32 batch, mirroring the single-tracker
-//!   warm-up.
+//! * **One tick, one frame path** — each serve tick runs every staged
+//!   frame through its session's own [`EyeTracker::process_frame`] — the
+//!   exact call a standalone tracker makes — as one job per session on the
+//!   shared work-stealing pool (`eyecod-pool`), then accounts the frames
+//!   serially in slot order. Sessions live in a columnar `SessionStore`
+//!   (rows = sessions, lifecycle state = columns); all per-frame pipeline
+//!   state lives inside each tracker. Sessions share one read-only
+//!   `Arc<TrackerModels>`, and an int8 session calibrates on its own first
+//!   crops, as a standalone tracker does. There is no cross-session batch:
+//!   every convolution kernel runs batch items one at a time, so a batch
+//!   shares no work.
 //! * **Backpressure** — each session has a bounded ingress queue
 //!   ([`ServeConfig::queue_capacity`]); feeding a full queue sheds the
 //!   *oldest* queued frame so the freshest data survives. Shed frames
@@ -29,24 +25,21 @@
 //!   `serve/frames_shed` plus each session's
 //!   [`TrackingStats::frames_shed`].
 //! * **Telemetry** — fleet counters (`serve/sessions_active`,
-//!   `serve/frames_ingested`, `serve/frames_shed`, `serve/batch_size`,
+//!   `serve/frames_ingested`, `serve/frames_shed`,
 //!   `serve/panics_recovered`, `serve/steady_state_allocs`) and the
-//!   `serve/tick_ns` / `serve/batch_ns` latency histograms flow into the
-//!   global name-keyed registry and merge with per-tracker metrics in
-//!   snapshots.
+//!   `serve/tick_ns` latency histogram flow into the global name-keyed
+//!   registry and merge with per-tracker metrics (each hosted frame records
+//!   the same `tracker/*` counters and stage histograms a standalone frame
+//!   does) in snapshots.
 //!
-//! Determinism is preserved end to end: batching partitions a tick's
-//! forwards but never reorders or mixes them (batched forwards process
-//! items independently), and routing, completion and calibration run in
-//! slot order. So a registry driven by an N-worker pool produces
-//! frame-for-frame identical output to a sequential one, and every f32 and
-//! latent session serves exactly what a standalone tracker would — the
-//! properties the registry test suites pin.
+//! Determinism is preserved end to end: a frame job touches only its own
+//! session, and accounting runs in slot order. So a registry driven by an
+//! N-worker pool produces frame-for-frame identical output to a
+//! sequential one, and every session serves exactly what a standalone
+//! tracker would — the properties the registry test suites pin.
 //!
-//! [`front_stages`]: eyecod_core::tracker::EyeTracker::front_stages
 //! [`EyeTracker`]: eyecod_core::tracker::EyeTracker
-//! [`WorkspaceArena`]: eyecod_models::infer::WorkspaceArena
-//! [`QuantizedGazeNet`]: eyecod_models::quantized::QuantizedGazeNet
+//! [`EyeTracker::process_frame`]: eyecod_core::tracker::EyeTracker::process_frame
 //! [`FrameQuality::Degraded`]: eyecod_faults::FrameQuality::Degraded
 //! [`TrackingStats::frames_shed`]: eyecod_core::metrics::TrackingStats
 
@@ -56,6 +49,8 @@ mod store;
 
 pub use config::ServeConfig;
 pub use registry::{FeedOutcome, ServeRegistry, SessionSnapshot, TickReport};
+
+use eyecod_tensor::Shape;
 
 /// A generational session handle: `index` addresses the registry slot,
 /// `generation` guards against use-after-evict. Ids from evicted sessions
@@ -94,12 +89,13 @@ pub enum ServeError {
     StaleSession(SessionId),
     /// The registry is at [`ServeConfig::max_sessions`].
     AtCapacity(usize),
-    /// The fed scene does not match the configured resolution.
+    /// The fed scene is not one `(1, 1, S, S)` plane of the configured
+    /// scene size `S`.
     SceneShape {
         /// Configured square scene size.
         expected: usize,
-        /// The offending scene's `(h, w)`.
-        got: (usize, usize),
+        /// The offending scene's shape.
+        got: Shape,
     },
 }
 
@@ -110,7 +106,10 @@ impl std::fmt::Display for ServeError {
             ServeError::StaleSession(id) => write!(f, "stale session id {id:?} (evicted)"),
             ServeError::AtCapacity(max) => write!(f, "registry at capacity ({max} sessions)"),
             ServeError::SceneShape { expected, got } => {
-                write!(f, "scene must be {expected}x{expected}, got {got:?}")
+                write!(
+                    f,
+                    "scene must be one {expected}x{expected} plane, got {got}"
+                )
             }
         }
     }

@@ -1,19 +1,16 @@
 //! The session registry and its serve tick.
 //!
 //! Sessions live in a columnar [`SessionStore`] (rows = sessions, columns
-//! = per-stage state). One tick serves every staged frame:
+//! = per-session lifecycle state). One tick serves every staged frame:
 //!
-//! 1. **front half**, one pool job per session over the store's columns:
-//!    [`EyeTracker::front_stages`] (capture → recon → ROI refresh when due
-//!    → crop/resize), the same call a standalone `process_frame` makes;
-//! 2. **route**, serially in work order: pick each frame's gaze batch and
-//!    collect the fleet's int8 calibration crops;
-//! 3. **batched gaze**, one forward per pool participant per route;
-//! 4. **complete**, serially in work order, through
-//!    [`EyeTracker::complete_stage_with_pred`];
-//! 5. **calibrate** the fleet's shared int8 network once its crops are in.
+//! 1. **frames**, one pool job per session: the session's own
+//!    [`EyeTracker::process_frame`] on the staged scene, the exact call a
+//!    standalone tracker makes;
+//! 2. **account**, serially in slot order: fold each frame into the
+//!    session's statistics, count its gaze network into the
+//!    [`TickReport`], and recycle the staged scene buffer.
 //!
-//! **Worker-panic recovery.** Every front-half job checks the registry's
+//! **Worker-panic recovery.** Every frame job checks the registry's
 //! execution-plane fault plan at entry ([`FaultPlan::worker_panics`], job id
 //! = work index) and panics *before touching any column* when listed; the
 //! tick catches the unwind and re-runs the job inline at attempt 1 (which
@@ -25,10 +22,7 @@
 //! re-executes the body as-is; a deterministic bug surfaces on the retry
 //! instead of being silently absorbed.)
 
-use crate::store::{
-    stamp_stage_row, QueuedFrame, Route, SendPtr, SessionStore, STAGES, STAGE_CAPTURE, STAGE_CROP,
-    STAGE_GAZE, STAGE_RECON,
-};
+use crate::store::{QueuedFrame, SendPtr, SessionStore};
 use crate::{ServeConfig, ServeError, SessionId};
 use eyecod_core::acquisition::Acquisition;
 use eyecod_core::metrics::TrackingStats;
@@ -36,12 +30,11 @@ use eyecod_core::tracker::{EyeTracker, GazeBackend, TrackedFrame};
 use eyecod_core::training::TrackerModels;
 use eyecod_eyedata::GazeVector;
 use eyecod_faults::{FaultPlan, RecoveryPolicy};
-use eyecod_models::infer::WorkspaceArena;
-use eyecod_models::quantized::QuantizedGazeNet;
 use eyecod_pool::ThreadPool;
 use eyecod_telemetry::{static_counter, static_histogram};
 use eyecod_tensor::{Shape, Tensor};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// What happened to a fed frame.
 #[derive(Debug, Clone)]
@@ -92,24 +85,25 @@ pub struct SessionSnapshot {
     pub last: Option<TrackedFrame>,
 }
 
-/// What one serve tick did.
+/// What one serve tick did. The forward counts sum the frames'
+/// [`TrackedFrame::network`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickReport {
     /// Sessions that had a frame staged this tick.
     pub staged: usize,
     /// Frames completed (equals `staged`; split out for clarity in logs).
     pub completed: usize,
-    /// Gaze forwards routed through the f32 path (including int8 sessions
-    /// still warming up toward the shared calibration, and latent sessions
-    /// on their ROI-refresh frames).
+    /// Gaze forwards through the f32 network (including int8 sessions
+    /// still collecting their calibration crops, and latent sessions on
+    /// their ROI-refresh frames).
     pub f32_forwards: usize,
-    /// Gaze forwards routed through the shared int8 network.
+    /// Gaze forwards through a session's calibrated int8 network.
     pub int8_forwards: usize,
-    /// Gaze forwards routed through the recon-free latent network
-    /// (latent sessions on steady-state frames).
+    /// Gaze forwards through the recon-free latent network (latent
+    /// sessions on steady-state frames).
     pub latent_forwards: usize,
-    /// Front-half jobs that panicked (the fault plan's execution plane)
-    /// and were re-run inline.
+    /// Frame jobs that panicked (the fault plan's execution plane) and
+    /// were re-run inline.
     pub panics_recovered: usize,
 }
 
@@ -130,13 +124,13 @@ impl PoolHandle {
 /// The multi-session serving registry. See the crate docs for the model;
 /// the short version: [`create`](ServeRegistry::create) sessions,
 /// [`feed`](ServeRegistry::feed) them frames (bounded queues, drop-head
-/// shedding), drive everything with [`tick`](ServeRegistry::tick)
-/// (pooled per-session front halves + cross-session batched gaze
-/// forwards), [`snapshot`](ServeRegistry::snapshot) or
-/// [`evict`](ServeRegistry::evict) when done.
+/// shedding), drive everything with [`tick`](ServeRegistry::tick) (one
+/// pooled `process_frame` per session), [`snapshot`](ServeRegistry::snapshot)
+/// or [`evict`](ServeRegistry::evict) when done.
 pub struct ServeRegistry {
     config: ServeConfig,
-    models: TrackerModels,
+    /// One weight set, shared read-only by every session's tracker.
+    models: Arc<TrackerModels>,
     /// Built once from the config, cloned per session — sessions share the
     /// same mask/reconstruction geometry, so each create skips the
     /// Tikhonov setup.
@@ -149,27 +143,13 @@ pub struct ServeRegistry {
     store: SessionStore,
     /// Rows with a staged frame this tick (reused across ticks).
     work: Vec<u32>,
-    /// Per-work-index panic flags of the current front half.
+    /// Per-work-index panic flags of the current tick's frame jobs.
     failed: Vec<u8>,
-    f32_batch: Vec<u32>,
-    i8_batch: Vec<u32>,
-    lat_batch: Vec<u32>,
-    f32_arena: WorkspaceArena,
-    i8_arena: WorkspaceArena,
-    lat_arena: WorkspaceArena,
-    /// The fleet-shared int8 network, once calibrated. Per-session
-    /// calibration would give each session data-dependent activation
-    /// scales and defeat cross-session batching; sharing one network
-    /// calibrated on the first crops the fleet produces mirrors a deployed
-    /// parameter server.
-    shared_qnet: Option<QuantizedGazeNet>,
-    /// Gaze crops collected from warming int8 sessions, pending the shared
-    /// calibration.
-    calib: Vec<Tensor>,
 }
 
 impl ServeRegistry {
-    /// Builds a registry from a configuration and trained models.
+    /// Builds a registry from a configuration and trained models; every
+    /// session reads this one weight set.
     ///
     /// The fault plan defaults to [`FaultPlan::none`] and the recovery
     /// policy to [`RecoveryPolicy::default`]; override with
@@ -188,7 +168,7 @@ impl ServeRegistry {
         };
         ServeRegistry {
             config,
-            models,
+            models: Arc::new(models),
             acquisition,
             faults: FaultPlan::none(),
             recovery: RecoveryPolicy::default(),
@@ -196,14 +176,6 @@ impl ServeRegistry {
             store: SessionStore::new(),
             work: Vec::new(),
             failed: Vec::new(),
-            f32_batch: Vec::new(),
-            i8_batch: Vec::new(),
-            lat_batch: Vec::new(),
-            f32_arena: WorkspaceArena::new(),
-            i8_arena: WorkspaceArena::new(),
-            lat_arena: WorkspaceArena::new(),
-            shared_qnet: None,
-            calib: Vec::new(),
         }
     }
 
@@ -241,9 +213,15 @@ impl ServeRegistry {
         self.store.resolve(id).is_ok()
     }
 
-    /// Whether the fleet-shared int8 network has been calibrated yet.
+    /// Whether every live int8 session serves from its own calibrated int8
+    /// network: false while any int8 session is still collecting its
+    /// calibration crops, and false when no int8 session is live.
     pub fn int8_calibrated(&self) -> bool {
-        self.shared_qnet.is_some()
+        let mut int8 = (0..self.store.rows())
+            .filter_map(|row| self.store.tracker(row))
+            .filter(|t| t.config().gaze_backend == GazeBackend::Int8)
+            .peekable();
+        int8.peek().is_some() && int8.all(|t| t.quantized_gaze().is_some())
     }
 
     /// Creates a session with the configured default backend.
@@ -251,23 +229,20 @@ impl ServeRegistry {
         self.create_with_backend(self.config.tracker.gaze_backend)
     }
 
-    /// Creates a session with an explicit gaze backend (fleets mix f32 and
-    /// int8 sessions freely; int8 sessions share one fleet-calibrated
-    /// network).
+    /// Creates a session with an explicit gaze backend (fleets mix
+    /// backends freely; an int8 session calibrates on its own first
+    /// crops, as a standalone tracker does).
     pub fn create_with_backend(&mut self, backend: GazeBackend) -> Result<SessionId, ServeError> {
         if self.store.active >= self.config.max_sessions {
             return Err(ServeError::AtCapacity(self.config.max_sessions));
         }
         let mut cfg = self.config.tracker.clone();
         cfg.gaze_backend = backend;
-        let mut tracker =
-            EyeTracker::with_acquisition(cfg, self.models.clone_models(), self.acquisition.clone())
+        let tracker =
+            EyeTracker::with_acquisition(cfg, Arc::clone(&self.models), self.acquisition.clone())
                 .with_faults(self.faults.clone())
                 .with_recovery(self.recovery);
-        if backend == GazeBackend::Int8 && self.shared_qnet.is_some() {
-            tracker.mark_int8_calibrated();
-        }
-        let id = self.store.insert(tracker, backend);
+        let id = self.store.insert(tracker);
         static_counter!("serve/sessions_created").inc();
         static_counter!("serve/sessions_active").set(self.store.active as u64);
         Ok(id)
@@ -319,11 +294,10 @@ impl ServeRegistry {
         truth: Option<GazeVector>,
     ) -> Result<FeedOutcome, ServeError> {
         let expected = self.config.tracker.scene_size;
-        let s = scene.shape();
-        if (s.h, s.w) != (expected, expected) {
+        if scene.shape() != Shape::new(1, 1, expected, expected) {
             return Err(ServeError::SceneShape {
                 expected,
-                got: (s.h, s.w),
+                got: scene.shape(),
             });
         }
         let capacity = self.config.queue_capacity;
@@ -366,9 +340,10 @@ impl ServeRegistry {
     /// Point-in-time view of one session.
     pub fn snapshot(&self, id: SessionId) -> Result<SessionSnapshot, ServeError> {
         let row = self.store.resolve(id)?;
+        let tracker = self.store.tracker(row).expect("resolved row is live");
         Ok(SessionSnapshot {
             id,
-            backend: self.store.backends[row],
+            backend: tracker.config().gaze_backend,
             stats: self.store.stats[row].clone(),
             queue_depth: self.store.queues[row].len(),
             frames_ingested: self.store.frames_ingested[row],
@@ -388,18 +363,15 @@ impl ServeRegistry {
     }
 
     /// Runs one serve tick: pops at most one frame per session (stable
-    /// slot order), runs every staged frame's front half as one pool job
-    /// per session, batches the gaze forwards per route, and completes each
-    /// frame in slot order (see the module docs for the five steps).
+    /// slot order), runs each staged frame through its session's
+    /// [`EyeTracker::process_frame`] as one pool job per session, then
+    /// accounts every frame serially in slot order (see the module docs).
     ///
-    /// Neither batching nor the pool ever changes results: batched
-    /// forwards process items independently, fault draws are pure hashes
-    /// of (seed, site, frame), and routing, completion and calibration run
-    /// serially in slot order. So every f32 and latent session serves
-    /// exactly what a standalone [`EyeTracker::process_frame`] would on the
-    /// same frames, and every session's output is invariant to batch
-    /// composition and worker count — the properties the registry test
-    /// suites pin.
+    /// The pool never changes results: each job touches only its own
+    /// session, and fault draws are pure hashes of (seed, site, frame). So
+    /// every session serves exactly what a standalone tracker would on the
+    /// same frames, whatever the worker count — the properties the
+    /// registry test suites pin.
     pub fn tick(&mut self) -> TickReport {
         self.tick_impl(None)
     }
@@ -435,114 +407,57 @@ impl ServeRegistry {
         // not allocate
         let steady = trace.is_none()
             && !self.work.iter().any(|&r| {
-                let t = self.store.trackers[r as usize].as_ref().expect("staged");
+                let t = self.store.tracker(r as usize).expect("staged");
                 t.frames_processed()
                     .is_multiple_of(t.config().roi_period as u64)
             });
         let allocs_before = eyecod_core::alloc_counter::allocations();
 
-        let panics_recovered = self.run_front_half();
+        let mut report = TickReport {
+            staged,
+            completed: staged,
+            panics_recovered: self.run_frames(),
+            ..TickReport::default()
+        };
 
-        // route serially in work order: warming int8 sessions contribute
-        // their calibration crops deterministically
-        self.f32_batch.clear();
-        self.i8_batch.clear();
-        self.lat_batch.clear();
-        for w in 0..staged {
-            let row = self.work[w] as usize;
-            let cur = self.store.cursors[row].as_ref().expect("front half ran");
-            let (has_input, due, frame) = (cur.has_gaze_input(), cur.due(), cur.frame());
-            if has_input {
-                self.store.stamp_stage(row, STAGE_GAZE, frame);
+        // account serially in slot order, so no statistic or trace depends
+        // on how the pool ran the jobs
+        for &row in &self.work {
+            let row = row as usize;
+            let qf = self.store.staged[row].take().expect("staged frame present");
+            let out = self.store.lasts[row].as_ref().expect("frame job ran");
+            match out.network {
+                Some(GazeBackend::F32) => report.f32_forwards += 1,
+                Some(GazeBackend::Int8) => report.int8_forwards += 1,
+                Some(GazeBackend::Latent) => report.latent_forwards += 1,
+                None => {}
             }
-            self.route_row(row, has_input, due);
-        }
-        let (f32_forwards, int8_forwards, latent_forwards) = (
-            self.f32_batch.len(),
-            self.i8_batch.len(),
-            self.lat_batch.len(),
-        );
-        let group = std::mem::take(&mut self.f32_batch);
-        self.run_batch(&group, Route::F32);
-        self.f32_batch = group;
-        let group = std::mem::take(&mut self.i8_batch);
-        self.run_batch(&group, Route::Int8);
-        self.i8_batch = group;
-        let group = std::mem::take(&mut self.lat_batch);
-        self.run_batch(&group, Route::Latent);
-        self.lat_batch = group;
-
-        // complete in work order: scatter predictions back, grade and
-        // account each frame through the tracker's recovery tail
-        for w in 0..staged {
-            let row = self.work[w] as usize;
-            let route = self.store.routes[row];
-            let cur = self.store.cursors[row].take().expect("front half ran");
-            let upstream = if route == Route::Fallback {
-                STAGE_CROP
-            } else {
-                STAGE_GAZE
-            };
-            self.store.check_stage(row, upstream, cur.frame());
-            let store = &mut self.store;
-            let tracker = store.trackers[row].as_mut().expect("staged row is live");
-            let out = if route == Route::Fallback {
-                tracker.complete_stage(cur, &mut store.preds[row])
-            } else {
-                let (p, j) = store.batch_pos[row];
-                let arena = match route {
-                    Route::Int8 => &self.i8_arena,
-                    Route::Latent => &self.lat_arena,
-                    _ => &self.f32_arena,
-                };
-                let j = j as usize;
-                let pred = &arena.slot(p as usize).output.as_slice()[j * 3..j * 3 + 3];
-                tracker.complete_stage_with_pred(cur, pred, &mut store.preds[row])
-            };
-            self.account_completion(row, out, trace.as_deref_mut());
+            match &qf.truth {
+                Some(t) => self.store.stats[row].record(out, t),
+                None => self.store.stats[row].record_unlabeled(out),
+            }
+            if let Some(tr) = trace.as_deref_mut() {
+                tr.push((
+                    SessionId::new(row as u32, self.store.generations[row]),
+                    out.clone(),
+                ));
+            }
+            self.store.spares[row].push(qf.scene);
         }
         if steady {
             static_counter!("serve/steady_state_allocs")
                 .add(eyecod_core::alloc_counter::allocations() - allocs_before);
         }
         static_counter!("serve/frames_completed").add(staged as u64);
-
-        // fleet int8 calibration, once the warm-up crops are in — at tick
-        // end so the tick that fills the window still serves f32, exactly
-        // like the single-tracker warm-up
-        let calib_target = self.config.tracker.calibration_frames;
-        if self.shared_qnet.is_none() && calib_target > 0 && self.calib.len() >= calib_target {
-            let batch = Tensor::stack(&self.calib);
-            self.shared_qnet = Some(QuantizedGazeNet::from_calibrated(&self.models.gaze, &batch));
-            self.calib.clear();
-            self.calib.shrink_to_fit();
-            static_counter!("serve/int8_calibrations").inc();
-            // the int8 trackers' warm-up ends here too: their frames stop
-            // being exempt from the motion gate, as a standalone tracker's
-            // do once it calibrates
-            for (tracker, backend) in self.store.trackers.iter_mut().zip(&self.store.backends) {
-                if let (Some(t), GazeBackend::Int8) = (tracker, backend) {
-                    t.mark_int8_calibrated();
-                }
-            }
-        }
         drop(tick_timer);
-        TickReport {
-            staged,
-            completed: staged,
-            f32_forwards,
-            int8_forwards,
-            latent_forwards,
-            panics_recovered,
-        }
+        report
     }
 
-    /// The front half of every staged frame, one pool job per session:
-    /// [`EyeTracker::front_stages`] over the session's columns, stamping the
-    /// capture/recon/crop epochs. Jobs listed in the fault plan's execution
-    /// plane panic at entry and are re-run inline (see the module docs);
-    /// returns how many were.
-    fn run_front_half(&mut self) -> usize {
+    /// Every staged frame through its session's `process_frame`, one pool
+    /// job per session, each output left in the session's `lasts` row.
+    /// Jobs listed in the fault plan's execution plane panic at entry and
+    /// are re-run inline (see the module docs); returns how many were.
+    fn run_frames(&mut self) -> usize {
         let ServeRegistry {
             faults,
             pool,
@@ -555,42 +470,24 @@ impl ServeRegistry {
         failed.clear();
         failed.resize(n, 0);
         let trackers = SendPtr(store.trackers.as_mut_ptr());
-        let staged = SendPtr(store.staged.as_mut_ptr());
-        let cursors = SendPtr(store.cursors.as_mut_ptr());
-        let acquires = SendPtr(store.acquires.as_mut_ptr());
-        let images = SendPtr(store.images.as_mut_ptr());
-        let crops = SendPtr(store.crops.as_mut_ptr());
-        let gaze_ins = SendPtr(store.gaze_ins.as_mut_ptr());
-        let epochs = SendPtr(store.epochs.as_mut_ptr());
+        let lasts = SendPtr(store.lasts.as_mut_ptr());
+        let staged: &[Option<QueuedFrame>] = &store.staged;
         let work: &[u32] = work;
         let job = |w: usize| {
             let row = work[w] as usize;
+            let qf = staged[row].as_ref().expect("frame staged");
             // SAFETY: `work` holds unique live rows, so concurrent jobs
-            // touch disjoint elements of every column
-            unsafe {
-                let tracker = trackers.get(row).as_mut().expect("staged row is live");
-                let qf = staged.get(row).as_ref().expect("frame staged");
-                let cur = tracker.front_stages(
-                    &qf.scene,
-                    qf.noise_seed,
-                    acquires.get(row),
-                    images.get(row),
-                    crops.get(row),
-                    gaze_ins.get(row),
-                );
-                let epoch = epochs.get(row);
-                for stage in [STAGE_CAPTURE, STAGE_RECON, STAGE_CROP] {
-                    stamp_stage_row(epoch, stage, cur.frame(), row);
-                }
-                *cursors.get(row) = Some(cur);
-            }
+            // touch disjoint elements of both columns
+            let (tracker, last) = unsafe { (trackers.get(row), lasts.get(row)) };
+            let tracker = tracker.as_mut().expect("staged row is live");
+            *last = Some(tracker.process_frame(&qf.scene, qf.noise_seed));
         };
         let flags = SendPtr(failed.as_mut_ptr());
         let plan: &FaultPlan = faults;
         pool.get().parallel_for_chunked(n, 1, |w| {
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 if plan.worker_panics(w as u64, 0) {
-                    panic!("injected exec-plane fault: front-half job {w}");
+                    panic!("injected exec-plane fault: frame job {w}");
                 }
                 job(w);
             }));
@@ -612,137 +509,6 @@ impl ServeRegistry {
             static_counter!("serve/panics_recovered").add(recovered as u64);
         }
         recovered
-    }
-
-    /// Routes row `row`'s staged gaze input: picks the forward path,
-    /// collects fleet calibration crops from warming int8 sessions, and
-    /// appends the row to the matching batch group. Must run in work
-    /// order — calibration collection is deterministic and
-    /// pool-size-invariant because of it.
-    ///
-    /// `refresh_due` is the frame's scheduled ROI-refresh flag: latent
-    /// sessions route their refresh frames (recon-path crops) through the
-    /// f32 batch and their steady-state frames (projected measurements)
-    /// through the latent batch, mirroring the tracker's own dispatch.
-    fn route_row(&mut self, row: usize, has_input: bool, refresh_due: bool) {
-        if !has_input {
-            self.store.routes[row] = Route::Fallback;
-            return;
-        }
-        let calibrated = self.shared_qnet.is_some();
-        let backend = self.store.backends[row];
-        if backend == GazeBackend::Int8 && calibrated {
-            self.store.routes[row] = Route::Int8;
-            self.i8_batch.push(row as u32);
-        } else if backend == GazeBackend::Latent && !refresh_due {
-            self.store.routes[row] = Route::Latent;
-            self.lat_batch.push(row as u32);
-        } else {
-            // never let a corrupted crop into the calibration batch, as in
-            // the standalone tracker's warm-up
-            let crop = &self.store.gaze_ins[row];
-            if backend == GazeBackend::Int8
-                && !calibrated
-                && self.calib.len() < self.config.tracker.calibration_frames
-                && !crop.has_non_finite()
-            {
-                self.calib.push(crop.clone());
-            }
-            self.store.routes[row] = Route::F32;
-            self.f32_batch.push(row as u32);
-        }
-    }
-
-    /// Folds a completed frame into the session's accounting columns and
-    /// the trace, and recycles the staged scene buffer.
-    fn account_completion(
-        &mut self,
-        row: usize,
-        out: TrackedFrame,
-        trace: Option<&mut Vec<(SessionId, TrackedFrame)>>,
-    ) {
-        let qf = self.store.staged[row].take().expect("staged frame present");
-        match &qf.truth {
-            Some(t) => self.store.stats[row].record(&out, t),
-            None => self.store.stats[row].record_unlabeled(&out),
-        }
-        self.store.spares[row].push(qf.scene);
-        match trace {
-            Some(tr) => {
-                self.store.lasts[row] = Some(out.clone());
-                tr.push((SessionId::new(row as u32, self.store.generations[row]), out));
-            }
-            None => self.store.lasts[row] = Some(out),
-        }
-    }
-
-    /// Batched gaze forward for one route group: partitions `group` into
-    /// one contiguous sub-batch per pool participant, gathers each
-    /// sub-batch into its arena slot, and runs the slots' forwards in
-    /// parallel. On a sequential pool this is literally one batched GEMM,
-    /// executed inline with zero allocation once the arena is warm.
-    ///
-    /// `route` selects the network and arena: [`Route::F32`],
-    /// [`Route::Int8`] or [`Route::Latent`] (never [`Route::Fallback`]).
-    fn run_batch(&mut self, group: &[u32], route: Route) {
-        if group.is_empty() {
-            return;
-        }
-        let batch_timer = static_histogram!("serve/batch_ns").timer();
-        static_counter!("serve/batches").inc();
-        static_counter!("serve/batch_size").add(group.len() as u64);
-        let n = group.len();
-        let parts = self.pool.get().participants().min(n);
-        let (gh, gw) = self.config.tracker.gaze_input;
-        let arena = match route {
-            Route::Int8 => &mut self.i8_arena,
-            Route::Latent => &mut self.lat_arena,
-            Route::F32 => &mut self.f32_arena,
-            Route::Fallback => unreachable!("fallback rows never batch"),
-        };
-        arena.ensure(parts);
-        // gather: chunk p covers group[p*n/parts .. (p+1)*n/parts]
-        for p in 0..parts {
-            let (start, end) = (p * n / parts, (p + 1) * n / parts);
-            let slot = arena.slot_mut(p);
-            slot.input.reset(Shape::new(end - start, 1, gh, gw));
-            for (j, &row) in group[start..end].iter().enumerate() {
-                let row = row as usize;
-                self.store.batch_pos[row] = (p as u32, j as u32);
-                slot.input
-                    .batch_item_slice_mut(j)
-                    .copy_from_slice(self.store.gaze_ins[row].as_slice());
-            }
-        }
-        {
-            let pool = self.pool.get();
-            let slots = SendPtr(arena.slots_mut().as_mut_ptr());
-            let gaze = &self.models.gaze;
-            let latent = &self.models.latent;
-            let qnet = self.shared_qnet.as_ref();
-            pool.parallel_for_chunked(parts, 1, |p| {
-                // SAFETY: each job takes a distinct arena slot
-                let slot = unsafe { slots.get(p) };
-                match route {
-                    Route::Int8 => qnet
-                        .expect("int8 batches only run once calibrated")
-                        .forward_into(&slot.input, &mut slot.ws, &mut slot.output),
-                    Route::Latent => {
-                        latent.forward_infer(&slot.input, &mut slot.ws, &mut slot.output)
-                    }
-                    _ => gaze.forward_infer(&slot.input, &mut slot.ws, &mut slot.output),
-                }
-            });
-        }
-        drop(batch_timer);
-    }
-
-    /// The epoch column row for `row` — test/debug hook for the
-    /// stage-conformance invariant.
-    #[doc(hidden)]
-    pub fn stage_epochs(&self, id: SessionId) -> Result<[u64; STAGES], ServeError> {
-        let row = self.store.resolve(id)?;
-        Ok(self.store.epochs[row])
     }
 }
 
@@ -812,15 +578,21 @@ mod tests {
             });
             let id = reg.create().unwrap();
             assert_eq!(reg.create().unwrap_err(), ServeError::AtCapacity(1));
-            let bad = Tensor::zeros(Shape::new(1, 1, 32, 32));
-            assert_eq!(
-                reg.feed(id, &bad, 0).unwrap_err(),
-                ServeError::SceneShape {
-                    expected: 48,
-                    got: (32, 32)
-                },
-                "{backend:?}"
-            );
+            // a wrong size, a multi-channel and a multi-batch scene: all
+            // refused at feed, so no tick ever sees them
+            for got in [
+                Shape::new(1, 1, 32, 32),
+                Shape::new(1, 3, 48, 48),
+                Shape::new(2, 1, 48, 48),
+            ] {
+                assert_eq!(
+                    reg.feed(id, &Tensor::zeros(got), 0).unwrap_err(),
+                    ServeError::SceneShape { expected: 48, got },
+                    "{backend:?}"
+                );
+            }
+            assert_eq!(reg.snapshot(id).unwrap().queue_depth, 0);
+            assert_eq!(reg.tick(), TickReport::default());
         }
     }
 
@@ -898,27 +670,33 @@ mod tests {
     }
 
     #[test]
-    fn int8_sessions_share_one_fleet_calibration() {
+    fn int8_calibrated_waits_for_every_live_int8_session() {
         let mut reg = registry(|_| {});
-        let ids: Vec<_> = (0..4)
-            .map(|_| reg.create_with_backend(GazeBackend::Int8).unwrap())
-            .collect();
-        assert!(!reg.int8_calibrated());
-        // calibration_frames = 8 and 4 warming sessions feed crops per
-        // tick: the window fills during tick 2, calibrating at its end
-        for t in 0..2u64 {
-            for id in &ids {
-                reg.feed(*id, &scene(t), t).unwrap();
-            }
+        assert!(!reg.int8_calibrated(), "no int8 session is live");
+        let f32 = reg.create().unwrap();
+        let early = reg.create_with_backend(GazeBackend::Int8).unwrap();
+        // calibration_frames = 8: the session calibrates on its own first
+        // eight crops, after the frame that fills the window
+        for t in 0..8u64 {
+            assert!(!reg.int8_calibrated(), "warming at tick {t}");
+            reg.feed(f32, &scene(t), t).unwrap();
+            reg.feed(early, &scene(t), t).unwrap();
             let report = reg.tick();
-            assert_eq!(report.int8_forwards, 0, "still warming");
+            assert_eq!((report.f32_forwards, report.int8_forwards), (2, 0));
         }
         assert!(reg.int8_calibrated());
-        for id in &ids {
-            reg.feed(*id, &scene(9), 9).unwrap();
+        // a second int8 session warms from scratch while the first serves
+        // int8
+        let late = reg.create_with_backend(GazeBackend::Int8).unwrap();
+        assert!(!reg.int8_calibrated(), "the late session is warming");
+        for id in [f32, early, late] {
+            reg.feed(id, &scene(8), 8).unwrap();
         }
         let report = reg.tick();
-        assert_eq!(report.f32_forwards, 0);
-        assert_eq!(report.int8_forwards, 4);
+        assert_eq!((report.f32_forwards, report.int8_forwards), (2, 1));
+        reg.evict(late).unwrap();
+        assert!(reg.int8_calibrated(), "every live int8 session calibrated");
+        reg.evict(early).unwrap();
+        assert!(!reg.int8_calibrated(), "no int8 session is live");
     }
 }

@@ -14,7 +14,7 @@
 //!   reserved for pipeline failures);
 //! * the entire scenario — faults, sheds, gaze outputs — replays
 //!   byte-identically under the same seed, on any worker count;
-//! * worker panics injected into the tick's front-half jobs are recovered
+//! * worker panics injected into the tick's frame jobs are recovered
 //!   without a trace of them in the output, and every one is counted.
 //!
 //! Half of each fleet takes the configured default backend through
@@ -93,7 +93,7 @@ fn run_chaos(cell: (GazeBackend, bool), threads: usize) -> RunDigest {
     sc.queue_capacity = QUEUE;
     let mut reg = ServeRegistry::new(sc, models.clone_models()).with_faults(FaultPlan::heavy(SEED));
     // half the fleet takes the cell's default backend, the other half is
-    // pinned int8 so fleet-shared calibration is always under load
+    // pinned int8 so per-session calibration is always under load
     let ids: Vec<_> = (0..SESSIONS)
         .map(|s| {
             if s % 2 == 0 {
@@ -232,7 +232,7 @@ fn overloaded_fleet_degrades_gracefully_and_replays_exactly() {
 }
 
 /// The pool leg of the overload matrix: the same 3× overload under
-/// `FaultPlan::heavy` (which also kills front-half job 1 every tick) on 1
+/// `FaultPlan::heavy` (which also kills frame job 1 every tick) on 1
 /// and 3 pool workers, with zero panics escaping and a digest — sheds,
 /// gaze bits, quality grades, fleet totals — byte-identical to the
 /// 0-worker run's.
@@ -252,7 +252,7 @@ fn overloaded_fleet_digest_is_worker_count_invariant() {
 }
 
 /// The serve-level mirror of the pool's `try_parallel_map` pin: a fault
-/// plan that kills front-half jobs at their entry points is recovered by
+/// plan that kills frame jobs at their entry points is recovered by
 /// the tick's inline retry, byte-identically to the same fleet run without
 /// the plan — and the ticks' reports count every retry.
 #[test]
@@ -261,8 +261,8 @@ fn injected_worker_panics_recover_byte_identically() {
     let run = |cell: (GazeBackend, bool), plan: &FaultPlan, threads: usize| {
         let sc = serve_config(cell, threads);
         let mut reg = ServeRegistry::new(sc, models.clone_models()).with_faults(plan.clone());
-        // mixed backends: the int8 warm-up and the calibrated int8 batch
-        // both run under the injected panics
+        // mixed backends: the int8 warm-up and the calibrated int8
+        // forwards both run under the injected panics
         let ids: Vec<_> = (0..8)
             .map(|s| {
                 if s % 2 == 0 {
@@ -297,7 +297,7 @@ fn injected_worker_panics_recover_byte_identically() {
         (out, recovered)
     };
     const TICKS: u64 = 12;
-    // kill the first, an interior and the last front-half job of every tick
+    // kill the first, an interior and the last frame job of every tick
     let mut plan = FaultPlan::none();
     plan.exec.worker_panic_jobs = vec![0, 3, 7];
     for cell in cells() {

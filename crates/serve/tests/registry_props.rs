@@ -226,10 +226,9 @@ fn run_fleet(threads: usize, delta: bool) -> Vec<String> {
     out
 }
 
-/// The determinism pin: worker count is invisible in the output. Parallel
-/// prepare touches disjoint sessions and the batched GEMM processes items
-/// independently, so 0, 1 and 3 background workers must produce
-/// byte-identical traces.
+/// The determinism pin: worker count is invisible in the output. Each
+/// frame job touches its own session alone, so 0, 1 and 3 background
+/// workers must produce byte-identical traces.
 #[test]
 fn worker_count_never_changes_any_frame() {
     for delta in [false, true] {

@@ -2,14 +2,11 @@
 //! over a warm 16-session registry must not touch the heap.
 //!
 //! Everything on the feed+tick path is arena- or freelist-backed: ingress
-//! scenes recycle through each session's spare-buffer list, staged work
-//! lists, panic flags and batch index vectors retain capacity across
-//! ticks, the batch arenas reuse their gather/output tensors, and each
-//! hosted tracker's stage calls are the zero-allocation ones pinned by the
-//! core suite, run over the store's stage columns (images, crops, gaze
-//! inputs, predictions, acquisition scratch) — all of which grow on
-//! session create or first use only. Once the fleet is warm — ROI scratch
-//! built, int8 calibrated, the latent batch arena grown, every static
+//! scenes recycle through each session's spare-buffer list, the staged
+//! work list and panic flags retain capacity across ticks, and each
+//! session's frame is its tracker's `process_frame`, whose zero-allocation
+//! steady state the core suite pins. Once the fleet is warm — every
+//! tracker's scratch built, every int8 session calibrated, every static
 //! counter materialised — feeding and ticking 16 sessions (mixed
 //! f32/int8/latent) performs **zero** transient heap allocations on
 //! non-refresh frames, on the dense path and on the event-driven delta
@@ -51,10 +48,10 @@ fn steady_state_serve_ticks_do_not_allocate() {
             .collect();
 
         // warm-up: per-session trackers see frames 0..12, covering both ROI
-        // refreshes (`roi_period` 10), the fleet int8 calibration (the
-        // warming int8 sessions fill the 8-crop window within two ticks),
-        // spare-buffer and arena growth, column growth, and every telemetry
-        // static
+        // refreshes (`roi_period` 10), every int8 session's calibration (at
+        // its frame 7: the motion gate exempts warming frames, so each one
+        // runs the crop), spare-buffer growth, column growth, and every
+        // telemetry static
         for round in 0..12u64 {
             for id in &ids {
                 reg.feed(*id, &scene, round).unwrap();
@@ -63,7 +60,7 @@ fn steady_state_serve_ticks_do_not_allocate() {
         }
         assert!(
             reg.int8_calibrated(),
-            "fleet calibration must finish in warm-up (delta {delta})"
+            "int8 calibration must finish in warm-up (delta {delta})"
         );
 
         // frames 12..18 per session: no ROI refresh falls in the window

@@ -3,16 +3,11 @@
 //! The pool is pure execution strategy: for *any* fleet population, queue
 //! depth, feed raggedness and mid-run evict/create churn, the tick's trace
 //! is **byte-identical** (gaze bits, quality, ROI, fault accounting) on 0,
-//! 1 and 3 pool workers — each worker count partitions the front-half jobs
-//! and the gaze batches differently — and shed/ingest accounting is exact.
-//! (What each session serves is pinned against a standalone tracker in
-//! `batching_differential.rs`.) Every check runs on the dense path and on
-//! the event-driven delta path. On top of the trace pin, the per-session
-//! stage epochs are checked directly: after every tick each staged
-//! session's capture/recon/crop stamps carry the frame index just
-//! completed — no stage ever consumed a previous stage's output from a
-//! different frame (the in-band `stamp_stage` asserts fire inside the
-//! tick; this suite also reads the epochs back out-of-band).
+//! 1 and 3 pool workers — each worker count distributes the per-session
+//! frame jobs differently — and shed/ingest accounting is exact. (What
+//! each session serves is pinned against a standalone tracker in
+//! `standalone_differential.rs`.) Every check runs on the dense path and
+//! on the event-driven delta path.
 
 use std::sync::OnceLock;
 
@@ -102,8 +97,7 @@ fn serve_config(delta: bool, threads: usize) -> ServeConfig {
 }
 
 /// Three-backend rotation: the tick must hold its invariants with latent
-/// rows (a third gaze batch partition with its own arena) interleaved
-/// among f32 and int8 rows.
+/// sessions interleaved among f32 and int8 sessions.
 fn backend(slot: usize) -> GazeBackend {
     GazeBackend::ALL[slot % GazeBackend::ALL.len()]
 }
@@ -231,52 +225,6 @@ fn shed_and_ingest_accounting_is_exact() {
             let shed: u64 = got.accounting.iter().map(|(_, s, _)| *s).sum();
             assert!(parked <= got.accounting.len() as u64, "queue bound");
             assert!(shed <= ingested, "shed frames are a subset of ingested");
-        }
-    }
-}
-
-/// Out-of-band stage-epoch conformance: after a tick, every
-/// session that was staged carries capture/recon/crop stamps for exactly
-/// the frame it just completed (stamp = frame + 1), and the gaze stamp
-/// matches whenever the frame had a gaze input. A stage consuming another
-/// frame's output would have tripped the in-band assert; this checks the
-/// stamps actually advance in lockstep with the frame counter.
-#[test]
-fn stage_epochs_track_frame_indices_exactly() {
-    let (_, models, scenes) = shared();
-    for delta in [false, true] {
-        let sc = serve_config(delta, 3);
-        let mut reg = ServeRegistry::new(sc, models.clone_models());
-        let ids: Vec<_> = (0..4)
-            .map(|s| reg.create_with_backend(backend(s)).unwrap())
-            .collect();
-        for step in 0..9u64 {
-            for (s, id) in ids.iter().enumerate() {
-                reg.feed(*id, &scenes[(step as usize + s) % scenes.len()], step)
-                    .unwrap();
-            }
-            let (_, trace) = reg.tick_traced();
-            assert_eq!(trace.len(), ids.len());
-            for (id, f) in &trace {
-                let epochs = reg.stage_epochs(*id).unwrap();
-                // stamps are frame + 1 so that 0 means "never ran"
-                for (stage, &e) in epochs.iter().take(3).enumerate() {
-                    assert_eq!(
-                        e,
-                        f.frame + 1,
-                        "stage {stage} of {id:?} (delta {delta}) stamped frame {} after completing frame {}",
-                        e.wrapping_sub(1),
-                        f.frame
-                    );
-                }
-                // clean plan: every frame has a gaze input, so the gaze
-                // gather stamp must match too
-                assert_eq!(
-                    epochs[3],
-                    f.frame + 1,
-                    "gaze stamp of {id:?} (delta {delta})"
-                );
-            }
         }
     }
 }

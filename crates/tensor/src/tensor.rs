@@ -257,17 +257,6 @@ impl Tensor {
         &self.data[n * item..(n + 1) * item]
     }
 
-    /// Mutable twin of [`Tensor::batch_item_slice`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is out of range.
-    pub fn batch_item_slice_mut(&mut self, n: usize) -> &mut [f32] {
-        assert!(n < self.shape.n, "batch index {n} out of range");
-        let item = self.shape.item_len();
-        &mut self.data[n * item..(n + 1) * item]
-    }
-
     /// Stacks single-item tensors along the batch dimension.
     ///
     /// # Panics

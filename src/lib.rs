@@ -17,7 +17,7 @@
 //! | [`accel`] | Cycle-level accelerator simulator (MAC lanes, SWPR buffer, orchestration, energy) |
 //! | [`platforms`] | Baseline platform and communication models (EdgeCPU/CPU/EdgeGPU/GPU/CIS-GEP) |
 //! | [`core`] | The predict-then-focus tracker tying acquisition, segmentation, ROI and gaze together |
-//! | [`serve`] | Multi-session serving: session registry, cross-session gaze micro-batching, load-shedding |
+//! | [`serve`] | Multi-session serving: session registry, one pooled `process_frame` per session per tick, load-shedding |
 //! | [`telemetry`] | Lock-light counters and stage-latency histograms with JSON snapshot export |
 //! | [`faults`] | Deterministic fault-injection plans and the recovery/degradation vocabulary |
 //!

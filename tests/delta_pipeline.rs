@@ -345,10 +345,12 @@ fn run_fleet(threads: usize, ragged: u64) -> (Vec<String>, Vec<usize>) {
     (out, forwards)
 }
 
-/// Motion-gated sessions never enter a gaze batch: on any worker count,
-/// the per-tick forward counts plus the gated completions add up to the
-/// staged frames, and a fully static fleet stops forwarding entirely
-/// between refreshes.
+/// Motion-gated sessions run no gaze forward, and a tick's forward counts
+/// are its frames' own [`TrackedFrame::network`] fields, summed. A static
+/// mixed fleet on the delta path covers every case on 0 and 3 workers:
+/// the int8 session's warm-up frames (exempt from the gate, through the
+/// f32 network), the latent session's ROI-refresh frames (f32 too), a
+/// calibrated int8 refresh, and gated ticks with no forward at all.
 #[test]
 fn gated_sessions_stay_out_of_gaze_batches() {
     let _serial = frame_lock();
@@ -359,54 +361,67 @@ fn gated_sessions_stay_out_of_gaze_batches() {
         5,
     )
     .image;
+    let backends = [GazeBackend::F32, GazeBackend::Int8, GazeBackend::Latent];
+    // the network each session's frame `step` must run on a static scene,
+    // `None` when the motion gate skips it
+    let expected = |backend: GazeBackend, step: u64| {
+        let due = step.is_multiple_of(cfg.roi_period as u64);
+        let warming = step < cfg.calibration_frames as u64;
+        match backend {
+            GazeBackend::Int8 if warming => Some(GazeBackend::F32),
+            GazeBackend::Int8 if due => Some(GazeBackend::Int8),
+            _ if due => Some(GazeBackend::F32),
+            _ => None,
+        }
+    };
     for threads in [0, 3] {
         let mut tracker_cfg = cfg.clone();
         tracker_cfg.delta = true;
         let mut sc = ServeConfig::new(tracker_cfg);
         sc.threads = Some(threads);
         let mut reg = ServeRegistry::new(sc, models.clone_models());
-        let ids: Vec<SessionId> = (0..3).map(|_| reg.create().unwrap()).collect();
+        let ids: Vec<SessionId> = backends
+            .iter()
+            .map(|b| reg.create_with_backend(*b).unwrap())
+            .collect();
         for step in 0..12u64 {
             for id in &ids {
                 reg.feed(*id, &scene, step).unwrap();
             }
             let (report, trace) = reg.tick_traced();
             assert_eq!(report.staged, ids.len(), "{threads} workers step {step}");
-            let skipped = trace.iter().filter(|(_, f)| f.gaze_skipped).count();
-            let due = step % cfg.roi_period as u64 == 0;
-            if due {
-                // refresh ticks run the dense path for every session
-                assert_eq!(
-                    skipped, 0,
-                    "{threads} workers step {step}: refresh ticks never gate"
-                );
-                assert_eq!(
-                    report.f32_forwards + report.int8_forwards + report.latent_forwards,
-                    ids.len(),
-                    "{threads} workers step {step}"
-                );
-            } else {
-                // a static scene gates every session: zero forwards, and
-                // every frame still completes with a served gaze
-                assert_eq!(
-                    skipped,
-                    ids.len(),
-                    "{threads} workers step {step}: all gated"
-                );
-                assert_eq!(
-                    report.f32_forwards + report.int8_forwards + report.latent_forwards,
-                    0,
-                    "{threads} workers step {step}: gated sessions must not batch"
-                );
-            }
-            for (_, f) in &trace {
-                assert_eq!(f.quality, FrameQuality::Ok, "{threads} workers step {step}");
+            let ran = |net| trace.iter().filter(|(_, f)| f.network == Some(net)).count();
+            assert_eq!(
+                (
+                    report.f32_forwards,
+                    report.int8_forwards,
+                    report.latent_forwards
+                ),
+                (
+                    ran(GazeBackend::F32),
+                    ran(GazeBackend::Int8),
+                    ran(GazeBackend::Latent)
+                ),
+                "{threads} workers step {step}: the report must sum the frames' networks"
+            );
+            for (id, f) in &trace {
+                let backend = backends[ids.iter().position(|i| i == id).unwrap()];
+                let leg = format!("{threads} workers step {step} {backend:?}");
+                assert_eq!(f.network, expected(backend, step), "{leg}");
+                // a gated frame is exactly a frame without a forward
+                assert_eq!(f.gaze_skipped, f.network.is_none(), "{leg}");
+                assert_eq!(f.quality, FrameQuality::Ok, "{leg}");
             }
         }
-        for id in &ids {
+        for (id, backend) in ids.iter().zip(backends) {
             let snap = reg.snapshot(*id).unwrap();
-            // 12 steps with refreshes at 0 and 10: 10 gated frames each
-            assert_eq!(snap.stats.skipped_frames, 10, "{threads} workers");
+            // 12 steps with refreshes at 0 and 10: 10 gated frames each,
+            // but the int8 session runs its 8 warm-up frames
+            let gated = if backend == GazeBackend::Int8 { 3 } else { 10 };
+            assert_eq!(
+                snap.stats.skipped_frames, gated,
+                "{threads} workers {backend:?}"
+            );
         }
     }
 }
@@ -417,8 +432,8 @@ proptest! {
     /// Worker-count invariance for delta fleets: a registry on an N-worker
     /// pool produces frame-for-frame identical output to a sequential one
     /// for the same ragged schedule — the motion gate and the sparse
-    /// updates key on per-session state alone, so how the front-half jobs
-    /// land on workers must be invisible.
+    /// updates key on per-session state alone, so how the frame jobs land
+    /// on workers must be invisible.
     #[test]
     fn delta_fleet_output_is_worker_count_invariant(
         threads in 1usize..4,

@@ -218,9 +218,9 @@ fn latent_backend_tracks_the_f32_path_with_identical_structure_and_no_steady_sol
 }
 
 /// The latent net's batched forward must equal its per-item forward to the
-/// last bit — the serve layer batches latent rows across sessions, and that
-/// execution-strategy choice must be invisible (the same contract the f32
-/// and int8 nets carry).
+/// last bit, the same contract the f32 and int8 nets carry: every kernel
+/// runs batch items one at a time, so batching is invisible in the
+/// numbers.
 #[test]
 fn latent_batch_forward_matches_per_item_bitwise() {
     const N: usize = 7;
