@@ -64,7 +64,7 @@ fn bench(c: &mut Criterion) {
 
 /// The seed repo's `parallel_map`: fresh threads spawned per call, every
 /// result funnelled through one shared mutex. Kept here verbatim (on std
-/// scoped threads) as the baseline the work-stealing pool replaced. The
+/// scoped threads) as the baseline the persistent pool replaced. The
 /// thread count is a parameter so the comparison pits equal participant
 /// counts against each other regardless of the host's core count.
 fn mutex_parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
@@ -102,14 +102,17 @@ where
 }
 
 /// Dataset-scale parallel execution strategies: sequential, the seed's
-/// spawn-per-call/mutex-per-item map, and the reusable work-stealing pool,
-/// at matched participant counts (4 vs 3 workers + the caller).
+/// spawn-per-call/mutex-per-item map, and the reusable pool (persistent
+/// workers claiming one item at a time from a shared cursor), at matched
+/// participant counts (4 vs 3 workers + the caller).
 ///
 /// Two workloads: a 64-item batch of FlatCam Tikhonov reconstructions at
 /// the working scene size (the pipeline's real fan-out unit, compute
-/// bound), and a 4096-item batch of single reconstruction *rows* (fine
-/// grained, where per-item locking and per-call spawning dominate — the
-/// overhead the pool eliminates).
+/// bound), and 4096 single reconstruction *rows* (fine grained, where
+/// per-item locking and per-call spawning dominate). The pool maps the
+/// rows as 32 chunks of 128, the way a fine-grained caller uses a pool
+/// that claims one item at a time; the mutex baseline keeps its seed form,
+/// one item per row.
 fn heavy_compute(c: &mut Criterion) {
     const PARTICIPANTS: usize = 4;
     let pool = eyecod_pool::ThreadPool::with_threads(PARTICIPANTS - 1);
@@ -135,8 +138,8 @@ fn heavy_compute(c: &mut Criterion) {
     c.bench_function("parallel/recon64_mutex_per_item", |b| {
         b.iter(|| mutex_parallel_map(&measurements, PARTICIPANTS, |m| recon.reconstruct(m)))
     });
-    c.bench_function("parallel/recon64_work_stealing", |b| {
-        b.iter(|| pool.parallel_map_chunked(&measurements, 1, |m| recon.reconstruct(m)))
+    c.bench_function("parallel/recon64_pool", |b| {
+        b.iter(|| pool.parallel_map(&measurements, |m| recon.reconstruct(m)))
     });
 
     // fine-grained: one Ŷ-row back-projection per item
@@ -155,8 +158,14 @@ fn heavy_compute(c: &mut Criterion) {
     c.bench_function("parallel/rows4096_mutex_per_item", |b| {
         b.iter(|| mutex_parallel_map(&rows, PARTICIPANTS, row_job))
     });
-    c.bench_function("parallel/rows4096_work_stealing", |b| {
-        b.iter(|| pool.parallel_map(&rows, row_job))
+    c.bench_function("parallel/rows4096_pool_chunks128", |b| {
+        b.iter(|| {
+            let chunks: Vec<&[usize]> = rows.chunks(128).collect();
+            pool.parallel_map(&chunks, |chunk| {
+                chunk.iter().map(row_job).collect::<Vec<_>>()
+            })
+            .concat()
+        })
     });
 }
 

@@ -6,11 +6,12 @@
 //!   comparison (`cargo bench -p eyecod-bench --bench serve`);
 //! * a `BENCH_serve.json` artifact at the repository root with one row per
 //!   fleet size {1, 16, 256} of mixed f32/int8/latent sessions: the median
-//!   and median absolute deviation of [`SAMPLES`] warm ticks on a registry
-//!   with no pool workers (`inline`) and with `available_parallelism() - 1`
-//!   workers (`pooled`). Every row carries `host_parallelism` and a
-//!   non-empty `note` saying what the numbers mean on *this* host: on a
-//!   1-CPU host both ticks run inline, and no parallel gain is claimed.
+//!   and median absolute deviation of the fleet's [`FLEETS`] sample count
+//!   of warm ticks on a registry with no pool workers (`inline`) and with
+//!   `available_parallelism() - 1` workers (`pooled`). Every row carries
+//!   `host_parallelism` and a non-empty `note` saying what the numbers
+//!   mean on *this* host: on a 1-CPU host both ticks run inline, and no
+//!   parallel gain is claimed.
 
 use criterion::{criterion_group, Criterion};
 use eyecod_core::tracker::{GazeBackend, TrackerConfig};
@@ -23,9 +24,12 @@ use std::path::Path;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-const FLEETS: [usize; 3] = [1, 16, 256];
-/// Timed samples per measurement, after warm-up.
-const SAMPLES: usize = 21;
+/// Fleet sizes, each with its timed ticks per measurement; a measurement
+/// warms up with as many untimed ticks first. A 1-session tick takes about
+/// 0.2 ms on a shared 2-vCPU host, whose speed drifts from tick to tick,
+/// so the small fleets need hundreds of samples for a median that
+/// resolves a 20% change; a 256-session tick takes tens of milliseconds.
+const FLEETS: [(usize, usize); 3] = [(1, 401), (16, 201), (256, 21)];
 
 fn shared() -> &'static (TrackerConfig, TrackerModels, Tensor) {
     static SHARED: OnceLock<(TrackerConfig, TrackerModels, Tensor)> = OnceLock::new();
@@ -42,9 +46,10 @@ fn host_parallelism() -> usize {
 }
 
 /// A warm fleet: `n` sessions (f32/int8/latent round-robin) on a registry
-/// with `workers` pool workers, fed and ticked past the first ROI refresh
-/// and the int8 calibration so measured ticks are steady-state.
-fn warm_fleet(n: usize, workers: usize) -> (ServeRegistry, Vec<SessionId>) {
+/// with `workers` pool workers, fed and ticked `rounds` times (at least
+/// past the first ROI refresh and the int8 calibration) so measured ticks
+/// are steady-state.
+fn warm_fleet(n: usize, workers: usize, rounds: usize) -> (ServeRegistry, Vec<SessionId>) {
     let (cfg, models, scene) = shared();
     let sc = ServeConfig {
         threads: Some(workers),
@@ -57,7 +62,7 @@ fn warm_fleet(n: usize, workers: usize) -> (ServeRegistry, Vec<SessionId>) {
                 .unwrap()
         })
         .collect();
-    for round in 0..12u64 {
+    for round in 0..rounds.max(12) as u64 {
         for id in &ids {
             reg.feed(*id, scene, round).unwrap();
         }
@@ -68,9 +73,9 @@ fn warm_fleet(n: usize, workers: usize) -> (ServeRegistry, Vec<SessionId>) {
 
 fn bench(c: &mut Criterion) {
     let (_, _, scene) = shared();
-    for n in FLEETS {
+    for (n, _) in FLEETS {
         for (workers, tag) in [(0, "inline"), (host_parallelism() - 1, "pooled")] {
-            let (mut reg, ids) = warm_fleet(n, workers);
+            let (mut reg, ids) = warm_fleet(n, workers, 12);
             let mut round = 100u64;
             c.bench_function(&format!("serve/tick_{n}/{tag}"), |bch| {
                 bch.iter(|| {
@@ -104,10 +109,10 @@ fn elapsed_ns(f: impl FnOnce()) -> u64 {
     t0.elapsed().as_nanos() as u64
 }
 
-/// The spread of [`SAMPLES`] calls of `sample`, each returning its own
-/// timed span in nanoseconds.
-fn time(mut sample: impl FnMut() -> u64) -> Timing {
-    let mut ns: Vec<u64> = (0..SAMPLES).map(|_| sample()).collect();
+/// The spread of `samples` calls of `sample`, each returning its own timed
+/// span in nanoseconds.
+fn time(samples: usize, mut sample: impl FnMut() -> u64) -> Timing {
+    let mut ns: Vec<u64> = (0..samples).map(|_| sample()).collect();
     let median_ns = median(&mut ns);
     let mut dev: Vec<u64> = ns.iter().map(|&v| v.abs_diff(median_ns)).collect();
     Timing {
@@ -116,14 +121,15 @@ fn time(mut sample: impl FnMut() -> u64) -> Timing {
     }
 }
 
-/// Warm ticks through a registry with `workers` pool workers, each timed
-/// without its feeds. One tick in ten refreshes every session's ROI, so a
-/// sample set holds two refresh ticks; the median is a steady tick.
-fn measure_tick(n: usize, workers: usize) -> Timing {
+/// `samples` warm ticks through a registry with `workers` pool workers,
+/// after as many warm-up ticks, each timed without its feeds. One tick in
+/// ten refreshes every session's ROI; the median is a steady tick.
+fn measure_tick(n: usize, workers: usize, samples: usize) -> Timing {
     let (_, _, scene) = shared();
-    let (mut reg, ids) = warm_fleet(n, workers);
-    let mut round = 100u64;
-    time(|| {
+    let (mut reg, ids) = warm_fleet(n, workers, samples);
+    // noise seeds past every warm-up round's
+    let mut round = 100_000u64;
+    time(samples, || {
         for id in &ids {
             reg.feed(*id, scene, round).unwrap();
         }
@@ -164,18 +170,22 @@ fn write_serve_artifact() {
     let cores = host_parallelism();
     let pool_workers = cores - 1;
     let mut rows = Vec::new();
-    for n in FLEETS {
-        let inline = measure_tick(n, 0);
-        let pooled = measure_tick(n, pool_workers);
+    for (n, samples) in FLEETS {
+        let inline = measure_tick(n, 0, samples);
+        let pooled = measure_tick(n, pool_workers, samples);
+        let sampling = format!(
+            "median and MAD of {samples} warm ticks after {samples} warm-up ticks, \
+             one in ten of them ROI-refresh ticks"
+        );
         let note = if pool_workers == 0 {
             format!(
                 "{cores}-CPU host: both ticks run inline, so no parallel gain is measured; \
-                 median and MAD of {SAMPLES} warm ticks, two of them ROI-refresh ticks"
+                 {sampling}"
             )
         } else {
             format!(
                 "{cores}-CPU host, pooled tick on the calling thread + {pool_workers} pool \
-                 worker(s); median and MAD of {SAMPLES} warm ticks, two of them ROI-refresh ticks"
+                 worker(s); {sampling}"
             )
         };
         rows.push(ServeRow {
@@ -187,7 +197,7 @@ fn write_serve_artifact() {
             pooled_tick_ns: pooled.median_ns,
             pooled_tick_mad_ns: pooled.mad_ns,
             pooled_fps: n as f64 * 1e9 / pooled.median_ns as f64,
-            samples: SAMPLES,
+            samples,
             host_parallelism: cores,
             note,
         });

@@ -29,7 +29,7 @@ use eyecod_models::proxy::{
 };
 use eyecod_models::{fbnet, mobilenet, resnet, ritnet, unet};
 use eyecod_platforms::system::{compare_all, PlatformResult};
-use eyecod_pool::BatchRunner;
+use eyecod_pool::global;
 use eyecod_tensor::ops::{downsample_avg, resize_bilinear};
 use eyecod_tensor::{Layer, Tensor};
 use rand::rngs::StdRng;
@@ -210,9 +210,9 @@ struct GazeCase {
 
 /// Regenerates Table 2: gaze models on lens full-frame vs FlatCam ROI.
 ///
-/// Each row trains its own gaze network, so the sweep runs on the
-/// process-wide pool through [`BatchRunner`] (bounded in-flight training
-/// state, results in row order).
+/// Each row trains its own gaze network, so the sweep runs one case per
+/// item on the process-wide pool (results in row order; at most one
+/// training run per participant is in flight).
 pub fn table2_gaze_models(scale: Scale) -> Vec<GazeModelRow> {
     let cases = [
         // ResNet18 on the lens camera, full frame (the OpenEDS2020 winner
@@ -289,7 +289,7 @@ pub fn table2_gaze_models(scale: Scale) -> Vec<GazeModelRow> {
             flops_g: fbnet::spec(96, 160).effective_flops(8) as f64 / 1e9,
         },
     ];
-    BatchRunner::on_global().run(&cases, |case| GazeModelRow {
+    global().parallel_map(&cases, |case| GazeModelRow {
         model: case.model.into(),
         camera: case.camera.into(),
         resolution: case.resolution.into(),
@@ -612,10 +612,10 @@ pub fn table5_roi_freq(scale: Scale) -> Vec<RoiFreqRow> {
     for size in size_cases {
         cases.push((default_period, size));
     }
-    // every case trains a tracker from scratch — run the sweep through the
-    // pool-backed batch executor so training state stays bounded while all
-    // cores contribute
-    let mut rows = BatchRunner::on_global().run(&cases, run_case);
+    // every case trains a tracker from scratch: one case per pool item, so
+    // all cores contribute and at most one training run per participant
+    // is in flight
+    let mut rows = global().parallel_map(&cases, run_case);
     rows.sort_by_key(|r| (r.roi_period, r.roi_size.clone()));
     rows
 }

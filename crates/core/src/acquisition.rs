@@ -558,27 +558,6 @@ impl Acquisition {
         scratch.delta.cols = cols;
     }
 
-    /// Allocating convenience form of [`Acquisition::sense_delta_into`].
-    pub fn sense_delta(
-        &self,
-        scene: &Tensor,
-        cols: &[usize],
-        scratch: &mut AcquireScratch,
-    ) -> Tensor {
-        let mut out = Tensor::zeros(Shape::new(1, 1, 1, 1));
-        self.sense_delta_into(scene, cols, scratch, &mut out);
-        out
-    }
-
-    /// Side length of the square raw transported signal: the measurement
-    /// size for a FlatCam, the scene size for the lens baseline.
-    pub fn sense_size(&self, scene: usize) -> usize {
-        match self {
-            Acquisition::Lens { .. } => scene,
-            Acquisition::FlatCam { camera, .. } => camera.measurement_size(),
-        }
-    }
-
     /// True for the FlatCam path.
     pub fn is_flatcam(&self) -> bool {
         matches!(self, Acquisition::FlatCam { .. })

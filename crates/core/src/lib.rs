@@ -37,7 +37,6 @@ pub mod acquisition;
 pub mod alloc_counter;
 pub mod interface;
 pub mod metrics;
-pub mod parallel;
 pub mod pool;
 pub mod roi;
 pub mod tracker;

@@ -1,10 +1,8 @@
-//! The process-wide work-stealing pool and batch executor.
+//! The process-wide thread pool.
 //!
-//! Re-exports the `eyecod-pool` crate so pipeline code can say
-//! `eyecod_core::pool::parallel_map` without depending on the pool crate
-//! directly. The pool lives in its own crate (rather than in
-//! `eyecod-core`) because lower layers — notably `eyecod-optics`' tiled
-//! reconstruction — also run on it, and `eyecod-core` sits above them in
-//! the dependency graph.
+//! Re-exports the `eyecod-pool` crate (whose only dependency is
+//! `eyecod-telemetry`) so pipeline code can say
+//! `eyecod_core::pool::global().parallel_map(…)` without depending on the
+//! pool crate directly.
 
 pub use eyecod_pool::*;

@@ -1345,26 +1345,6 @@ impl EyeTracker {
         true
     }
 
-    /// Evaluates several independent motion sequences concurrently on the
-    /// process-wide work-stealing pool, one sequence per seed.
-    ///
-    /// Trackers are stateful (ROI schedule, frame counter), so each job
-    /// builds its own tracker from the shared trained models; results are
-    /// bit-identical to running [`EyeTracker::run_sequence`] on fresh
-    /// trackers sequentially, in seed order.
-    pub fn run_sequences_parallel(
-        config: &TrackerConfig,
-        models: &TrackerModels,
-        seeds: &[u64],
-        frames: usize,
-    ) -> Vec<TrackingStats> {
-        crate::pool::parallel_map_chunked(seeds, 1, |&seed| {
-            let mut tracker = EyeTracker::new(config.clone(), models.clone_models());
-            let mut generator = EyeMotionGenerator::with_seed(seed);
-            tracker.run_sequence(&mut generator, frames)
-        })
-    }
-
     /// Tracks a synthetic eye-motion sequence for `frames` frames,
     /// rendering each frame at the configured scene size, and returns the
     /// accumulated statistics.
@@ -1396,14 +1376,19 @@ impl EyeTracker {
         (stats, trace)
     }
 
-    /// [`EyeTracker::run_sequences_parallel`] under an explicit fault plan
-    /// and recovery policy. Sequence jobs whose index appears in
-    /// `plan.exec.worker_panic_jobs` panic on their first execution
-    /// attempt; the pool's panic isolation catches the poison and the job
-    /// re-runs inline, so the returned statistics are byte-identical to a
-    /// sequential, panic-free run (the panic shows up only in the
+    /// Evaluates several independent motion sequences concurrently on the
+    /// process-wide pool, one sequence per seed, under a fault plan and
+    /// recovery policy.
+    ///
+    /// Trackers are stateful (ROI schedule, frame counter), so each job
+    /// builds its own tracker from the shared trained models. Sequence jobs
+    /// whose index appears in `plan.exec.worker_panic_jobs` panic on their
+    /// first execution attempt; the pool's panic isolation catches the
+    /// unwind and the job re-runs inline. So the returned statistics are
+    /// bit-identical to running [`EyeTracker::run_sequence`] on fresh
+    /// trackers sequentially, in seed order (the panic shows up only in the
     /// `tracker/worker_panics_{injected,recovered}` counters).
-    pub fn run_sequences_parallel_with(
+    pub fn run_sequences_parallel(
         config: &TrackerConfig,
         models: &TrackerModels,
         seeds: &[u64],
@@ -1426,7 +1411,8 @@ impl EyeTracker {
             .enumerate()
             .map(|(i, &s)| (i as u64, s))
             .collect();
-        let first = crate::pool::try_parallel_map(&jobs, 1, |&(job, seed)| run_one(job, seed, 0));
+        let first =
+            crate::pool::global().try_parallel_map(&jobs, |&(job, seed)| run_one(job, seed, 0));
         first
             .into_iter()
             .zip(&jobs)
@@ -1586,7 +1572,14 @@ mod tests {
             let t = tracker_in(backend, delta);
             let (config, models) = (t.config().clone(), t.models.clone_models());
             let seeds = [5u64, 6, 7, 8, 9];
-            let parallel = EyeTracker::run_sequences_parallel(&config, &models, &seeds, 12);
+            let parallel = EyeTracker::run_sequences_parallel(
+                &config,
+                &models,
+                &seeds,
+                12,
+                &FaultPlan::none(),
+                &RecoveryPolicy::default(),
+            );
             assert_eq!(parallel.len(), seeds.len());
             for (&seed, stats) in seeds.iter().zip(&parallel) {
                 let mut fresh = EyeTracker::new(config.clone(), models.clone_models());
@@ -2004,9 +1997,8 @@ mod tests {
         for (backend, delta) in cells() {
             let t = tracker_in(backend, delta);
             let (config, models) = (t.config().clone(), t.models.clone_models());
-            let parallel = EyeTracker::run_sequences_parallel_with(
-                &config, &models, &seeds, 8, &plan, &policy,
-            );
+            let parallel =
+                EyeTracker::run_sequences_parallel(&config, &models, &seeds, 8, &plan, &policy);
             assert_eq!(parallel.len(), seeds.len());
             for (&seed, stats) in seeds.iter().zip(&parallel) {
                 let mut fresh = EyeTracker::new(config.clone(), models.clone_models())

@@ -8,7 +8,7 @@
 //! artefacts are part of the training distribution exactly as in the paper.
 
 use crate::acquisition::{AcquireScratch, Acquisition};
-use crate::pool::parallel_map_chunked;
+use crate::pool::global;
 use crate::roi::predict_roi;
 use crate::tracker::TrackerConfig;
 use eyecod_eyedata::render::{render_eye, EyeParams};
@@ -149,9 +149,9 @@ pub fn train_tracker_models(setup: &TrainingSetup, config: &TrackerConfig) -> Tr
     let no_faults = FaultPlan::none();
     // acquired image, segmentation labels, gaze target, raw measurement
     type TrainSample = (Tensor, Vec<u8>, Tensor, Tensor);
-    // chunk = 1: each render+acquire is heavy and FlatCam/lens costs are
-    // uneven, so fine-grained stealing balances the workers best
-    let samples: Vec<Vec<TrainSample>> = parallel_map_chunked(&params, 1, |p| {
+    // one pool item per sample: each render+acquire is heavy, and items
+    // are claimed one at a time, so uneven FlatCam/lens costs balance
+    let samples: Vec<Vec<TrainSample>> = global().parallel_map(&params, |p| {
         let idx = p.texture_seed ^ seed0;
         let rendered = render_eye(p, scene, idx);
         let mut variants = vec![rendered.clone()];

@@ -92,13 +92,6 @@ impl FlatCam {
         let (h, w) = self.mask.sensor_size();
         h * w
     }
-
-    /// Side length of the (square) raw measurement.
-    pub fn measurement_size(&self) -> usize {
-        let (h, w) = self.mask.sensor_size();
-        assert_eq!(h, w, "separable FlatCam measurements are square");
-        h
-    }
 }
 
 #[cfg(test)]

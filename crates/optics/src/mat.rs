@@ -421,63 +421,6 @@ impl Mat {
         }
     }
 
-    /// Matrix product `self · other`, computed over row tiles on the
-    /// process-wide work-stealing pool.
-    ///
-    /// Each pool job owns a contiguous tile of output rows, so writes are
-    /// disjoint and lock-free. Small products (where threading overhead
-    /// would dominate) fall back to the sequential kernel, making this a
-    /// safe default for the per-frame reconstruction path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if inner dimensions disagree.
-    pub fn matmul_parallel(&self, other: &Mat) -> Mat {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul dimension mismatch: {}x{} · {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        // below ~64³ multiply-accumulates the sequential kernel wins
-        const MIN_PARALLEL_MACS: usize = 64 * 64 * 64;
-        let participants = eyecod_pool::global().threads() + 1;
-        if participants == 1 || self.rows * self.cols * other.cols < MIN_PARALLEL_MACS {
-            return self.matmul(other);
-        }
-        let cols = other.cols;
-        let mut data = vec![0.0f64; self.rows * cols];
-
-        struct RowPtr(*mut f64);
-        impl RowPtr {
-            // method (not field) access, so closures capture &RowPtr —
-            // which is Sync — rather than the raw pointer itself
-            fn get(&self) -> *mut f64 {
-                self.0
-            }
-        }
-        // Soundness: each pool job writes only the rows of its own tile.
-        unsafe impl Send for RowPtr {}
-        unsafe impl Sync for RowPtr {}
-        let out = RowPtr(data.as_mut_ptr());
-
-        // a few tiles per participant so stealing can rebalance
-        let tile = (self.rows / (participants * 4)).max(1);
-        let level = simd::level();
-        eyecod_pool::parallel_for_chunked(self.rows.div_ceil(tile), 1, |t| {
-            let r0 = t * tile;
-            let r1 = ((t + 1) * tile).min(self.rows);
-            let slice = unsafe {
-                std::slice::from_raw_parts_mut(out.get().add(r0 * cols), (r1 - r0) * cols)
-            };
-            self.matmul_rows(other, r0..r1, slice, level);
-        });
-        Mat {
-            rows: self.rows,
-            cols,
-            data,
-        }
-    }
-
     /// Element-wise subtraction.
     ///
     /// # Panics
@@ -621,18 +564,6 @@ impl fmt::Debug for Mat {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_matmul_matches_sequential() {
-        // one size below the parallel gate, one comfortably above it
-        for (m, k, n) in [(8usize, 12usize, 10usize), (80, 96, 72)] {
-            let a = Mat::from_fn(m, k, |r, c| ((r * 31 + c * 7) % 13) as f64 - 6.0);
-            let b = Mat::from_fn(k, n, |r, c| ((r * 17 + c * 3) % 11) as f64 - 5.0);
-            let seq = a.matmul(&b);
-            let par = a.matmul_parallel(&b);
-            assert_eq!(seq.as_slice(), par.as_slice(), "mismatch at {m}x{k}x{n}");
-        }
-    }
 
     #[test]
     fn blocked_matmul_is_bit_identical_to_naive() {

@@ -168,12 +168,8 @@ impl TikhonovReconstructor {
             measurement.rows(),
             measurement.cols()
         );
-        // Ŷ = U₁ᵀ · Y · U₂  (n × n); both products run tiled over rows on
-        // the process pool at paper-scale geometries
-        let yhat = self
-            .u_l_t
-            .matmul_parallel(measurement)
-            .matmul_parallel(&self.svd_r.u);
+        // Ŷ = U₁ᵀ · Y · U₂  (n × n)
+        let yhat = self.u_l_t.matmul(measurement).matmul(&self.svd_r.u);
         // Z_ij = s1_i s2_j Ŷ_ij / (s1_i² s2_j² + ε)
         let n = self.scene;
         let z = Mat::from_fn(n, n, |i, j| {
@@ -187,10 +183,7 @@ impl TikhonovReconstructor {
             }
         });
         // X = V₁ · Z · V₂ᵀ
-        self.svd_l
-            .v
-            .matmul_parallel(&z)
-            .matmul_parallel(&self.v_r_t)
+        self.svd_l.v.matmul(&z).matmul(&self.v_r_t)
     }
 
     /// [`TikhonovReconstructor::reconstruct`] through caller-owned buffers:
@@ -262,10 +255,7 @@ impl TikhonovReconstructor {
             (mh, mw),
             "measurement must be {mh}x{mw}"
         );
-        let yhat = self
-            .u_l_t
-            .matmul_parallel(measurement)
-            .matmul_parallel(&self.svd_r.u);
+        let yhat = self.u_l_t.matmul(measurement).matmul(&self.svd_r.u);
         let z = Mat::from_fn(n, n, |i, j| {
             if i >= rank || j >= rank {
                 return 0.0;
@@ -279,10 +269,7 @@ impl TikhonovReconstructor {
                 s1 * s2 * yhat.at(i, j) / denom
             }
         });
-        self.svd_l
-            .v
-            .matmul_parallel(&z)
-            .matmul_parallel(&self.v_r_t)
+        self.svd_l.v.matmul(&z).matmul(&self.v_r_t)
     }
 
     /// [`TikhonovReconstructor::reconstruct_truncated`] through

@@ -101,7 +101,7 @@ impl SensorModel {
     /// (the same `StdRng` draws in the same order: shot `u1, u2`, then read
     /// `u1, u2`, per pixel) and repeats its arithmetic operation for
     /// operation, except that the Box–Muller `ln` and `cos` are the
-    /// polynomial [`ln_poly`] / [`cos_poly`] instead of libm. The uniforms
+    /// polynomial `ln_poly` / `cos_poly` instead of libm. The uniforms
     /// of a block of pixels are staged in a stack buffer first, so the
     /// transcendental pass runs branch-free over the block; the kernel is
     /// instantiated plain, under `#[target_feature(enable = "avx2")]` and

@@ -1,11 +1,11 @@
 //! Concurrency stress: many independent caller threads hammering the same
 //! pool simultaneously must all complete with correct results — no deadlock,
-//! no cross-job interference. This is the scenario the batch executor hits
-//! when dataset sweeps and sequence evaluations overlap.
+//! no cross-job interference. This is the scenario the pool hits when
+//! dataset sweeps and sequence evaluations overlap.
 
 use std::sync::Arc;
 
-use eyecod_pool::ThreadPool;
+use eyecod_pool::{global, ThreadPool};
 
 /// 64 concurrent `parallel_map` calls issued from 16 caller threads sharing
 /// one small pool. Callers participate in their own jobs, so even a pool
@@ -24,7 +24,7 @@ fn sixty_four_concurrent_maps_from_many_callers() {
                 for round in 0..calls_per_caller {
                     let base = (caller * 1_000 + round * 37) as u64;
                     let items: Vec<u64> = (0..128).map(|i| base + i).collect();
-                    let got = pool.parallel_map_chunked(&items, 3, |&x| x * x + 1);
+                    let got = pool.parallel_map(&items, |&x| x * x + 1);
                     let want: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
                     assert_eq!(got, want, "caller {caller} round {round}");
                 }
@@ -36,18 +36,19 @@ fn sixty_four_concurrent_maps_from_many_callers() {
     }
 }
 
-/// Same pressure through the process-global pool and the free functions,
-/// with nested parallelism inside each job (a map whose items themselves
-/// call `parallel_map`) — re-entrancy must not deadlock.
+/// Same pressure through the process-global pool, with nested parallelism
+/// inside each job (a map whose items themselves call `parallel_map`) —
+/// re-entrancy must not deadlock.
 #[test]
 fn concurrent_nested_maps_on_global_pool() {
     let handles: Vec<_> = (0..8)
         .map(|caller: u64| {
             std::thread::spawn(move || {
                 let outer: Vec<u64> = (0..8).map(|i| caller * 100 + i).collect();
-                let got = eyecod_pool::parallel_map(&outer, |&x| {
+                let got = global().parallel_map(&outer, |&x| {
                     let inner: Vec<u64> = (0..16).map(|i| x + i).collect();
-                    eyecod_pool::parallel_map(&inner, |&y| y * 2)
+                    global()
+                        .parallel_map(&inner, |&y| y * 2)
                         .iter()
                         .sum::<u64>()
                 });
@@ -64,6 +65,21 @@ fn concurrent_nested_maps_on_global_pool() {
     }
 }
 
+/// `for_each_mut` nested inside `parallel_map` on the global pool: every
+/// outer item fills its own buffer through an inner job, and all complete.
+#[test]
+fn for_each_mut_nested_in_parallel_map_on_global_pool() {
+    let outer: Vec<usize> = (0..12).collect();
+    let sums = global().parallel_map(&outer, |&o| {
+        let mut buf = vec![0usize; 40];
+        global().for_each_mut(&mut buf, |i, v| *v = o * 1_000 + i);
+        buf.iter().sum::<usize>()
+    });
+    for (o, &sum) in sums.iter().enumerate() {
+        assert_eq!(sum, (0..40).map(|i| o * 1_000 + i).sum::<usize>());
+    }
+}
+
 /// Panics in some concurrent jobs must not corrupt unrelated jobs running
 /// on the same pool at the same time.
 #[test]
@@ -76,7 +92,7 @@ fn concurrent_panics_do_not_poison_other_jobs() {
                 let items: Vec<usize> = (0..64).collect();
                 if caller.is_multiple_of(3) {
                     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        pool.parallel_map_chunked(&items, 2, |&i| {
+                        pool.parallel_map(&items, |&i| {
                             if i == 40 {
                                 panic!("job {caller} exploded");
                             }
@@ -85,7 +101,7 @@ fn concurrent_panics_do_not_poison_other_jobs() {
                     }));
                     assert!(err.is_err(), "caller {caller} expected a panic");
                 } else {
-                    let got = pool.parallel_map_chunked(&items, 2, |&i| i + caller);
+                    let got = pool.parallel_map(&items, |&i| i + caller);
                     let want: Vec<usize> = items.iter().map(|&i| i + caller).collect();
                     assert_eq!(got, want, "caller {caller}");
                 }

@@ -8,13 +8,13 @@
 //!   occupant; every lookup is O(1).
 //! * **One tick, one frame path** — each serve tick runs every staged
 //!   frame through its session's own [`EyeTracker::process_frame`] — the
-//!   exact call a standalone tracker makes — as one job per session on the
-//!   shared work-stealing pool (`eyecod-pool`), then accounts the frames
-//!   serially in slot order. Sessions live in a columnar `SessionStore`
-//!   (rows = sessions, lifecycle state = columns); all per-frame pipeline
-//!   state lives inside each tracker. Sessions share one read-only
-//!   `Arc<TrackerModels>`, and an int8 session calibrates on its own first
-//!   crops, as a standalone tracker does. There is no cross-session batch:
+//!   exact call a standalone tracker makes — as one pool call per session
+//!   (`eyecod-pool`'s `for_each_mut` over the session slots), then
+//!   accounts the frames serially in slot order. Each slot holds one
+//!   session struct (tracker, ingress queue, accounting, staged frame);
+//!   all per-frame pipeline state lives inside each tracker. Sessions
+//!   share one read-only `Arc<TrackerModels>`, and an int8 session
+//!   calibrates on its own first crops, as a standalone tracker does. There is no cross-session batch:
 //!   every convolution kernel runs batch items one at a time, so a batch
 //!   shares no work.
 //! * **Backpressure** — each session has a bounded ingress queue

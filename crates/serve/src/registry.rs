@@ -1,20 +1,22 @@
 //! The session registry and its serve tick.
 //!
-//! Sessions live in a columnar [`SessionStore`] (rows = sessions, columns
-//! = per-session lifecycle state). One tick serves every staged frame:
+//! Sessions live in a [`SessionStore`] of slots, one `Session` struct per
+//! live slot. One tick serves every staged frame:
 //!
-//! 1. **frames**, one pool job per session: the session's own
-//!    [`EyeTracker::process_frame`] on the staged scene, the exact call a
-//!    standalone tracker makes;
+//! 1. **frames**, one pool call per slot ([`ThreadPool::for_each_mut`]):
+//!    the session's own [`EyeTracker::process_frame`] on the staged scene,
+//!    the exact call a standalone tracker makes; empty and unstaged slots
+//!    return at once;
 //! 2. **account**, serially in slot order: fold each frame into the
 //!    session's statistics, count its gaze network into the
 //!    [`TickReport`], and recycle the staged scene buffer.
 //!
 //! **Worker-panic recovery.** Every frame job checks the registry's
-//! execution-plane fault plan at entry ([`FaultPlan::worker_panics`], job id
-//! = work index) and panics *before touching any column* when listed; the
-//! tick catches the unwind and re-runs the job inline at attempt 1 (which
-//! never re-fires). Because the injected panic happens at the entry point,
+//! execution-plane fault plan at entry ([`FaultPlan::worker_panics`]; job
+//! id = the frame's index among the tick's staged frames, in slot order)
+//! and panics *before touching the session* when listed; the tick catches
+//! the unwind and re-runs the job inline at attempt 1 (which never
+//! re-fires). Because the injected panic happens at the entry point,
 //! the retry replays the job from clean state and the tick's output is
 //! byte-identical to an unfaulted run. Each tick reports its re-runs in
 //! [`TickReport::panics_recovered`] (and the `serve/panics_recovered`
@@ -22,13 +24,12 @@
 //! re-executes the body as-is; a deterministic bug surfaces on the retry
 //! instead of being silently absorbed.)
 
-use crate::store::{QueuedFrame, SendPtr, SessionStore};
+use crate::store::{QueuedFrame, Session, SessionStore, Staged};
 use crate::{ServeConfig, ServeError, SessionId};
 use eyecod_core::acquisition::Acquisition;
 use eyecod_core::metrics::TrackingStats;
 use eyecod_core::tracker::{EyeTracker, GazeBackend, TrackedFrame};
 use eyecod_core::training::TrackerModels;
-use eyecod_eyedata::GazeVector;
 use eyecod_faults::{FaultPlan, RecoveryPolicy};
 use eyecod_pool::ThreadPool;
 use eyecod_telemetry::{static_counter, static_histogram};
@@ -141,10 +142,6 @@ pub struct ServeRegistry {
     recovery: RecoveryPolicy,
     pool: PoolHandle,
     store: SessionStore,
-    /// Rows with a staged frame this tick (reused across ticks).
-    work: Vec<u32>,
-    /// Per-work-index panic flags of the current tick's frame jobs.
-    failed: Vec<u8>,
 }
 
 impl ServeRegistry {
@@ -174,8 +171,6 @@ impl ServeRegistry {
             recovery: RecoveryPolicy::default(),
             pool,
             store: SessionStore::new(),
-            work: Vec::new(),
-            failed: Vec::new(),
         }
     }
 
@@ -210,15 +205,17 @@ impl ServeRegistry {
 
     /// Whether `id` resolves to a live session.
     pub fn contains(&self, id: SessionId) -> bool {
-        self.store.resolve(id).is_ok()
+        self.store.get(id).is_ok()
     }
 
     /// Whether every live int8 session serves from its own calibrated int8
     /// network: false while any int8 session is still collecting its
     /// calibration crops, and false when no int8 session is live.
     pub fn int8_calibrated(&self) -> bool {
-        let mut int8 = (0..self.store.rows())
-            .filter_map(|row| self.store.tracker(row))
+        let mut int8 = self
+            .store
+            .sessions()
+            .map(|s| &s.tracker)
             .filter(|t| t.config().gaze_backend == GazeBackend::Int8)
             .peekable();
         int8.peek().is_some() && int8.all(|t| t.quantized_gaze().is_some())
@@ -248,18 +245,18 @@ impl ServeRegistry {
         Ok(id)
     }
 
-    /// Evicts a session, returning its final snapshot. The row's
+    /// Evicts a session, returning its final snapshot. The slot's
     /// generation is bumped, so the evicted id (and any copy of it) can
     /// never resolve again.
     pub fn evict(&mut self, id: SessionId) -> Result<SessionSnapshot, ServeError> {
         let snap = self.snapshot(id)?;
-        self.store.remove(id.index() as usize);
+        self.store.remove(id)?;
         static_counter!("serve/sessions_evicted").inc();
         static_counter!("serve/sessions_active").set(self.store.active as u64);
         Ok(snap)
     }
 
-    /// Enqueues a frame for `id` (production path: no ground-truth label).
+    /// Enqueues a frame for `id`.
     ///
     /// Never blocks and never panics on load: a full queue sheds its
     /// oldest frame (returned via [`FeedOutcome::Shed`]) and the new frame
@@ -270,29 +267,6 @@ impl ServeRegistry {
         scene: &Tensor,
         noise_seed: u64,
     ) -> Result<FeedOutcome, ServeError> {
-        self.feed_inner(id, scene, noise_seed, None)
-    }
-
-    /// [`ServeRegistry::feed`] with a ground-truth gaze label; the frame's
-    /// angular error is folded into the session's [`TrackingStats`] when
-    /// it completes.
-    pub fn feed_labeled(
-        &mut self,
-        id: SessionId,
-        scene: &Tensor,
-        noise_seed: u64,
-        truth: GazeVector,
-    ) -> Result<FeedOutcome, ServeError> {
-        self.feed_inner(id, scene, noise_seed, Some(truth))
-    }
-
-    fn feed_inner(
-        &mut self,
-        id: SessionId,
-        scene: &Tensor,
-        noise_seed: u64,
-        truth: Option<GazeVector>,
-    ) -> Result<FeedOutcome, ServeError> {
         let expected = self.config.tracker.scene_size;
         if scene.shape() != Shape::new(1, 1, expected, expected) {
             return Err(ServeError::SceneShape {
@@ -301,70 +275,62 @@ impl ServeRegistry {
             });
         }
         let capacity = self.config.queue_capacity;
-        let row = self.store.resolve(id)?;
-        self.store.frames_ingested[row] += 1;
+        let session = self.store.get_mut(id)?;
+        session.frames_ingested += 1;
         static_counter!("serve/frames_ingested").inc();
-        let shed = if self.store.queues[row].len() >= capacity {
-            let old = self.store.queues[row]
-                .pop_front()
-                .expect("full queue is non-empty");
-            self.store.spares[row].push(old.scene);
-            let out = self.store.trackers[row]
-                .as_mut()
-                .expect("resolved row is live")
-                .shed_frame();
-            self.store.stats[row].record_shed();
-            self.store.lasts[row] = Some(out.clone());
+        let shed = if session.queue.len() >= capacity {
+            let old = session.queue.pop_front().expect("full queue is non-empty");
+            session.spares.push(old.scene);
+            let out = session.tracker.shed_frame();
+            session.stats.record_shed();
+            session.last = Some(out.clone());
             static_counter!("serve/frames_shed").inc();
             Some(out)
         } else {
             None
         };
-        let mut buf = self.store.spares[row]
+        let mut buf = session
+            .spares
             .pop()
             .unwrap_or_else(|| Tensor::zeros(Shape::new(1, 1, 1, 1)));
         buf.copy_from(scene);
-        self.store.queues[row].push_back(QueuedFrame {
+        session.queue.push_back(QueuedFrame {
             scene: buf,
             noise_seed,
-            truth,
         });
         Ok(match shed {
             Some(f) => FeedOutcome::Shed(f),
             None => FeedOutcome::Queued {
-                depth: self.store.queues[row].len(),
+                depth: session.queue.len(),
             },
         })
     }
 
     /// Point-in-time view of one session.
     pub fn snapshot(&self, id: SessionId) -> Result<SessionSnapshot, ServeError> {
-        let row = self.store.resolve(id)?;
-        let tracker = self.store.tracker(row).expect("resolved row is live");
+        let session = self.store.get(id)?;
         Ok(SessionSnapshot {
             id,
-            backend: tracker.config().gaze_backend,
-            stats: self.store.stats[row].clone(),
-            queue_depth: self.store.queues[row].len(),
-            frames_ingested: self.store.frames_ingested[row],
-            last: self.store.lasts[row].clone(),
+            backend: session.tracker.config().gaze_backend,
+            stats: session.stats.clone(),
+            queue_depth: session.queue.len(),
+            frames_ingested: session.frames_ingested,
+            last: session.last.clone(),
         })
     }
 
     /// Fleet-aggregate statistics: every live session's stats merged.
     pub fn fleet_stats(&self) -> TrackingStats {
         let mut total = TrackingStats::new();
-        for row in 0..self.store.rows() {
-            if self.store.is_live(row) {
-                total.merge(&self.store.stats[row]);
-            }
+        for session in self.store.sessions() {
+            total.merge(&session.stats);
         }
         total
     }
 
     /// Runs one serve tick: pops at most one frame per session (stable
     /// slot order), runs each staged frame through its session's
-    /// [`EyeTracker::process_frame`] as one pool job per session, then
+    /// [`EyeTracker::process_frame`] as one pool call per session, then
     /// accounts every frame serially in slot order (see the module docs).
     ///
     /// The pool never changes results: each job touches only its own
@@ -388,61 +354,84 @@ impl ServeRegistry {
     fn tick_impl(&mut self, mut trace: Option<&mut Vec<(SessionId, TrackedFrame)>>) -> TickReport {
         static_counter!("serve/ticks").inc();
         let tick_timer = static_histogram!("serve/tick_ns").timer();
-        // stage: at most one queued frame per session, slot order
-        self.work.clear();
-        for row in 0..self.store.rows() {
-            if self.store.is_live(row) {
-                if let Some(qf) = self.store.queues[row].pop_front() {
-                    self.store.staged[row] = Some(qf);
-                    self.work.push(row as u32);
-                }
+        // stage: at most one queued frame per session, numbered in slot
+        // order; a tick with an ROI refresh due may allocate, so only the
+        // others count toward the steady-state proof
+        let mut staged = 0;
+        let mut steady = trace.is_none();
+        for session in self
+            .store
+            .slots
+            .iter_mut()
+            .filter_map(|s| s.session.as_mut())
+        {
+            if let Some(frame) = session.queue.pop_front() {
+                let t = &session.tracker;
+                steady &= !t
+                    .frames_processed()
+                    .is_multiple_of(t.config().roi_period as u64);
+                session.staged = Some(Staged {
+                    frame,
+                    job: staged as u64,
+                    panicked: false,
+                });
+                staged += 1;
             }
         }
-        let staged = self.work.len();
         if staged == 0 {
             drop(tick_timer);
             return TickReport::default();
         }
-        // steady-state proof: an untraced tick with no ROI refresh due must
-        // not allocate
-        let steady = trace.is_none()
-            && !self.work.iter().any(|&r| {
-                let t = self.store.tracker(r as usize).expect("staged");
-                t.frames_processed()
-                    .is_multiple_of(t.config().roi_period as u64)
-            });
         let allocs_before = eyecod_core::alloc_counter::allocations();
 
-        let mut report = TickReport {
-            staged,
-            completed: staged,
-            panics_recovered: self.run_frames(),
-            ..TickReport::default()
-        };
+        let plan = &self.faults;
+        self.pool
+            .get()
+            .for_each_mut(&mut self.store.slots, |_, slot| {
+                let Some(session) = slot.session.as_mut().filter(|s| s.staged.is_some()) else {
+                    return;
+                };
+                if catch_unwind(AssertUnwindSafe(|| run_frame(session, plan, 0))).is_err() {
+                    session.staged.as_mut().expect("frame staged").panicked = true;
+                }
+            });
 
         // account serially in slot order, so no statistic or trace depends
         // on how the pool ran the jobs
-        for &row in &self.work {
-            let row = row as usize;
-            let qf = self.store.staged[row].take().expect("staged frame present");
-            let out = self.store.lasts[row].as_ref().expect("frame job ran");
+        let mut report = TickReport {
+            staged,
+            completed: staged,
+            ..TickReport::default()
+        };
+        for (index, slot) in self.store.slots.iter_mut().enumerate() {
+            let Some(session) = slot.session.as_mut() else {
+                continue;
+            };
+            if session.staged.as_ref().is_some_and(|s| s.panicked) {
+                // deterministic inline retry: attempt 1 never re-fires an
+                // injected panic, and the panic happened before the job
+                // touched the session
+                run_frame(session, plan, 1);
+                report.panics_recovered += 1;
+            }
+            let Some(Staged { frame, .. }) = session.staged.take() else {
+                continue;
+            };
+            let out = session.last.as_ref().expect("frame job ran");
             match out.network {
                 Some(GazeBackend::F32) => report.f32_forwards += 1,
                 Some(GazeBackend::Int8) => report.int8_forwards += 1,
                 Some(GazeBackend::Latent) => report.latent_forwards += 1,
                 None => {}
             }
-            match &qf.truth {
-                Some(t) => self.store.stats[row].record(out, t),
-                None => self.store.stats[row].record_unlabeled(out),
-            }
+            session.stats.record_unlabeled(out);
             if let Some(tr) = trace.as_deref_mut() {
-                tr.push((
-                    SessionId::new(row as u32, self.store.generations[row]),
-                    out.clone(),
-                ));
+                tr.push((SessionId::new(index as u32, slot.generation), out.clone()));
             }
-            self.store.spares[row].push(qf.scene);
+            session.spares.push(frame.scene);
+        }
+        if report.panics_recovered > 0 {
+            static_counter!("serve/panics_recovered").add(report.panics_recovered as u64);
         }
         if steady {
             static_counter!("serve/steady_state_allocs")
@@ -452,64 +441,22 @@ impl ServeRegistry {
         drop(tick_timer);
         report
     }
+}
 
-    /// Every staged frame through its session's `process_frame`, one pool
-    /// job per session, each output left in the session's `lasts` row.
-    /// Jobs listed in the fault plan's execution plane panic at entry and
-    /// are re-run inline (see the module docs); returns how many were.
-    fn run_frames(&mut self) -> usize {
-        let ServeRegistry {
-            faults,
-            pool,
-            store,
-            work,
-            failed,
-            ..
-        } = self;
-        let n = work.len();
-        failed.clear();
-        failed.resize(n, 0);
-        let trackers = SendPtr(store.trackers.as_mut_ptr());
-        let lasts = SendPtr(store.lasts.as_mut_ptr());
-        let staged: &[Option<QueuedFrame>] = &store.staged;
-        let work: &[u32] = work;
-        let job = |w: usize| {
-            let row = work[w] as usize;
-            let qf = staged[row].as_ref().expect("frame staged");
-            // SAFETY: `work` holds unique live rows, so concurrent jobs
-            // touch disjoint elements of both columns
-            let (tracker, last) = unsafe { (trackers.get(row), lasts.get(row)) };
-            let tracker = tracker.as_mut().expect("staged row is live");
-            *last = Some(tracker.process_frame(&qf.scene, qf.noise_seed));
-        };
-        let flags = SendPtr(failed.as_mut_ptr());
-        let plan: &FaultPlan = faults;
-        pool.get().parallel_for_chunked(n, 1, |w| {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                if plan.worker_panics(w as u64, 0) {
-                    panic!("injected exec-plane fault: frame job {w}");
-                }
-                job(w);
-            }));
-            if caught.is_err() {
-                // SAFETY: flag `w` belongs to this job alone
-                *unsafe { flags.get(w) } = 1;
-            }
-        });
-        // deterministic inline retry: attempt 1 never re-fires an injected
-        // panic, and the panic happened before any column write
-        let mut recovered = 0;
-        for (w, &flag) in failed.iter().enumerate() {
-            if flag != 0 {
-                job(w);
-                recovered += 1;
-            }
-        }
-        if recovered > 0 {
-            static_counter!("serve/panics_recovered").add(recovered as u64);
-        }
-        recovered
+/// One frame job: the session's staged frame through its tracker's
+/// `process_frame`, the output left in `last`. A job the fault plan's
+/// execution plane lists panics at entry, before touching the session.
+fn run_frame(session: &mut Session, plan: &FaultPlan, attempt: u32) {
+    let staged = session.staged.as_ref().expect("frame staged");
+    if plan.worker_panics(staged.job, attempt) {
+        panic!("injected exec-plane fault: frame job {}", staged.job);
     }
+    let frame = &staged.frame;
+    session.last = Some(
+        session
+            .tracker
+            .process_frame(&frame.scene, frame.noise_seed),
+    );
 }
 
 #[cfg(test)]
@@ -559,7 +506,7 @@ mod tests {
             assert_eq!(reg.snapshot(a).unwrap_err(), ServeError::StaleSession(a));
             assert_eq!(reg.evict(a).unwrap_err(), ServeError::StaleSession(a));
 
-            // the freed row is reused under a fresh generation: the old id
+            // the freed slot is reused under a fresh generation: the old id
             // still cannot resolve
             let c = reg.create().unwrap();
             assert_eq!(c.index(), a.index());

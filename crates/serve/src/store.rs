@@ -1,21 +1,21 @@
-//! Columnar (structure-of-arrays) session storage.
+//! Session storage: one struct per slot.
 //!
-//! Sessions are rows; per-session lifecycle state lives in parallel
-//! columns — the tracker, the ingress queue and its recycled scene
-//! buffers, the frame staged for the current tick, and the accounting.
-//! Every piece of per-frame pipeline state (acquisition scratch, delta
-//! caches, images, crops, inference arenas) lives inside each session's
-//! own [`EyeTracker`], exactly as in a standalone tracker, so an evicted
-//! session's caches leave with its tracker and can never leak into the
-//! row's next occupant.
+//! A slot holds its generation and, while live, one [`Session`]: the
+//! tracker, the ingress queue and its recycled scene buffers, the
+//! accounting, and the frame staged for the current tick. Every piece of
+//! per-frame pipeline state (acquisition scratch, delta caches, images,
+//! crops, inference arenas) lives inside each session's own
+//! [`EyeTracker`], exactly as in a standalone tracker, so an evicted
+//! session's state leaves with it and can never leak into the slot's next
+//! occupant.
 //!
-//! The store only manages rows and columns; the tick in `registry.rs`
-//! runs each staged frame through its tracker's `process_frame`.
+//! The store only manages slots; the tick in `registry.rs` hands each
+//! slot to one pool call, which runs the staged frame through the
+//! session's `process_frame`.
 
 use crate::{ServeError, SessionId};
 use eyecod_core::metrics::TrackingStats;
 use eyecod_core::tracker::{EyeTracker, TrackedFrame};
-use eyecod_eyedata::GazeVector;
 use eyecod_tensor::Tensor;
 use std::collections::VecDeque;
 
@@ -25,139 +25,114 @@ use std::collections::VecDeque;
 pub(crate) struct QueuedFrame {
     pub(crate) scene: Tensor,
     pub(crate) noise_seed: u64,
-    pub(crate) truth: Option<GazeVector>,
 }
 
-/// Raw-pointer smuggler for handing *disjoint* `&mut` column elements to
-/// pool workers. Safety rests on the caller indexing with unique indices.
-pub(crate) struct SendPtr<T>(pub(crate) *mut T);
-// SAFETY: the one field is only dereferenced through `get`, whose caller
-// guarantees that concurrent calls use distinct indices, so no element is
-// ever aliased across threads.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: as for `Send`: shared `&SendPtr`s only reach elements through
-// `get`'s distinct-index contract.
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// `&mut` to element `i`. Safety: the caller guarantees `i` is in
-    /// bounds and no two concurrent calls use the same index. (A method
-    /// rather than field access so closures capture the `Sync` wrapper,
-    /// not the raw pointer.)
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn get(&self, i: usize) -> &mut T {
-        &mut *self.0.add(i)
-    }
+/// The frame popped for the current tick.
+pub(crate) struct Staged {
+    pub(crate) frame: QueuedFrame,
+    /// The frame's job id: its index among this tick's staged frames, in
+    /// slot order (what the fault plan's execution plane keys on).
+    pub(crate) job: u64,
+    /// Set when the frame's pool call panicked; the tick re-runs it.
+    pub(crate) panicked: bool,
 }
 
-/// The columnar session store: one row per slot, one column per piece of
-/// per-session state. A row is live while `trackers[row]` is `Some`;
-/// `generations[row]` guards stale [`SessionId`]s. Rows are recycled
-/// through the free list, keeping every column's allocation warm.
-pub(crate) struct SessionStore {
-    // --- row management -------------------------------------------------
-    pub(crate) generations: Vec<u32>,
-    pub(crate) free: Vec<u32>,
-    pub(crate) active: usize,
-    // --- the sessions ---------------------------------------------------
-    pub(crate) trackers: Vec<Option<EyeTracker>>,
-    // --- ingress columns ------------------------------------------------
-    pub(crate) queues: Vec<VecDeque<QueuedFrame>>,
-    /// Recycled scene buffers for each ingress queue.
-    pub(crate) spares: Vec<Vec<Tensor>>,
-    pub(crate) frames_ingested: Vec<u64>,
-    /// The frame popped for the current tick.
-    pub(crate) staged: Vec<Option<QueuedFrame>>,
-    // --- accounting columns ----------------------------------------------
-    pub(crate) stats: Vec<TrackingStats>,
+/// One live session.
+pub(crate) struct Session {
+    pub(crate) tracker: EyeTracker,
+    pub(crate) queue: VecDeque<QueuedFrame>,
+    /// Recycled scene buffers for the ingress queue.
+    pub(crate) spares: Vec<Tensor>,
+    pub(crate) frames_ingested: u64,
+    pub(crate) stats: TrackingStats,
     /// The most recent output (processed or shed); the tick's frame job
     /// writes it and the serial accounting reads it.
-    pub(crate) lasts: Vec<Option<TrackedFrame>>,
+    pub(crate) last: Option<TrackedFrame>,
+    pub(crate) staged: Option<Staged>,
+}
+
+/// A registry slot. `generation` guards stale [`SessionId`]s; the slot is
+/// live while `session` is `Some`.
+pub(crate) struct Slot {
+    pub(crate) generation: u32,
+    pub(crate) session: Option<Session>,
+}
+
+/// The slots, plus a free list of the empty ones for reuse.
+pub(crate) struct SessionStore {
+    pub(crate) slots: Vec<Slot>,
+    free: Vec<u32>,
+    pub(crate) active: usize,
 }
 
 impl SessionStore {
     pub(crate) fn new() -> Self {
         SessionStore {
-            generations: Vec::new(),
+            slots: Vec::new(),
             free: Vec::new(),
             active: 0,
-            trackers: Vec::new(),
-            queues: Vec::new(),
-            spares: Vec::new(),
-            frames_ingested: Vec::new(),
-            staged: Vec::new(),
-            stats: Vec::new(),
-            lasts: Vec::new(),
         }
     }
 
-    /// Number of rows (live + recycled).
-    pub(crate) fn rows(&self) -> usize {
-        self.generations.len()
+    /// Every live session, in slot order.
+    pub(crate) fn sessions(&self) -> impl Iterator<Item = &Session> {
+        self.slots.iter().filter_map(|s| s.session.as_ref())
     }
 
-    /// Whether `row` currently holds a live session.
-    pub(crate) fn is_live(&self, row: usize) -> bool {
-        self.trackers.get(row).is_some_and(Option::is_some)
-    }
-
-    /// The live session in `row`, if any.
-    pub(crate) fn tracker(&self, row: usize) -> Option<&EyeTracker> {
-        self.trackers.get(row).and_then(Option::as_ref)
-    }
-
-    /// Inserts a session, reusing a free row when one exists, and returns
+    /// Inserts a session, reusing a free slot when one exists, and returns
     /// its id.
     pub(crate) fn insert(&mut self, tracker: EyeTracker) -> SessionId {
-        let row = match self.free.pop() {
-            Some(row) => {
-                let r = row as usize;
-                self.trackers[r] = Some(tracker);
-                self.queues[r].clear();
-                self.spares[r].clear();
-                self.frames_ingested[r] = 0;
-                self.staged[r] = None;
-                self.stats[r] = TrackingStats::new();
-                self.lasts[r] = None;
-                r
-            }
+        let session = Session {
+            tracker,
+            queue: VecDeque::new(),
+            spares: Vec::new(),
+            frames_ingested: 0,
+            stats: TrackingStats::new(),
+            last: None,
+            staged: None,
+        };
+        let index = match self.free.pop() {
+            Some(index) => index as usize,
             None => {
-                self.generations.push(0);
-                self.trackers.push(Some(tracker));
-                self.queues.push(VecDeque::new());
-                self.spares.push(Vec::new());
-                self.frames_ingested.push(0);
-                self.staged.push(None);
-                self.stats.push(TrackingStats::new());
-                self.lasts.push(None);
-                self.generations.len() - 1
+                self.slots.push(Slot {
+                    generation: 0,
+                    session: None,
+                });
+                self.slots.len() - 1
             }
         };
+        let slot = &mut self.slots[index];
+        slot.session = Some(session);
         self.active += 1;
-        SessionId::new(row as u32, self.generations[row])
+        SessionId::new(index as u32, slot.generation)
     }
 
-    /// Removes a session, bumping the row's generation so the evicted id
-    /// (and any copy of it) can never resolve again. The row's column
-    /// buffers stay allocated for the next occupant.
-    pub(crate) fn remove(&mut self, row: usize) {
-        self.trackers[row] = None;
-        self.staged[row] = None;
-        self.queues[row].clear();
-        self.spares[row].clear();
-        self.generations[row] = self.generations[row].wrapping_add(1);
-        self.free.push(row as u32);
+    /// Removes a live session, bumping the slot's generation so its id
+    /// (and any copy of it) can never resolve again.
+    pub(crate) fn remove(&mut self, id: SessionId) -> Result<Session, ServeError> {
+        self.get(id)?;
+        let slot = &mut self.slots[id.index() as usize];
+        slot.generation = slot.generation.wrapping_add(1);
+        self.free.push(id.index());
         self.active -= 1;
+        Ok(slot.session.take().expect("resolved slot is live"))
     }
 
-    /// Resolves an id to its row, enforcing liveness and generation.
-    pub(crate) fn resolve(&self, id: SessionId) -> Result<usize, ServeError> {
-        let row = id.index() as usize;
-        match self.generations.get(row) {
+    /// The live session `id` names, enforcing liveness and generation.
+    pub(crate) fn get(&self, id: SessionId) -> Result<&Session, ServeError> {
+        match self.slots.get(id.index() as usize) {
             None => Err(ServeError::UnknownSession(id)),
-            Some(&g) if g != id.generation() => Err(ServeError::StaleSession(id)),
-            Some(_) if self.trackers[row].is_none() => Err(ServeError::UnknownSession(id)),
-            Some(_) => Ok(row),
+            Some(s) if s.generation != id.generation() => Err(ServeError::StaleSession(id)),
+            Some(s) => s.session.as_ref().ok_or(ServeError::UnknownSession(id)),
         }
+    }
+
+    /// [`SessionStore::get`], mutably.
+    pub(crate) fn get_mut(&mut self, id: SessionId) -> Result<&mut Session, ServeError> {
+        self.get(id)?;
+        Ok(self.slots[id.index() as usize]
+            .session
+            .as_mut()
+            .expect("resolved slot is live"))
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Everything on the feed+tick path is arena- or freelist-backed: ingress
 //! scenes recycle through each session's spare-buffer list, the staged
-//! work list and panic flags retain capacity across ticks, and each
+//! frame and its panic flag live in the session's own slot, and each
 //! session's frame is its tracker's `process_frame`, whose zero-allocation
 //! steady state the core suite pins. Once the fleet is warm — every
 //! tracker's scratch built, every int8 session calibrated, every static
@@ -50,7 +50,7 @@ fn steady_state_serve_ticks_do_not_allocate() {
         // warm-up: per-session trackers see frames 0..12, covering both ROI
         // refreshes (`roi_period` 10), every int8 session's calibration (at
         // its frame 7: the motion gate exempts warming frames, so each one
-        // runs the crop), spare-buffer growth, column growth, and every
+        // runs the crop), spare-buffer growth, slot growth, and every
         // telemetry static
         for round in 0..12u64 {
             for id in &ids {

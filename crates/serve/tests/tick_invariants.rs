@@ -137,7 +137,7 @@ fn run_schedule(schedule: &Schedule, delta: bool, threads: usize) -> RunResult {
             out.frames.push(digest(*id, f));
         }
         // mid-run churn: evict a slot and refill it (same backend
-        // rotation), exercising row recycling between ticks
+        // rotation), exercising slot recycling between ticks
         for &(churn_step, slot) in &schedule.churn {
             if churn_step == step && !ids.is_empty() {
                 let slot = slot % ids.len();

@@ -80,7 +80,7 @@ mod recording {
         let h = Histogram::new();
         let sum = AtomicU64::new(0);
         const N: usize = 10_000;
-        pool.parallel_for_chunked(N, 64, |i| {
+        pool.for_each_mut(&mut [(); N], |i, _| {
             h.record(i as u64);
             sum.fetch_add(i as u64, Ordering::Relaxed);
         });

@@ -605,7 +605,7 @@ pub struct Conv2dGrads {
 /// added to the (zeroed) gradient tensor; an input gradient accumulates its
 /// products in ascending `(oc, kh, kw, oy, ox)` order; a bias gradient sums
 /// its output plane in order. As in [`conv2d`], each tap's valid output
-/// rows and columns are resolved once ([`tap_span`]), so at stride 1 a tap
+/// rows and columns are resolved once (`tap_span`), so at stride 1 a tap
 /// row is a contiguous dot product (weight gradient) plus a contiguous
 /// axpy (input gradient); the loops are instantiated plain and under
 /// `#[target_feature(enable = "avx2")]`, the AVX2 one taken whenever

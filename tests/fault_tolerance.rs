@@ -108,9 +108,8 @@ fn parallel_and_sequential_recovery_counters_are_identical() {
     const FRAMES: usize = 20;
 
     for config in configs() {
-        let parallel = EyeTracker::run_sequences_parallel_with(
-            &config, models, &seeds, FRAMES, &plan, &policy,
-        );
+        let parallel =
+            EyeTracker::run_sequences_parallel(&config, models, &seeds, FRAMES, &plan, &policy);
         assert_eq!(parallel.len(), seeds.len());
         for (&seed, stats) in seeds.iter().zip(&parallel) {
             let mut fresh = EyeTracker::new(config.clone(), models.clone_models())
